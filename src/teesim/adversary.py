@@ -288,16 +288,18 @@ def _attack_double_core(world: World, scenario: AttackScenario) -> AttackOutcome
     victim = scenario.param("victim") or _ensure_sandbox(world)
     stolen = world.monitor.sandboxes[victim].boot_core
     app = next(iter(world.payloads))
-    region = world.ros.alloc_contiguous(world.ros.layout.sandbox_base_bytes)
     channel = world.ros.shared.alloc_channel()
+    region = world.ros.alloc_contiguous(world.ros.layout.sandbox_base_bytes)
     spec = LaunchSpec(app_id=app, image=world.ros.images[app],
                       core_id=stolen, region=region, channel=channel)
     try:
         sb, _ = world.monitor.lock_and_launch(spec)
-    except (ResourceBusy, NotOwner):
+    except SimError as exc:
         world.ros.cma.free(region)
-        return AttackOutcome(kind, True, MECHANISM[kind], 0,
-                             "occupied core refused at launch")
+        if isinstance(exc, (ResourceBusy, NotOwner)):
+            return AttackOutcome(kind, True, MECHANISM[kind], 0,
+                                 "occupied core refused at launch")
+        raise
     world.ros.cma.set_owner(region, sb)
     world.ros.shared.bind(sb, channel)
     return AttackOutcome(kind, False, "none", 0,
@@ -429,13 +431,34 @@ def make_small_world(mutations=()) -> World:
 
 
 class _Node:
-    __slots__ = ("world", "handles", "trace")
+    """One explored state: a world plus the sandbox ids the ops name.
 
-    def __init__(self, world: World, handles: Dict[str, int],
+    A child made by `child()` shares its parent's world and clones it the
+    first time an op reads `world`, so an op that fails on `handles` alone
+    costs no clone. An op may test a precondition on `peek()` first, which
+    reads the shared world without cloning it; it must not change anything
+    it reaches that way. The parent's world is never changed after its node
+    enters the frontier, so the deferred clone sees the parent's state.
+    """
+
+    __slots__ = ("_world", "_parent_world", "handles", "trace")
+
+    def __init__(self, world: Optional[World], handles: Dict[str, int],
                  trace: Tuple[str, ...]):
-        self.world = world
+        self._world = world
+        self._parent_world = None
         self.handles = handles
         self.trace = trace
+
+    @property
+    def world(self) -> World:
+        if self._world is None:
+            self._world = self._parent_world.clone()
+            self._parent_world = None
+        return self._world
+
+    def peek(self) -> World:
+        return self._parent_world if self._world is None else self._world
 
     def digest(self) -> str:
         import hashlib
@@ -446,8 +469,10 @@ class _Node:
             digest_size=16,
         ).hexdigest()
 
-    def clone(self) -> "_Node":
-        return _Node(self.world.clone(), dict(self.handles), self.trace)
+    def child(self) -> "_Node":
+        node = _Node(None, dict(self.handles), self.trace)
+        node._parent_world = self.world
+        return node
 
 
 def _alive(node: _Node, name: str) -> int:
@@ -521,7 +546,7 @@ def _op_grow_core(name):
 def _op_shrink_core(name):
     def op(node: _Node) -> int:
         sb = _alive(node, name)
-        rt = node.world.runtimes[sb]
+        rt = node.peek().runtimes[sb]
         surplus = sorted(c for c in rt.cores if c != rt.boot_core)
         if not surplus:
             raise BadState("no surplus core")
@@ -550,8 +575,8 @@ def _op_dev_release(name, dev):
 
 
 def _op_adv_overlap(node: _Node) -> int:
-    w = node.world
     a = _alive(node, "a")
+    w = node.world
     b = _alive(node, "b")
     target = w.monitor.ledger.sandbox_intervals(b)[0]
     region = (target[0], target[0] + BLOCK_2M)
@@ -564,20 +589,20 @@ def _op_adv_overlap(node: _Node) -> int:
 
 
 def _op_adv_prime(node: _Node) -> int:
-    w = node.world
     a = _alive(node, "a")
-    span = w.monitor.ledger.sandbox_span(a)
-    target = span[1]
-    if not w.monitor.ledger.owns_range(ROS_CTX, (target, target + BLOCK_2M)):
+    ledger = node.peek().monitor.ledger
+    target = ledger.sandbox_span(a)[1]
+    if not ledger.owns_range(ROS_CTX, (target, target + BLOCK_2M)):
         raise BadState("frame not ROS-owned")
+    w = node.world
     w.probe_translate(ROS_CTX, target)
     w.machine.cache_fill(ROS_CTX, target)
     return 0
 
 
 def _op_adv_probe(node: _Node) -> int:
-    w = node.world
     a = _alive(node, "a")
+    w = node.world
     base = w.monitor.ledger.sandbox_span(a)[0]
     span_end = w.monitor.ledger.sandbox_span(a)[1]
     leaked = 0
@@ -591,8 +616,8 @@ def _op_adv_probe(node: _Node) -> int:
 def _op_adv_victim_touch(node: _Node) -> int:
     """Victim writes into its highest frame (cache + TLB), giving the cache
     attack something to steal."""
-    w = node.world
     a = _alive(node, "a")
+    w = node.world
     span = w.monitor.ledger.sandbox_span(a)
     core = w.monitor.ledger.cores_of(a)
     if not core:
@@ -603,22 +628,25 @@ def _op_adv_victim_touch(node: _Node) -> int:
 
 
 def _op_adv_dma(node: _Node) -> int:
-    w = node.world
     a = _alive(node, "a")
+    w = node.peek()
     dev = w.machine.config.peripherals[0].dev_id
     if w.monitor.ledger.dev_owner[dev] != ROS_CTX:
         raise BadState("device not under ROS")
+    w = node.world
     base = w.monitor.ledger.sandbox_span(a)[0]
     return w.dma_access(dev, ROS_CTX, (base, base + PAGE_4K))
 
 
 def _op_adv_steal_core(node: _Node) -> int:
-    w = node.world
     a = _alive(node, "a")
+    w = node.world
     stolen = w.monitor.sandboxes[a].boot_core
     app = "w"
-    region = w.ros.alloc_contiguous(w.ros.layout.sandbox_base_bytes)
+    # The channel is only picked, not taken, so pick it before taking the
+    # region: a full shared pool then fails the op with nothing to undo.
     channel = w.ros.shared.alloc_channel()
+    region = w.ros.alloc_contiguous(w.ros.layout.sandbox_base_bytes)
     spec = LaunchSpec(app_id=app, image=w.ros.images[app], core_id=stolen,
                       region=region, channel=channel)
     try:
@@ -659,23 +687,34 @@ def explore(world_factory: Callable[[], World] = make_small_world,
             stop_at_first: bool = False) -> ExploreResult:
     """Breadth-first enumeration over the op alphabet with state dedup by
     canonical digest; ops that raise are disabled edges."""
-    ops = op_alphabet or default_alphabet()
+    ops = default_alphabet() if op_alphabet is None else op_alphabet
     root = _Node(world_factory(), {}, ())
     result = ExploreResult(states_visited=1, transitions=0, max_depth=0)
-    seen = {root.digest()}
+    # `seen` holds only states that passed check_invariants, so a transition
+    # into a seen state needs no check. This relies on check_invariants
+    # reading nothing that World.canonical() leaves out. The root's own
+    # violations are not reported, but a state that fails never enters
+    # `seen`, so every transition into it is reported.
+    seen = set()
+    if not check_invariants(root.world):
+        seen.add(root.digest())
     frontier = deque([(root, 0)])
     while frontier:
         node, d = frontier.popleft()
         if d >= depth:
             continue
         for op_name, op_fn in ops:
-            child = node.clone()
-            child.trace = node.trace + (op_name,)
+            child = node.child()
             try:
                 leaked = op_fn(child)
             except SimError:
                 continue
             result.transitions += 1
+            child.trace = node.trace + (op_name,)
+            if not leaked:
+                digest = child.digest()
+                if digest in seen:
+                    continue
             violations = check_invariants(child.world)
             if leaked:
                 result.violations.append(
@@ -689,9 +728,6 @@ def explore(world_factory: Callable[[], World] = make_small_world,
                 return result
             if violations or leaked:
                 continue  # record once, do not expand corrupted states
-            digest = child.digest()
-            if digest in seen:
-                continue
             seen.add(digest)
             result.states_visited += 1
             result.max_depth = max(result.max_depth, d + 1)
@@ -709,7 +745,7 @@ def replay_trace(ops_trace: Tuple[str, ...], mutations=(),
                  op_alphabet: Optional[List[Tuple[str, Callable]]] = None):
     """Re-run a counterexample op sequence; returns (violations, leaked)."""
     factory = world_factory or (lambda: make_small_world(mutations))
-    ops = dict(op_alphabet or default_alphabet())
+    ops = dict(default_alphabet() if op_alphabet is None else op_alphabet)
     node = _Node(factory(), {}, ())
     leaked_total = 0
     for op_name in ops_trace:

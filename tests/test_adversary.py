@@ -1,20 +1,24 @@
 import random
+from collections import deque
 
 import pytest
 
+from teesim import adversary
 from teesim.adversary import (
     AttackKind,
     AttackScenario,
+    _Node,
     check_invariants,
+    default_alphabet,
     explore,
     make_small_world,
     replay_trace,
     run_attack,
 )
-from teesim.errors import BudgetExceeded
+from teesim.errors import BudgetExceeded, OutOfMemory, SimError
 from teesim.hw_model import default_config
 from teesim.monitor import Defenses
-from teesim.world import WorldOptions, build_world
+from teesim.world import World, WorldOptions, build_world
 
 PAYLOAD = b"secret model weights"
 
@@ -179,3 +183,118 @@ def test_counterexample_replay_is_deterministic():
     assert [v.invariant_id for v in first[0]] == \
         [v.invariant_id for v in second[0]]
     assert first[1] == second[1]
+
+
+def test_failed_steal_core_leaves_world_unchanged():
+    """With a and b alive the shared pool is full: the op fails and must not
+    leave a CMA region behind."""
+    ops = dict(default_alphabet())
+    node = _Node(make_small_world(), {}, ())
+    ops["create_a"](node)
+    ops["create_b"](node)
+    world = node.world
+    before = (world.canonical(), list(world.ros.cma.allocations))
+    with pytest.raises(OutOfMemory):
+        ops["adv_steal_core"](node)
+    assert (world.canonical(), world.ros.cma.allocations) == before
+
+
+def test_failed_double_core_attack_leaves_cma_unchanged():
+    w = make_small_world()
+    victim = w.create_sandbox("w")
+    w.create_sandbox("w")
+    before = list(w.ros.cma.allocations)
+    with pytest.raises(OutOfMemory):
+        run_attack(w, AttackScenario(AttackKind.DOUBLE_CORE_ALLOC,
+                                     (("victim", victim),)))
+    assert w.ros.cma.allocations == before
+
+
+def test_explore_empty_alphabet_has_no_transitions():
+    res = explore(op_alphabet=[], depth=2)
+    assert (res.states_visited, res.transitions) == (1, 0)
+    with pytest.raises(KeyError):
+        replay_trace(("create_a",), op_alphabet=[])
+
+
+def _reference_explore(world_factory, depth):
+    """Plain BFS: clone before every op and check every transition."""
+    ops = default_alphabet()
+    root = _Node(world_factory(), {}, ())
+    seen = {root.digest()}
+    states, transitions, findings = 1, 0, []
+    frontier = deque([(root, 0)])
+    while frontier:
+        node, d = frontier.popleft()
+        if d >= depth:
+            continue
+        for name, fn in ops:
+            child = _Node(node.world.clone(), dict(node.handles),
+                          node.trace + (name,))
+            try:
+                leaked = fn(child)
+            except SimError:
+                continue
+            transitions += 1
+            violations = check_invariants(child.world)
+            if leaked:
+                findings.append(("attack", f"{name} leaked {leaked} bytes",
+                                 child.trace))
+            findings += [(v.invariant_id, v.detail, child.trace)
+                         for v in violations]
+            if violations or leaked:
+                continue
+            digest = child.digest()
+            if digest not in seen:
+                seen.add(digest)
+                states += 1
+                frontier.append((child, d + 1))
+    return states, transitions, findings
+
+
+@pytest.mark.parametrize("mutations", [(), ("no_verify",), ("no_sanitize",),
+                                       ("no_legality_check",), ("no_smmu",)])
+def test_explore_matches_reference_bfs(mutations):
+    factory = lambda: make_small_world(mutations)  # noqa: E731
+    res = explore(world_factory=factory, depth=5, stop_at_first=False)
+    got = (res.states_visited, res.transitions,
+           [(f.kind, f.detail, f.trace) for f in res.violations])
+    assert got == _reference_explore(factory, 5)
+    assert bool(got[2]) == bool(mutations)
+
+
+def test_explore_reports_every_transition_into_a_violating_root():
+    def broken_world():
+        w = make_small_world(("no_verify",))
+        w.create_sandbox("w")  # boots unverified: BOOT-GATE
+        return w
+
+    def noop(node):
+        assert node.world is not None
+        return 0
+
+    res = explore(world_factory=broken_world, op_alphabet=[("noop", noop)],
+                  depth=3)
+    assert (res.states_visited, res.transitions) == (1, 1)
+    assert [(f.kind, f.trace) for f in res.violations] == \
+        [("BOOT-GATE", ("noop",))]
+
+
+def test_explore_work_counters_at_depth_6(monkeypatch):
+    calls = {"clone": 0, "check": 0}
+    clone, check = World.clone, adversary.check_invariants
+
+    def counted_clone(self):
+        calls["clone"] += 1
+        return clone(self)
+
+    def counted_check(world):
+        calls["check"] += 1
+        return check(world)
+
+    monkeypatch.setattr(World, "clone", counted_clone)
+    monkeypatch.setattr(adversary, "check_invariants", counted_check)
+    res = explore(depth=6)
+    assert (res.states_visited, res.transitions) == (1147, 3357)
+    assert calls["clone"] <= 5902
+    assert calls["check"] <= 1147
