@@ -9,7 +9,7 @@ byte-identical trace.
 import hashlib
 import heapq
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import ConfigError
@@ -149,21 +149,18 @@ class CostTable:
         return replace(self, **kwargs)
 
 
-@dataclass(order=True)
-class _Event:
-    time_ns: int
-    seq: int
-    fn: Callable = field(compare=False)
-
-
 class Engine:
     """Single-threaded event queue plus the structured trace."""
 
     def __init__(self, costs: Optional[CostTable] = None):
         self.costs = costs or CostTable()
         self.now_ns = 0
+        # End of the current (or last) run_until; no event after it runs
+        # before the caller asks again.
+        self.end_ns = 0
         self._seq = 0
-        self._queue: List[_Event] = []
+        # (time_ns, seq, fn); seq is unique, so fn is never compared.
+        self._queue: List[Tuple[int, int, Callable]] = []
         self.records: List[dict] = []
         self._trace_seq = 0
 
@@ -173,24 +170,28 @@ class Engine:
         if delay_ns < 0:
             raise ValueError("negative delay")
         self._seq += 1
-        heapq.heappush(self._queue, _Event(self.now_ns + delay_ns, self._seq, fn))
+        heapq.heappush(self._queue, (self.now_ns + delay_ns, self._seq, fn))
         return self._seq
+
+    @property
+    def next_event_ns(self) -> Optional[int]:
+        """Time of the earliest queued event, or None when the queue is empty."""
+        return self._queue[0][0] if self._queue else None
 
     def run_until(self, t_end_ns: int) -> int:
         if t_end_ns < self.now_ns:
             raise ValueError("run_until into the past")
+        self.end_ns = t_end_ns
+        queue = self._queue
         dispatched = 0
-        while self._queue and self._queue[0].time_ns <= t_end_ns:
-            ev = heapq.heappop(self._queue)
-            assert ev.time_ns >= self.now_ns
-            self.now_ns = ev.time_ns
-            ev.fn()
+        while queue and queue[0][0] <= t_end_ns:
+            time_ns, _, fn = heapq.heappop(queue)
+            assert time_ns >= self.now_ns
+            self.now_ns = time_ns
+            fn()
             dispatched += 1
         self.now_ns = t_end_ns
         return dispatched
-
-    def run_all(self, limit_ns: int) -> int:
-        return self.run_until(limit_ns)
 
     def pending(self) -> int:
         return len(self._queue)

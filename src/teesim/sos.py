@@ -107,7 +107,6 @@ class SandboxRuntime:
         self._file_index = 0
         self._queries_left = 0
         self._attached_bytes = 0
-        self.mem_pressure = False
         self.mem_pending = False
         # Accounting.
         self.work_started_ns: Optional[int] = None
@@ -117,8 +116,6 @@ class SandboxRuntime:
             maxlen=RELEASE_WINDOW_SAMPLES
         )
         self.hysteresis_until_ns = 0
-        self.adjust_count = 0
-        self.adjust_latency_ns = 0
 
     # -- state machine -----------------------------------------------------
 
@@ -292,10 +289,8 @@ class SandboxRuntime:
             room = self.max_memory - self.base_bytes - self._attached_bytes
             ask = min(ask, room - room % self.mem_granule)
             if ask > 0:
-                self.mem_pressure = True
                 return MemRequest("attach", ask)
             return None
-        self.mem_pressure = False
         slack = self._cache_bytes() - requested_bytes
         free_granules = min(slack // self.mem_granule,
                             self._attached_bytes // self.mem_granule)
@@ -321,15 +316,3 @@ class SandboxRuntime:
             self.remaining_scaled, self._file_index, self._queries_left,
             self._attached_bytes,
         )
-
-
-def step_workload(runtime: SandboxRuntime, dt_ns: int) -> int:
-    return runtime.step_workload(dt_ns)
-
-
-def monitor_cpu(runtime: SandboxRuntime, now_ns: int) -> Optional[AdjustRequest]:
-    return runtime.monitor_cpu(now_ns)
-
-
-def monitor_memory(runtime: SandboxRuntime, requested_bytes: int) -> Optional[MemRequest]:
-    return runtime.monitor_memory(requested_bytes)

@@ -212,14 +212,9 @@ class World:
         if rt is None or rt.state != "running":
             return
         now = self.engine.now_ns
+        tick = self.options.tick_ns
         rt.account_to(now)
-        window_start = now - self.options.tick_ns
-        busy_start = max(window_start, rt.work_started_ns or now)
-        busy_end = min(now, rt.work_finished_ns if rt.work_finished_ns is not None
-                       else now)
-        if rt.busy():
-            busy_end = now
-        busy_ns = max(0, busy_end - busy_start)
+        busy_ns = self._busy_ns(rt, now)
         rt.sample_usage(now, busy_ns)
         self._sample_utilization(rt, busy_ns)
         mem_req = rt.monitor_memory(rt.working_set_bytes())
@@ -234,17 +229,62 @@ class World:
                 self._request_core_increase(sb, cpu_req.core_class)
             else:
                 self._request_core_release(sb, cpu_req.core_id)
-        self.engine.schedule(self.options.tick_ns, lambda: self._tick(sb))
+        folded = 0
+        if mem_req is None and cpu_req is None:
+            folded = self._quiescent_ticks(rt, now, busy_ns)
+            if folded:
+                self._sample_utilization(rt, busy_ns, folded)
+                rt._last_account_ns = now + folded * tick
+        self.engine.schedule((folded + 1) * tick, lambda: self._tick(sb))
 
-    def _sample_utilization(self, rt: SandboxRuntime, busy_ns: int) -> None:
+    def _busy_ns(self, rt: SandboxRuntime, now: int) -> int:
+        """Busy time of rt in the tick window that ends at now."""
+        busy_start = max(now - self.options.tick_ns, rt.work_started_ns or now)
+        busy_end = min(now, rt.work_finished_ns if rt.work_finished_ns is not None
+                       else now)
+        if rt.busy():
+            busy_end = now
+        return max(0, busy_end - busy_start)
+
+    def _quiescent_ticks(self, rt: SandboxRuntime, now: int, busy_ns: int) -> int:
+        """How many of the ticks after the one at now would repeat it exactly.
+
+        A tick that raised no request, with no work left, past hysteresis and
+        with a full window of samples equal to its own, changes nothing the
+        next tick reads, so the next one repeats it, as long as no other
+        event runs in between. Those ticks are bounded by the engine's next
+        queued event (an event at the same time runs first, so that tick
+        stays real) and by the end of the current run_until. Their only
+        effect is the utilization integrals and the accounting point.
+        """
+        if rt.busy() or now < rt.hysteresis_until_ns:
+            return 0
         tick = self.options.tick_ns
+        count = (self.engine.end_ns - now) // tick
+        next_ns = self.engine.next_event_ns
+        if next_ns is not None:
+            count = min(count, (next_ns - now - 1) // tick)
+        if count <= 0:
+            return 0
+        usage = rt.usage
+        if len(usage) != usage.maxlen or usage.count(usage[-1]) != len(usage):
+            return 0
+        # Busy time per window is monotone once work is over, so equal at the
+        # next tick means equal at every later one.
+        if self._busy_ns(rt, now + tick) != busy_ns:
+            return 0
+        return count
+
+    def _sample_utilization(self, rt: SandboxRuntime, busy_ns: int,
+                            ticks: int = 1) -> None:
+        span = self.options.tick_ns * ticks
         alloc = self.monitor.ledger.sandbox_size(rt.id)
         used = min(alloc, rt.used_bytes())
-        self.metrics.mem_used_integral += used * tick
-        self.metrics.mem_alloc_integral += alloc * tick
+        self.metrics.mem_used_integral += used * span
+        self.metrics.mem_alloc_integral += alloc * span
         ncores = len(rt.cores)
-        self.metrics.core_busy_integral += busy_ns * ncores
-        self.metrics.core_alloc_integral += tick * ncores
+        self.metrics.core_busy_integral += busy_ns * ticks * ncores
+        self.metrics.core_alloc_integral += span * ncores
 
     def _repredict(self, sb: int) -> None:
         rt = self.runtimes.get(sb)
@@ -350,7 +390,6 @@ class World:
         )
         cls = self.machine.cores[core_id].core_class.value
         rt.hysteresis_until_ns = now + cost + sos.HYSTERESIS_NS
-        rt.adjust_count += 1
         self.metrics.adjust_count += 1
         self.metrics.adjust_latency_ns += cost
 

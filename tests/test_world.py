@@ -1,5 +1,8 @@
 import pytest
 
+from teesim import bench
+from teesim import scenario as sc
+from teesim.engine import Engine
 from teesim.errors import BadState
 from teesim.hw_model import ROS_CTX, default_config
 from teesim.sos import WORK_SCALE, InferenceBatch
@@ -138,3 +141,107 @@ def test_quota_safety_over_random_scenarios():
         for sb, meta in w.monitor.sandboxes.items():
             assert len(w.monitor.ledger.cores_of(sb)) <= meta.max_cores
             assert w.monitor.ledger.sandbox_size(sb) <= meta.max_memory
+
+
+# -- quiescent tick folding ----------------------------------------------------
+
+def _no_workload_scenario(cores: int, horizon_s: int, extra: str = "") -> str:
+    return (
+        f"{sc.HEADER} v{sc.VERSION}\n"
+        "seed = 1\n"
+        f"horizon = {horizon_s}s\n"
+        "\n[apps]\n"
+        "app idle idle-payload\n"
+        "\n[timeline]\n"
+        f"at 0ms create sb1 app=idle cores={cores} memory=256M core=big\n"
+        + extra
+    )
+
+
+FOLD_CASES = {
+    "mem_query_flexible": bench._query_scenario(10, dynamic=True),
+    "mem_query_static_30M": bench._query_scenario(30, dynamic=False),
+    "dl_batch_40_images_3_cores": bench._dl_scenario(40, 3),
+    # A tick falls at 10,032 ms; the directive queued for that time runs
+    # before it, so the fold must stop short of it.
+    "no_workload_3_cores": _no_workload_scenario(
+        3, 12, "at 10032ms terminate sb1\n"),
+    # Wants more cores than the machine has: once it holds all seven it is
+    # refused every 1.1 s, and between refusals only the hysteresis window
+    # holds it back, so none of its ticks may fold.
+    "no_workload_8_cores": _no_workload_scenario(8, 20),
+}
+NOTHING_TO_FOLD = {"no_workload_8_cores"}
+
+
+def _counting_run_until(monkeypatch, step_ns=None):
+    """Patch Engine.run_until to record what each call dispatches; with
+    step_ns, each call advances in steps of at most step_ns."""
+    whole = Engine.run_until
+    counts = []
+
+    def run_until(self, t_end_ns):
+        if step_ns is None:
+            n = whole(self, t_end_ns)
+        else:
+            n = whole(self, min(self.now_ns + step_ns, t_end_ns))
+            while self.now_ns < t_end_ns:
+                n += whole(self, min(self.now_ns + step_ns, t_end_ns))
+        counts.append(n)
+        return n
+
+    monkeypatch.setattr(Engine, "run_until", run_until)
+    return counts
+
+
+def _fold_observables(res):
+    w = res.world
+    m = w.metrics
+    return {
+        "trace_digest": res.trace_digest,
+        "completion_ns": m.completion_ns,
+        "integrals": (m.mem_used_integral, m.mem_alloc_integral,
+                      m.core_busy_integral, m.core_alloc_integral),
+        "adjust_count": m.adjust_count,
+        "runtimes": {
+            sb: (rt.canonical(), list(rt.usage), rt._last_account_ns)
+            for sb, rt in w.runtimes.items()
+        },
+    }
+
+
+def _whole_and_stepped(monkeypatch, scenario):
+    """Run once with one run_until over the horizon, once in 37 ms steps:
+    a step shorter than a tick leaves no tick to fold."""
+    with monkeypatch.context() as m:
+        whole_counts = _counting_run_until(m)
+        whole = _fold_observables(sc.run_scenario(scenario))
+    with monkeypatch.context() as m:
+        stepped_counts = _counting_run_until(m, step_ns=37 * MS_NS)
+        stepped = _fold_observables(sc.run_scenario(scenario))
+    return whole, stepped, sum(whole_counts), sum(stepped_counts)
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_CASES))
+def test_folded_ticks_equal_tick_by_tick(monkeypatch, name):
+    whole, stepped, whole_events, stepped_events = _whole_and_stepped(
+        monkeypatch, sc.parse(FOLD_CASES[name]))
+    assert whole == stepped
+    if name in NOTHING_TO_FOLD:
+        assert whole_events == stepped_events
+    else:
+        assert whole_events < stepped_events
+
+
+def test_folded_ticks_equal_tick_by_tick_on_random_scenarios(monkeypatch):
+    for seed in range(30):
+        whole, stepped, _, _ = _whole_and_stepped(
+            monkeypatch, sc.make_random_scenario(seed))
+        assert whole == stepped, seed
+
+
+def test_idle_flexible_mem_query_dispatches_few_events(monkeypatch):
+    counts = _counting_run_until(monkeypatch)
+    sc.run_scenario(sc.parse(bench._query_scenario(10, dynamic=True)),
+                    with_trace=False, check_each_directive=False)
+    assert counts and sum(counts) < 2000
