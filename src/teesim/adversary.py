@@ -23,7 +23,7 @@ from .errors import (
 from .hw_model import ROS_CTX, small_config
 from .monitor import Defenses, LaunchSpec
 from .units import BLOCK_2M, PAGE_4K
-from .world import World, WorldOptions, build_world
+from .world import World, WorldOptions, build_world, digest
 
 
 class AttackKind(str, Enum):
@@ -461,13 +461,7 @@ class _Node:
         return self._parent_world if self._world is None else self._world
 
     def digest(self) -> str:
-        import hashlib
-
-        return hashlib.blake2b(
-            repr((self.world.canonical(), tuple(sorted(self.handles.items()))))
-            .encode(),
-            digest_size=16,
-        ).hexdigest()
+        return digest((self.world.canonical(), tuple(sorted(self.handles.items()))))
 
     def child(self) -> "_Node":
         node = _Node(None, dict(self.handles), self.trace)

@@ -12,6 +12,7 @@ from typing import Dict, Optional, Tuple
 
 from . import stage2
 from .errors import AlignmentError, ConfigError
+from .state import SHARED, Schema, clone_values, keyed, sorted_items
 from .units import BLOCK_2M, GB, KB, MB, PAGE_4K, align_down, is_aligned, overlaps
 
 ROS_CTX = 0
@@ -25,8 +26,6 @@ class CoreClass(str, Enum):
 class CoreState(str, Enum):
     RUNNING_ROS = "running_ros"
     RUNNING_SANDBOX = "running_sandbox"
-    BUSY_WAIT = "busy_wait"
-    OFF = "off"
 
 
 class DevKind(str, Enum):
@@ -269,39 +268,30 @@ class Machine:
 
     # -- exploration support ----------------------------------------------
 
-    def clone(self) -> "Machine":
-        other = Machine.__new__(Machine)
-        other.config = self.config
-        other.cores = {
-            cid: Core(c.core_id, c.core_class, c.state, c.active_ctx)
-            for cid, c in self.cores.items()
-        }
-        other.table_sets = {ctx: ts.clone() for ctx, ts in self.table_sets.items()}
-        other.tlbs = {cid: OrderedDict(tlb) for cid, tlb in self.tlbs.items()}
-        other.cache = OrderedDict(self.cache)
-        return other
-
-    def canonical(self) -> tuple:
-        return (
-            tuple(
-                (c.core_id, c.core_class.value, c.state.value, c.active_ctx)
-                for c in self.cores.values()
-            ),
-            tuple(ts.canonical() for _, ts in sorted(self.table_sets.items())),
-            tuple(
-                (cid, tuple(sorted(tlb))) for cid, tlb in sorted(self.tlbs.items())
-            ),
-            tuple(sorted(self.cache.items())),
-        )
+    STATE = Schema(
+        config=SHARED,
+        cores=keyed(
+            lambda cores: tuple((c.core_id, c.core_class.value, c.state.value,
+                                 c.active_ctx) for c in cores.values()),
+            copy=lambda cores: {cid: Core(c.core_id, c.core_class, c.state,
+                                          c.active_ctx) for cid, c in cores.items()},
+        ),
+        table_sets=keyed(
+            lambda sets: tuple(ts.canonical() for _, ts in sorted(sets.items())),
+            copy=clone_values,
+        ),
+        # TLB and cache entries are keyed sorted, so FIFO eviction order is
+        # copied but not keyed (ROADMAP Open item 2).
+        tlbs=keyed(
+            lambda tlbs: tuple((cid, tuple(sorted(tlb)))
+                               for cid, tlb in sorted(tlbs.items())),
+            copy=lambda tlbs: {cid: OrderedDict(tlb) for cid, tlb in tlbs.items()},
+        ),
+        cache=keyed(sorted_items, copy=OrderedDict),
+    )
+    clone = STATE.clone
+    canonical = STATE.canonical
 
 
 def build_machine(config: MachineConfig) -> Machine:
     return Machine(config)
-
-
-def tlb_flush_range(machine: Machine, pa_range: Tuple[int, int]) -> int:
-    return machine.tlb_flush_range(pa_range)
-
-
-def cache_fill(machine: Machine, context_id: int, pa: int) -> None:
-    machine.cache_fill(context_id, pa)

@@ -22,6 +22,7 @@ from .errors import (
 from .hw_model import ROS_CTX, DevKind, MachineConfig
 from .monitor import LaunchSpec, Monitor
 from .secure_world import EncryptedImage, KeyStore, digest64
+from .state import DICT, NESTED, REWIRED, SHARED, Schema, copied, keyed
 from .units import BLOCK_2M, GB, MB, is_aligned
 
 DRIVER_LOADED = "loaded"
@@ -141,11 +142,9 @@ class CmaPool:
     def owned_by(self, owner: int) -> List[Tuple[int, int]]:
         return [(s, e) for s, e, o in self.allocations if o == owner]
 
-    def clone(self) -> "CmaPool":
-        other = CmaPool.__new__(CmaPool)
-        other.extents = self.extents
-        other.allocations = list(self.allocations)
-        return other
+    STATE = Schema(extents=SHARED, allocations=keyed(tuple, copy=list))
+    clone = STATE.clone
+    canonical = STATE.canonical
 
 
 class SharedPool:
@@ -175,12 +174,9 @@ class SharedPool:
     def release(self, sandbox_id: int) -> None:
         self.channels.pop(sandbox_id)
 
-    def clone(self) -> "SharedPool":
-        other = SharedPool.__new__(SharedPool)
-        other.base_range = self.base_range
-        other.channel_bytes = self.channel_bytes
-        other.channels = dict(self.channels)
-        return other
+    STATE = Schema(base_range=SHARED, channel_bytes=SHARED, channels=DICT)
+    clone = STATE.clone
+    canonical = STATE.canonical
 
 
 class RosActor:
@@ -359,26 +355,16 @@ class RosActor:
 
     # -- exploration support -----------------------------------------------------------
 
-    def clone_onto(self, machine, mon: Monitor, eng) -> "RosActor":
-        other = RosActor.__new__(RosActor)
-        other.machine = machine
-        other.monitor = mon
-        other.store = self.store
-        other.engine = eng
-        other.layout = self.layout
-        other.cma = self.cma.clone()
-        other.shared = self.shared.clone()
-        other.images = dict(self.images)
-        other.driver_blobs = dict(self.driver_blobs)
-        other.driver_states = dict(self.driver_states)
-        other.gpu_suspended_at = dict(self.gpu_suspended_at)
-        mon.shared_pool_range = other.shared.base_range
-        mon.driver_states = other.driver_states
-        return other
-
-    def canonical(self) -> tuple:
-        return (
-            tuple(self.cma.allocations),
-            tuple(sorted(self.shared.channels.items())),
-            tuple(sorted(self.driver_states.items())),
-        )
+    STATE = Schema(
+        machine=REWIRED, monitor=REWIRED, engine=REWIRED,
+        store=SHARED, layout=SHARED,
+        cma=NESTED, shared=NESTED, driver_states=DICT,
+        images=copied("changed only inside create_a_tampered, which restores it",
+                      copy=dict),
+        driver_blobs=copied("set at setup; no exploration op changes it",
+                            copy=dict),
+        gpu_suspended_at=copied("always empty in the single-wifi small world, "
+                                "as in all 7,172 depth-8 states", copy=dict),
+    )
+    clone = STATE.clone
+    canonical = STATE.canonical

@@ -112,11 +112,3 @@ class KeyStore:
             return self._records[app_id]
         except KeyError:
             raise UnknownApp(app_id) from None
-
-
-def register_image(store: KeyStore, app_id: str, payload: bytes) -> ImageRecord:
-    return store.register_image(app_id, payload)
-
-
-def verify_and_decrypt(store: KeyStore, image: EncryptedImage) -> bytes:
-    return store.verify_and_decrypt(image)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Set, Tuple
 
 from .errors import BadState
+from .state import DICT, KEYED, SET, SHARED, Schema, copied
 from .units import MB, MS_NS, S_NS, align_up
 
 # Fixed-point scale: one work unit is 1000 milli-units; rates are
@@ -80,6 +81,10 @@ class MemRequest:
 
 
 _STATE_ORDER = ["created", "verifying", "booting", "running", "terminating", "dead"]
+
+# Why the timing fields are not keyed.
+_CLOCK = ("simulated time; exploration runs in instant mode, where the clock "
+          "stays at 0 and no tick or completion event runs")
 
 
 class SandboxRuntime:
@@ -300,19 +305,20 @@ class SandboxRuntime:
 
     # -- cloning for exploration ------------------------------------------------
 
-    def clone(self) -> "SandboxRuntime":
-        other = SandboxRuntime.__new__(SandboxRuntime)
-        other.__dict__.update(self.__dict__)
-        other.cores = dict(self.cores)
-        other.devices = set(self.devices)
-        other.usage = deque(self.usage, maxlen=RELEASE_WINDOW_SAMPLES)
-        # Workload dataclasses hold only immutable parameters.
-        return other
-
-    def canonical(self) -> tuple:
-        return (
-            self.id, self.app_id, self.state,
-            tuple(sorted(self.cores.items())), tuple(sorted(self.devices)),
-            self.remaining_scaled, self._file_index, self._queries_left,
-            self._attached_bytes,
-        )
+    STATE = Schema(
+        id=KEYED, app_id=KEYED, state=KEYED,
+        max_cores=SHARED, max_memory=SHARED, boot_core=SHARED, base_bytes=SHARED,
+        mem_granule=SHARED,
+        workload=SHARED,  # parameters only; progress is in the fields below
+        cores=DICT, devices=SET,
+        remaining_scaled=KEYED, _file_index=KEYED, _queries_left=KEYED,
+        _attached_bytes=KEYED,
+        gpu_owned=copied("follows from devices: true iff one of them is a GPU"),
+        mem_pending=copied("set and cleared inside one op in instant mode"),
+        work_started_ns=copied(_CLOCK), work_finished_ns=copied(_CLOCK),
+        _last_account_ns=copied(_CLOCK), hysteresis_until_ns=copied(_CLOCK),
+        usage=copied(_CLOCK,
+                     copy=lambda usage: deque(usage, maxlen=RELEASE_WINDOW_SAMPLES)),
+    )
+    clone = STATE.clone
+    canonical = STATE.canonical

@@ -18,6 +18,7 @@ from enum import Enum
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import AlignmentError, DoubleMapError, NotMappedError
+from .state import KEYED, Schema, keyed
 from .units import BLOCK_2M, PAGE_4K, TABLE_SPAN_2M, TABLE_SPAN_4K
 
 
@@ -51,8 +52,6 @@ TABLE_BYTES = 4 * 1024
 
 class Stage2TableSet:
     """Identity-mapped stage-2 tables for one execution context."""
-
-    __slots__ = ("context_id", "_runs")
 
     def __init__(self, context_id: int):
         self.context_id = context_id
@@ -92,14 +91,6 @@ class Stage2TableSet:
             if attr is None or a is attr:
                 total += (end - start) // granularity_of(a)
         return total
-
-    def blocks(self, attr: Attr) -> Iterable[Tuple[int, int]]:
-        """Individual (start, end) granules of every run with this attr."""
-        gran = granularity_of(attr)
-        for start, end, a in self._runs:
-            if a is attr:
-                for base in range(start, end, gran):
-                    yield (base, base + gran)
 
     # -- mutation --------------------------------------------------------
 
@@ -190,35 +181,16 @@ class Stage2TableSet:
 
     # -- plumbing --------------------------------------------------------
 
-    def clone(self) -> "Stage2TableSet":
-        other = Stage2TableSet(self.context_id)
-        other._runs = list(self._runs)
-        return other
-
-    def canonical(self) -> tuple:
-        return (self.context_id, tuple((s, e, a.value) for s, e, a in self._runs))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Stage2TableSet)
-            and self.context_id == other.context_id
-            and self._runs == other._runs
-        )
+    STATE = Schema(
+        context_id=KEYED,
+        _runs=keyed(lambda runs: tuple((s, e, a.value) for s, e, a in runs),
+                    copy=list),
+    )
+    clone = STATE.clone
+    canonical = STATE.canonical
 
     def __repr__(self) -> str:
         return f"Stage2TableSet(ctx={self.context_id}, runs={len(self._runs)})"
-
-
-def s2_map(tables: Stage2TableSet, rng: Tuple[int, int], attr: Attr) -> int:
-    return tables.map_range(rng, attr)
-
-
-def s2_unmap(tables: Stage2TableSet, rng: Tuple[int, int]) -> int:
-    return tables.unmap_range(rng)
-
-
-def s2_footprint(tables: Stage2TableSet) -> int:
-    return tables.footprint_bytes()
 
 
 def s2_translate(machine, core_id: int, ipa: int) -> TranslationResult:

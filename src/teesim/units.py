@@ -34,11 +34,6 @@ def align_up(value: int, align: int) -> int:
     return -(-value // align) * align
 
 
-def range_aligned(rng: tuple, align: int) -> bool:
-    start, end = rng
-    return start % align == 0 and end % align == 0
-
-
 def overlaps(a: tuple, b: tuple) -> bool:
     return a[0] < b[1] and b[0] < a[1]
 

@@ -26,6 +26,7 @@ from .monitor import Defenses, Monitor
 from .ros import DRIVER_LOADED, DRIVER_UNLOADED, PoolLayout, RosActor
 from .secure_world import KeyStore
 from .sos import SandboxRuntime
+from .state import NESTED, SHARED, Schema, clone_values, copied, keyed, reset
 from .units import MB, MS_NS, PAGE_4K, S_NS
 
 
@@ -82,6 +83,21 @@ class Metrics:
             },
             "trace_digest": trace_digest,
         }
+
+
+def digest(value) -> str:
+    """Digest of a canonical state key."""
+    return hashlib.blake2b(repr(value).encode(), digest_size=16).hexdigest()
+
+
+def _rewire(world: "World") -> None:
+    """Point a cloned world's monitor and ROS actor at its own machine,
+    engine and each other."""
+    mon, ros = world.monitor, world.ros
+    mon.machine = ros.machine = world.machine
+    mon.engine = ros.engine = world.engine
+    ros.monitor = mon
+    mon.driver_states = ros.driver_states
 
 
 class World:
@@ -582,39 +598,32 @@ class World:
 
     # -- digests and cloning -------------------------------------------------------------------
 
-    def canonical(self) -> tuple:
-        return (
-            self.machine.canonical(),
-            self.monitor.canonical(),
-            self.ros.canonical(),
-            tuple(
-                rt.canonical()
-                for _, rt in sorted(self.runtimes.items())
-                if rt.state != "dead"
-            ),
-            tuple(sorted((d, tuple(q)) for d, q in self.dev_queues.items() if q)),
-        )
-
     def state_digest(self) -> str:
-        return hashlib.blake2b(
-            repr(self.canonical()).encode(), digest_size=16
-        ).hexdigest()
+        return digest(self.canonical())
 
-    def clone(self) -> "World":
-        other = World.__new__(World)
-        other.options = self.options
-        other.engine = Engine(self.engine.costs)
-        other.machine = self.machine.clone()
-        other.store = self.store
-        other.monitor = self.monitor.clone_onto(other.machine, other.engine)
-        other.ros = self.ros.clone_onto(other.machine, other.monitor, other.engine)
-        other.runtimes = {sb: rt.clone() for sb, rt in self.runtimes.items()}
-        other.payloads = self.payloads
-        other.metrics = Metrics()
-        other.dev_queues = {d: list(q) for d, q in self.dev_queues.items()}
-        other.attack_outcomes = []
-        other._gen = dict(self._gen)
-        return other
+    STATE = Schema(
+        options=SHARED, store=SHARED, payloads=SHARED,
+        engine=reset(lambda eng: Engine(eng.costs)),
+        metrics=reset(lambda _: Metrics()),
+        attack_outcomes=reset(lambda _: []),
+        machine=NESTED, monitor=NESTED, ros=NESTED,
+        runtimes=keyed(
+            lambda runtimes: tuple(rt.canonical()
+                                   for _, rt in sorted(runtimes.items())
+                                   if rt.state != "dead"),
+            copy=clone_values,
+        ),
+        dev_queues=keyed(
+            lambda queues: tuple(sorted((d, tuple(q))
+                                        for d, q in queues.items() if q)),
+            copy=lambda queues: {d: list(q) for d, q in queues.items()},
+        ),
+        _gen=copied("read only by completion events, which instant mode never "
+                    "queues", copy=dict),
+        after_clone=_rewire,
+    )
+    clone = STATE.clone
+    canonical = STATE.canonical
 
 
 def build_world(config: MachineConfig, costs: Optional[CostTable] = None,
