@@ -21,7 +21,7 @@ from .errors import (
     SimError,
 )
 from .hw_model import ROS_CTX, small_config
-from .monitor import Defenses, LaunchSpec
+from .monitor import Defenses
 from .units import BLOCK_2M, PAGE_4K
 from .world import World, WorldOptions, build_world, digest
 
@@ -60,10 +60,6 @@ class ViolationReport:
     detail: str
     state_digest: str
     trigger: str
-
-
-INVARIANTS = ("EXCL-MEM", "EXCL-DEV", "EXCL-CORE", "CONTIG", "BOOT-GATE",
-              "SANITY", "CAP")
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +246,47 @@ def _ensure_sandbox(world: World, app_id: str = None, **kwargs) -> int:
     return world.create_sandbox(app, **kwargs)
 
 
+def _blocked(kind: AttackKind, detail: str) -> AttackOutcome:
+    return AttackOutcome(kind, True, MECHANISM[kind], 0, detail)
+
+
+# Attack steps shared by the catalogue and the exploration alphabet.
+
+def _create_tampered(world: World, app: str, **kwargs) -> int:
+    """Launch app from a tampered staged image; the image is restored
+    whether or not the launch goes through."""
+    world.ros.tamper_image(app)
+    try:
+        return world.create_sandbox(app, **kwargs)
+    finally:
+        world.ros.stage_image(app, world.payloads[app])
+
+
+def _overlap_attach(world: World, requester: int, victim: int):
+    """Ask the monitor to attach the victim's first frame to requester, then
+    read it from requester. Returns (verdict, leaked bytes)."""
+    target = world.monitor.ledger.sandbox_intervals(victim)[0]
+    region = (target[0], target[0] + BLOCK_2M)
+    verdict = world.monitor.verify_region_legality(requester, region, "attach")
+    if not verdict.approved:
+        return verdict, 0
+    world.monitor.attach_memory(requester, region)
+    return verdict, world.probe_read(requester, region[0])[1]
+
+
+def _ros_dma(world: World, dev: str, sb: int) -> int:
+    """ROS programs dev to read sb's first page; returns the bytes leaked."""
+    base = world.monitor.ledger.sandbox_span(sb)[0]
+    return world.dma_access(dev, ROS_CTX, (base, base + PAGE_4K))
+
+
 def _attack_image_swap(world: World, scenario: AttackScenario) -> AttackOutcome:
     kind = AttackKind.MALICIOUS_IMAGE_SWAP
     app = scenario.param("app") or next(iter(world.payloads))
-    world.ros.tamper_image(app)
     try:
-        sb = world.create_sandbox(app)
+        sb = _create_tampered(world, app)
     except IntegrityError:
-        return AttackOutcome(kind, True, MECHANISM[kind], 0,
-                             "verification rejected swapped image")
-    finally:
-        world.ros.stage_image(app, world.payloads[app])
+        return _blocked(kind, "verification rejected swapped image")
     # Tampered code is now running over the protected payload.
     leaked = len(world.payloads[app])
     return AttackOutcome(kind, False, "none", leaked,
@@ -271,15 +297,10 @@ def _attack_overlap(world: World, scenario: AttackScenario) -> AttackOutcome:
     kind = AttackKind.OVERLAPPING_MEMORY_CONFIG
     victim = scenario.param("victim") or _ensure_sandbox(world)
     requester = scenario.param("requester") or _ensure_sandbox(world)
-    target = world.monitor.ledger.sandbox_intervals(victim)[0]
-    region = (target[0], target[0] + BLOCK_2M)
-    verdict = world.monitor.verify_region_legality(requester, region, "attach")
+    verdict, leaked = _overlap_attach(world, requester, victim)
     if not verdict.approved:
-        return AttackOutcome(kind, True, MECHANISM[kind], 0,
-                             f"rejected: {verdict.reason.value}")
-    world.monitor.attach_memory(requester, region)
-    _, leaked = world.probe_read(requester, region[0])
-    return AttackOutcome(kind, False, "none", max(leaked, region[1] - region[0]),
+        return _blocked(kind, f"rejected: {verdict.reason.value}")
+    return AttackOutcome(kind, False, "none", max(leaked, BLOCK_2M),
                          "requester mapped the victim's frames")
 
 
@@ -287,21 +308,11 @@ def _attack_double_core(world: World, scenario: AttackScenario) -> AttackOutcome
     kind = AttackKind.DOUBLE_CORE_ALLOC
     victim = scenario.param("victim") or _ensure_sandbox(world)
     stolen = world.monitor.sandboxes[victim].boot_core
-    app = next(iter(world.payloads))
-    channel = world.ros.shared.alloc_channel()
-    region = world.ros.alloc_contiguous(world.ros.layout.sandbox_base_bytes)
-    spec = LaunchSpec(app_id=app, image=world.ros.images[app],
-                      core_id=stolen, region=region, channel=channel)
     try:
-        sb, _ = world.monitor.lock_and_launch(spec)
-    except SimError as exc:
-        world.ros.cma.free(region)
-        if isinstance(exc, (ResourceBusy, NotOwner)):
-            return AttackOutcome(kind, True, MECHANISM[kind], 0,
-                                 "occupied core refused at launch")
-        raise
-    world.ros.cma.set_owner(region, sb)
-    world.ros.shared.bind(sb, channel)
+        sb, _ = world.ros.launch(next(iter(world.payloads)), stolen,
+                                 world.ros.layout.sandbox_base_bytes)
+    except (ResourceBusy, NotOwner):
+        return _blocked(kind, "occupied core refused at launch")
     return AttackOutcome(kind, False, "none", 0,
                          f"sandbox {sb} was handed core {stolen} owned by {victim}")
 
@@ -316,26 +327,33 @@ def _attack_io_eavesdrop(world: World, scenario: AttackScenario) -> AttackOutcom
     mmio = world.machine.config.peripheral(dev).mmio_range
     reached, leaked = world.probe_read(ROS_CTX, mmio[0])
     if not reached:
-        return AttackOutcome(kind, True, MECHANISM[kind], 0,
-                             "IO translation faulted for ROS")
+        return _blocked(kind, "IO translation faulted for ROS")
     return AttackOutcome(kind, False, "none", max(leaked, PAGE_4K),
                          "ROS reached a sandbox-owned device")
 
 
-def _attack_cache_direct(world: World, scenario: AttackScenario) -> AttackOutcome:
-    kind = AttackKind.CACHE_DIRECT_ATTACK
+def _attach_next_granule(world: World, scenario: AttackScenario,
+                         ros_primes: bool = False):
+    """Pick a target sandbox with room to grow and ask to attach the granule
+    just past its span. With ros_primes, ROS first touches the granule it is
+    about to hand over, caching both the translation and the data. Returns
+    (sandbox, region, attached)."""
     sb = scenario.param("target") or _ensure_sandbox(
         world, max_memory=world.ros.layout.sandbox_base_bytes + 16 * BLOCK_2M
     )
     span = world.monitor.ledger.sandbox_span(sb)
     region = (span[1], span[1] + world.options.mem_granule)
-    # Prime: ROS touches the region it is about to hand over, caching both
-    # the translation and the data.
-    world.probe_translate(ROS_CTX, region[0])
-    world.machine.cache_fill(ROS_CTX, region[0])
-    if not world._request_attach(sb, region[1] - region[0]):
-        return AttackOutcome(kind, True, MECHANISM[kind], 0,
-                             "attach of primed region rejected")
+    if ros_primes:
+        world.probe_translate(ROS_CTX, region[0])
+        world.machine.cache_fill(ROS_CTX, region[0])
+    return sb, region, world._request_attach(sb, region[1] - region[0])
+
+
+def _attack_cache_direct(world: World, scenario: AttackScenario) -> AttackOutcome:
+    kind = AttackKind.CACHE_DIRECT_ATTACK
+    sb, region, attached = _attach_next_granule(world, scenario, ros_primes=True)
+    if not attached:
+        return _blocked(kind, "attach of primed region rejected")
     # Victim uses its new memory.
     victim_core = world.monitor.ledger.cores_of(sb)[0]
     world.machine.translate(victim_core, region[0])
@@ -344,8 +362,7 @@ def _attack_cache_direct(world: World, scenario: AttackScenario) -> AttackOutcom
     if leaked:
         return AttackOutcome(kind, False, "none", leaked,
                              "stale translation exposed the victim's line")
-    return AttackOutcome(kind, True, MECHANISM[kind], 0,
-                         "sanitization cleared the stale path")
+    return _blocked(kind, "sanitization cleared the stale path")
 
 
 def _attack_dma(world: World, scenario: AttackScenario) -> AttackOutcome:
@@ -353,35 +370,26 @@ def _attack_dma(world: World, scenario: AttackScenario) -> AttackOutcome:
     sb = scenario.param("target") or _ensure_sandbox(world)
     dev = scenario.param("dev", "wifi")
     if world.monitor.ledger.dev_owner[dev] != ROS_CTX:
-        return AttackOutcome(kind, True, MECHANISM[kind], 0,
-                             "device not programmable by ROS")
-    base = world.monitor.ledger.sandbox_span(sb)[0]
-    leaked = world.dma_access(dev, ROS_CTX, (base, base + PAGE_4K))
+        return _blocked(kind, "device not programmable by ROS")
+    leaked = _ros_dma(world, dev, sb)
     if leaked:
         return AttackOutcome(kind, False, "none", leaked,
                              "DMA read crossed into sandbox memory")
-    return AttackOutcome(kind, True, MECHANISM[kind], 0,
-                         "DMA blocked against the ledger")
+    return _blocked(kind, "DMA blocked against the ledger")
 
 
 def _attack_stale_tlb(world: World, scenario: AttackScenario) -> AttackOutcome:
     kind = AttackKind.STALE_TLB_READ
-    sb = scenario.param("target") or _ensure_sandbox(
-        world, max_memory=world.ros.layout.sandbox_base_bytes + 16 * BLOCK_2M
-    )
-    span = world.monitor.ledger.sandbox_span(sb)
-    region = (span[1], span[1] + world.options.mem_granule)
-    if not world._request_attach(sb, region[1] - region[0]):
-        return AttackOutcome(kind, True, MECHANISM[kind], 0,
-                             "setup attach rejected")
+    sb, region, attached = _attach_next_granule(world, scenario)
+    if not attached:
+        return _blocked(kind, "setup attach rejected")
     # Sandbox touches the region, caching the translation on its core.
     core = world.monitor.ledger.cores_of(sb)[0]
     world.machine.translate(core, region[0])
     world._request_detach(sb, region[1] - region[0])
     res = world.machine.translate(core, region[0])
     if not res.hit:
-        return AttackOutcome(kind, True, MECHANISM[kind], 0,
-                             "translation faulted after detach")
+        return _blocked(kind, "translation faulted after detach")
     return AttackOutcome(kind, False, "none", PAGE_4K,
                          "stale TLB entry survived the detach")
 
@@ -481,17 +489,10 @@ def _op_create(name, tampered=False):
         if name in node.handles:
             raise BadState("already alive")
         w = node.world
-        app = "w"
-        if tampered:
-            w.ros.tamper_image(app)
-        try:
-            sb = w.create_sandbox(app, max_cores=2,
-                                  max_memory=w.ros.layout.sandbox_base_bytes
-                                  + 2 * BLOCK_2M)
-        finally:
-            if tampered:
-                w.ros.stage_image(app, w.payloads[app])
-        node.handles[name] = sb
+        create = _create_tampered if tampered else World.create_sandbox
+        node.handles[name] = create(w, "w", max_cores=2,
+                                    max_memory=w.ros.layout.sandbox_base_bytes
+                                    + 2 * BLOCK_2M)
         return 0
 
     return op
@@ -507,31 +508,14 @@ def _op_terminate(name):
     return op
 
 
-def _op_grow_mem(name):
+def _op_world(name, method, *args):
+    """Op applying World.<method>(sandbox, *args) to the live sandbox name;
+    a False result is a disabled edge. The method is looked up when the op
+    runs, so a tracer that wraps World methods later still sees the call."""
     def op(node: _Node) -> int:
         sb = _alive(node, name)
-        if not node.world._request_attach(sb, BLOCK_2M):
-            raise BadState("attach rejected")
-        return 0
-
-    return op
-
-
-def _op_shrink_mem(name):
-    def op(node: _Node) -> int:
-        sb = _alive(node, name)
-        if not node.world._request_detach(sb, BLOCK_2M):
-            raise BadState("detach rejected")
-        return 0
-
-    return op
-
-
-def _op_grow_core(name):
-    def op(node: _Node) -> int:
-        sb = _alive(node, name)
-        if not node.world._request_core_increase(sb, None):
-            raise BadState("no core")
+        if getattr(node.world, method)(sb, *args) is False:
+            raise BadState(f"{method} refused")
         return 0
 
     return op
@@ -550,35 +534,12 @@ def _op_shrink_core(name):
     return op
 
 
-def _op_dev_request(name, dev):
-    def op(node: _Node) -> int:
-        sb = _alive(node, name)
-        node.world.request_peripheral(sb, dev)
-        return 0
-
-    return op
-
-
-def _op_dev_release(name, dev):
-    def op(node: _Node) -> int:
-        sb = _alive(node, name)
-        node.world.release_peripheral(sb, dev)
-        return 0
-
-    return op
-
-
 def _op_adv_overlap(node: _Node) -> int:
     a = _alive(node, "a")
     w = node.world
-    b = _alive(node, "b")
-    target = w.monitor.ledger.sandbox_intervals(b)[0]
-    region = (target[0], target[0] + BLOCK_2M)
-    verdict = w.monitor.verify_region_legality(a, region, "attach")
+    verdict, leaked = _overlap_attach(w, a, _alive(node, "b"))
     if not verdict.approved:
         raise BadState("legality check held")
-    w.monitor.attach_memory(a, region)
-    _, leaked = w.probe_read(a, region[0])
     return leaked
 
 
@@ -627,29 +588,14 @@ def _op_adv_dma(node: _Node) -> int:
     dev = w.machine.config.peripherals[0].dev_id
     if w.monitor.ledger.dev_owner[dev] != ROS_CTX:
         raise BadState("device not under ROS")
-    w = node.world
-    base = w.monitor.ledger.sandbox_span(a)[0]
-    return w.dma_access(dev, ROS_CTX, (base, base + PAGE_4K))
+    return _ros_dma(node.world, dev, a)
 
 
 def _op_adv_steal_core(node: _Node) -> int:
     a = _alive(node, "a")
     w = node.world
-    stolen = w.monitor.sandboxes[a].boot_core
-    app = "w"
-    # The channel is only picked, not taken, so pick it before taking the
-    # region: a full shared pool then fails the op with nothing to undo.
-    channel = w.ros.shared.alloc_channel()
-    region = w.ros.alloc_contiguous(w.ros.layout.sandbox_base_bytes)
-    spec = LaunchSpec(app_id=app, image=w.ros.images[app], core_id=stolen,
-                      region=region, channel=channel)
-    try:
-        sb, _ = w.monitor.lock_and_launch(spec)
-    except SimError:
-        w.ros.cma.free(region)
-        raise BadState("steal refused")
-    w.ros.cma.set_owner(region, sb)
-    w.ros.shared.bind(sb, channel)
+    w.ros.launch("w", w.monitor.sandboxes[a].boot_core,
+                 w.ros.layout.sandbox_base_bytes)
     return 0
 
 
@@ -657,12 +603,16 @@ def default_alphabet(dev: str = "wifi") -> List[Tuple[str, Callable]]:
     ops: List[Tuple[str, Callable]] = []
     for name in ("a", "b"):
         ops.append((f"create_{name}", _op_create(name)))
-        ops.append((f"grow_mem_{name}", _op_grow_mem(name)))
-        ops.append((f"shrink_mem_{name}", _op_shrink_mem(name)))
+        ops.append((f"grow_mem_{name}",
+                    _op_world(name, "_request_attach", BLOCK_2M)))
+        ops.append((f"shrink_mem_{name}",
+                    _op_world(name, "_request_detach", BLOCK_2M)))
         ops.append((f"terminate_{name}", _op_terminate(name)))
-        ops.append((f"dev_request_{name}", _op_dev_request(name, dev)))
-        ops.append((f"dev_release_{name}", _op_dev_release(name, dev)))
-    ops.append(("grow_core_a", _op_grow_core("a")))
+        ops.append((f"dev_request_{name}",
+                    _op_world(name, "request_peripheral", dev)))
+        ops.append((f"dev_release_{name}",
+                    _op_world(name, "release_peripheral", dev)))
+    ops.append(("grow_core_a", _op_world("a", "_request_core_increase", None)))
     ops.append(("shrink_core_a", _op_shrink_core("a")))
     ops.append(("create_a_tampered", _op_create("a", tampered=True)))
     ops.append(("adv_overlap_attach", _op_adv_overlap))

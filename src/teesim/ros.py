@@ -264,26 +264,30 @@ class RosActor:
                         "TooManySandboxes")
             raise TooManySandboxes("all non-ROS cores committed")
         base = base_bytes if base_bytes is not None else self.layout.sandbox_base_bytes
-        core_id = self.pick_core(core_pref)
-        region = self.alloc_contiguous(base)
+        sb, boot_ns = self.launch(app_id, self.pick_core(core_pref), base,
+                                  max_cores, max_memory)
+        self._trace("create_sandbox", {"app": app_id, "sandbox": sb})
+        return sb, boot_ns
+
+    def launch(self, app_id: str, core_id: int, base_bytes: int,
+               max_cores: int = 1, max_memory: int = 512 * MB):
+        """Take a channel and a region and ask the monitor to launch app_id
+        on core_id; nothing stays taken if it refuses. Adversarial callers
+        name a core they do not hold. Returns (sandbox_id, boot_ns)."""
+        # The channel is only picked, not taken, so pick it before taking the
+        # region: a full shared pool then fails with nothing to undo.
+        channel = self.shared.alloc_channel()
+        region = self.alloc_contiguous(base_bytes)
+        spec = LaunchSpec(app_id=app_id, image=self.images[app_id],
+                          core_id=core_id, region=region, channel=channel,
+                          max_cores=max_cores, max_memory=max_memory)
         try:
-            channel = self.shared.alloc_channel()
-            spec = LaunchSpec(
-                app_id=app_id,
-                image=self.images[app_id],
-                core_id=core_id,
-                region=region,
-                channel=channel,
-                max_cores=max_cores,
-                max_memory=max_memory,
-            )
             sb, boot_ns = self.monitor.lock_and_launch(spec)
         except Exception:
             self.cma.free(region)
             raise
         self.cma.set_owner(region, sb)
         self.shared.bind(sb, channel)
-        self._trace("create_sandbox", {"app": app_id, "sandbox": sb})
         return sb, boot_ns
 
     def release_sandbox_memory(self, sb: int) -> None:

@@ -81,13 +81,8 @@ class KeyStore:
         return EncryptedImage(app_id, _transform(payload, record.key_id))
 
     def verify_and_decrypt(self, image: EncryptedImage) -> bytes:
-        record = self._record(image.app_id)
-        plain = (
-            _transform(image.payload, record.key_id)
-            if image.encrypted
-            else image.payload
-        )
-        if digest64(plain) != record.digest:
+        plain = self.decrypt_unchecked(image)
+        if digest64(plain) != self._record(image.app_id).digest:
             raise IntegrityError(f"{image.app_id}: digest mismatch")
         return plain
 

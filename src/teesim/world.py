@@ -41,7 +41,6 @@ class WorldOptions:
 
 @dataclass
 class Metrics:
-    boot_times: Dict[int, int] = field(default_factory=dict)
     completion_ns: Dict[int, int] = field(default_factory=dict)
     adjust_count: int = 0
     adjust_latency_ns: int = 0
@@ -184,7 +183,6 @@ class World:
             return
         rt.advance("running")
         rt.start_work(self.engine.now_ns)
-        self.metrics.boot_times[sb] = self.engine.now_ns
         self.engine.trace(f"sb{sb}", "running")
         if not self.options.instant:
             self.engine.schedule(self.options.tick_ns, lambda: self._tick(sb))
@@ -526,7 +524,8 @@ class World:
                 try:
                     self._grant_device(waiter, dev_id)
                 except IntegrityError:
-                    pass
+                    # The device went straight back to ROS: try the next one.
+                    continue
                 break
 
     # -- data transfer ------------------------------------------------------------------------
@@ -537,15 +536,11 @@ class World:
 
     # -- raw access probes (adversary support) ---------------------------------------------------
 
-    def any_core_of(self, ctx: int) -> Optional[int]:
-        cores = self.monitor.ledger.cores_of(ctx)
-        return cores[0] if cores else None
-
     def probe_translate(self, ctx: int, pa: int):
-        core = self.any_core_of(ctx)
-        if core is None:
+        cores = self.monitor.ledger.cores_of(ctx)
+        if not cores:
             return None
-        return self.machine.translate(core, pa)
+        return self.machine.translate(cores[0], pa)
 
     def probe_read(self, ctx: int, pa: int) -> Tuple[bool, int]:
         """Direct load attempt: (reached_memory, leaked_bytes)."""

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import deque
 
@@ -63,6 +64,95 @@ def test_mutation_unblocks_matching_attack(flag, kind):
     w = fresh((flag,))
     out = run_attack(w, AttackScenario(kind))
     assert not out.blocked
+
+
+# Every attack under every defense setting, as (mutation flag, attack,
+# blocked, mechanism, leaked bytes, sha256 of the serialized trace). With
+# no_verify every attack reads unblocked: each one launches a sandbox, which
+# then boots unverified and trips BOOT-GATE.
+CATALOGUE_MATRIX = [
+    (None, "malicious_image_swap", True, "integrity", 0,
+     "0b5b0cf861bfe075068a51a4f3d1842641509fdfd6510ff83825869d1d3b6bca"),
+    (None, "overlapping_memory_config", True, "legality check", 0,
+     "437b375aea2753805b9a4741e1c378f9e938572f8ffe0a0cf22b266c88a5480c"),
+    (None, "double_core_alloc", True, "legality check", 0,
+     "87dcf0e76a5ac6c59ea9f7b21ad002543fc9be3823892f8e6a6e891f73e62cdf"),
+    (None, "io_eavesdrop", True, "stage-2", 0,
+     "87914a535a1da1e2c36b78e060995c4bfac7519be67a5ed1e99b30230ae3bfcc"),
+    (None, "cache_direct_attack", True, "sanitize", 0,
+     "767fb97452843a5f9841a3732557489a7ace4a9646462ad2808d147ccda5aabd"),
+    (None, "dma_bypass", True, "SMMU", 0,
+     "7bb45d8ed4b2b9e6b14c5b7a83729f648e3da1463b2a0b839e6026d3c84f3064"),
+    (None, "stale_tlb_read", True, "stage-2", 0,
+     "df6474bece0bd39096a618ead3f6d30cffe9d84bc91089e92bb545d1759d4f6d"),
+    ('no_verify', "malicious_image_swap", False, "none", 20,
+     "f29e71288037816f75f385b3b3e57a60a301e17076651263a83dec0cd30715d1"),
+    ('no_verify', "overlapping_memory_config", False, "legality check", 0,
+     "e6f659696b4357b7b5ad692e815f812a7035c676d6c12d82c0c82a9fc3dd0bf5"),
+    ('no_verify', "double_core_alloc", False, "legality check", 0,
+     "a86e65c98abc6e0e069a932b6e365b4e02bdc6082966f72d703caf70a3bf81f3"),
+    ('no_verify', "io_eavesdrop", False, "stage-2", 0,
+     "19eedf3d210784a03752f6195e46025f8f7a3fbb6b25d2406fc929b05ee27ed6"),
+    ('no_verify', "cache_direct_attack", False, "sanitize", 0,
+     "8b434e2e944e9e2a4559675b238e05f1ec686d10bfc43dbb133fb3e7cbf8e26a"),
+    ('no_verify', "dma_bypass", False, "SMMU", 0,
+     "3ff4d8466ed9018450fc107e549675e6d364bb5d0cc15b2831268cbdd966c42a"),
+    ('no_verify', "stale_tlb_read", False, "stage-2", 0,
+     "8e1a175b5abbd9332779644f32d728a402f1805a0048aeb50b9989d47dde873a"),
+    ('no_sanitize', "malicious_image_swap", True, "integrity", 0,
+     "0b5b0cf861bfe075068a51a4f3d1842641509fdfd6510ff83825869d1d3b6bca"),
+    ('no_sanitize', "overlapping_memory_config", True, "legality check", 0,
+     "ef32e7f6a87c64c3cf3c349cac08cae152314fce4486fabb63b8a93476059fb5"),
+    ('no_sanitize', "double_core_alloc", True, "legality check", 0,
+     "38c560f9e4333c5fca43afd5361e49531d147cddd2189806333cc98803681e85"),
+    ('no_sanitize', "io_eavesdrop", True, "stage-2", 0,
+     "31567988cedc75a0780794a8b6aeb0bc0bc451df759b256269a6ffc96f2b5320"),
+    ('no_sanitize', "cache_direct_attack", False, "none", 64,
+     "79bcebe797578bc90d2cbb047b0db92c2b549347b7abbb7a27e4895810fceece"),
+    ('no_sanitize', "dma_bypass", True, "SMMU", 0,
+     "3068922b72c850fb8a6a945d1e2bf71025cbc02e0bc79a3e06761454d91d2ca0"),
+    ('no_sanitize', "stale_tlb_read", False, "none", 4096,
+     "6c1dd64679287f802dc3bee67d6ef7d34c6f70f2d6e270ec984f56b3de595d17"),
+    ('no_legality_check', "malicious_image_swap", True, "integrity", 0,
+     "0b5b0cf861bfe075068a51a4f3d1842641509fdfd6510ff83825869d1d3b6bca"),
+    ('no_legality_check', "overlapping_memory_config", False, "none", 2097152,
+     "8ff327adbcbab43acbcd3faee3acd70267cca8294c844bdb0e5335167a34865d"),
+    ('no_legality_check', "double_core_alloc", False, "none", 0,
+     "50cb42be3abdcc0d1f7926028f0cbcf2f5c8fdd08dc20c52055e13724ce5bb04"),
+    ('no_legality_check', "io_eavesdrop", True, "stage-2", 0,
+     "87914a535a1da1e2c36b78e060995c4bfac7519be67a5ed1e99b30230ae3bfcc"),
+    ('no_legality_check', "cache_direct_attack", True, "sanitize", 0,
+     "767fb97452843a5f9841a3732557489a7ace4a9646462ad2808d147ccda5aabd"),
+    ('no_legality_check', "dma_bypass", True, "SMMU", 0,
+     "7bb45d8ed4b2b9e6b14c5b7a83729f648e3da1463b2a0b839e6026d3c84f3064"),
+    ('no_legality_check', "stale_tlb_read", True, "stage-2", 0,
+     "df6474bece0bd39096a618ead3f6d30cffe9d84bc91089e92bb545d1759d4f6d"),
+    ('no_smmu', "malicious_image_swap", True, "integrity", 0,
+     "0b5b0cf861bfe075068a51a4f3d1842641509fdfd6510ff83825869d1d3b6bca"),
+    ('no_smmu', "overlapping_memory_config", True, "legality check", 0,
+     "437b375aea2753805b9a4741e1c378f9e938572f8ffe0a0cf22b266c88a5480c"),
+    ('no_smmu', "double_core_alloc", True, "legality check", 0,
+     "87dcf0e76a5ac6c59ea9f7b21ad002543fc9be3823892f8e6a6e891f73e62cdf"),
+    ('no_smmu', "io_eavesdrop", True, "stage-2", 0,
+     "87914a535a1da1e2c36b78e060995c4bfac7519be67a5ed1e99b30230ae3bfcc"),
+    ('no_smmu', "cache_direct_attack", True, "sanitize", 0,
+     "767fb97452843a5f9841a3732557489a7ace4a9646462ad2808d147ccda5aabd"),
+    ('no_smmu', "dma_bypass", False, "none", 4096,
+     "021ed8062f29516bb7d939d1cc4f5809c6e2f6b056c48ccf6cacdeb0f443e724"),
+    ('no_smmu', "stale_tlb_read", True, "stage-2", 0,
+     "df6474bece0bd39096a618ead3f6d30cffe9d84bc91089e92bb545d1759d4f6d"),
+]
+
+
+@pytest.mark.parametrize("flag,kind,blocked,mechanism,leaked,trace_sha",
+                         CATALOGUE_MATRIX)
+def test_catalogue_matrix(flag, kind, blocked, mechanism, leaked, trace_sha):
+    w = fresh((flag,) if flag else ())
+    out = run_attack(w, AttackScenario(AttackKind(kind)))
+    assert (out.blocked, out.mechanism, out.leaked_bytes) == \
+        (blocked, mechanism, leaked)
+    assert hashlib.sha256(w.engine.serialize_trace().encode()).hexdigest() \
+        == trace_sha
 
 
 def test_io_eavesdrop_blocked_for_other_sandboxes_too():

@@ -62,6 +62,27 @@ def test_tampered_driver_returns_device():
     assert "wifi" not in w.runtimes[a].devices
 
 
+def test_failed_grant_moves_on_to_the_next_waiter():
+    """A grant that fails driver verification hands the device straight
+    back, so the next waiter is tried at once instead of timing out."""
+    w = timed_world()
+    sb1, sb2, sb3 = (w.create_sandbox("demo") for _ in range(3))
+    w.engine.run_until(600 * MS_NS)
+    assert w.request_peripheral(sb1, "wifi") == "granted"
+    assert w.request_peripheral(sb2, "wifi") == "queued"
+    assert w.request_peripheral(sb3, "wifi") == "queued"
+    w.ros.driver_blobs["wifi"] = b"evil-blob"
+    w.engine.run_until(1 * S_NS)
+    w.release_peripheral(sb1, "wifi")
+    assert w.dev_queues["wifi"] == []
+    assert w.monitor.ledger.dev_owner["wifi"] == ROS_CTX
+    w.engine.run_until(7 * S_NS)
+    installs = [(r["actor"], r["t_ns"], r["verdict"], r.get("reason"))
+                for r in w.engine.records if r["op"] == "driver_install"]
+    assert (f"sb{sb3}", 1 * S_NS, "rejected", "IntegrityError") in installs
+    assert not [r for r in w.engine.records if r.get("reason") == "WaitTimeout"]
+
+
 def test_work_conservation_over_ownership_schedule():
     """Total work units completed must equal the rate-time integral over the
     core ownership schedule, reconstructed independently from the trace."""
