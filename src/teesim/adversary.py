@@ -23,7 +23,7 @@ from .errors import (
 from .hw_model import ROS_CTX, small_config
 from .monitor import Defenses
 from .units import BLOCK_2M, PAGE_4K
-from .world import World, WorldOptions, build_world, digest
+from .world import World, build_world, digest
 
 
 class AttackKind(str, Enum):
@@ -58,8 +58,6 @@ class AttackOutcome:
 class ViolationReport:
     invariant_id: str
     detail: str
-    state_digest: str
-    trigger: str
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +180,7 @@ def check_invariants(world: World) -> List[ViolationReport]:
         found.append(("CAP", f"{len(mon.sandboxes)} sandboxes on "
                       f"{len(mach.cores)} cores"))
 
-    if not found:
-        return []
-    digest = world.state_digest()
-    trigger = world.engine.records[-1]["op"] if world.engine.records else "init"
-    return [ViolationReport(inv, detail, digest, trigger) for inv, detail in found]
+    return [ViolationReport(inv, detail) for inv, detail in found]
 
 
 def _merge(intervals):
@@ -342,7 +336,7 @@ def _attach_next_granule(world: World, scenario: AttackScenario,
         world, max_memory=world.ros.layout.sandbox_base_bytes + 16 * BLOCK_2M
     )
     span = world.monitor.ledger.sandbox_span(sb)
-    region = (span[1], span[1] + world.options.mem_granule)
+    region = (span[1], span[1] + world.ros.layout.mem_granule)
     if ros_primes:
         world.probe_translate(ROS_CTX, region[0])
         world.machine.cache_fill(ROS_CTX, region[0])
@@ -429,13 +423,12 @@ class ExploreResult:
 
 
 def make_small_world(mutations=()) -> World:
-    world = build_world(
+    return build_world(
         small_config(),
         defenses=Defenses.with_mutations(mutations),
-        options=WorldOptions(instant=True, mem_granule=BLOCK_2M),
+        instant=True,
         apps=[("w", b"tiny-protected-payload")],
     )
-    return world
 
 
 class _Node:
@@ -524,8 +517,7 @@ def _op_world(name, method, *args):
 def _op_shrink_core(name):
     def op(node: _Node) -> int:
         sb = _alive(node, name)
-        rt = node.peek().runtimes[sb]
-        surplus = sorted(c for c in rt.cores if c != rt.boot_core)
+        surplus = node.peek().runtimes[sb].surplus_cores()
         if not surplus:
             raise BadState("no surplus core")
         node.world._request_core_release(sb, surplus[0])
@@ -535,9 +527,8 @@ def _op_shrink_core(name):
 
 
 def _op_adv_overlap(node: _Node) -> int:
-    a = _alive(node, "a")
-    w = node.world
-    verdict, leaked = _overlap_attach(w, a, _alive(node, "b"))
+    a, b = _alive(node, "a"), _alive(node, "b")
+    verdict, leaked = _overlap_attach(node.world, a, b)
     if not verdict.approved:
         raise BadState("legality check held")
     return leaked

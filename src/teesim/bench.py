@@ -12,7 +12,7 @@ from .errors import UnknownSuite
 from .hw_model import ROS_CTX, default_config
 from .scenario import HEADER, VERSION, parse, run_scenario
 from .units import MS_NS
-from .world import WorldOptions, build_world
+from .world import build_world
 
 SUITES = ("cpu_adjust", "mem_query", "dl_batch")
 
@@ -35,7 +35,7 @@ def run_cpu_adjust() -> dict:
     """Measure core-adjustment latencies with and without the busy-wait
     optimization by driving real transfers and reading the charged costs
     back out of the trace."""
-    world = build_world(default_config(), options=WorldOptions(instant=True),
+    world = build_world(default_config(), instant=True,
                         apps=[("bench", b"bench-payload")])
     sb = world.create_sandbox("bench", max_cores=3, core_pref="big")
     mon = world.monitor

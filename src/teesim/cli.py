@@ -9,6 +9,7 @@ from pathlib import Path
 
 from . import adversary, bench
 from .errors import BudgetExceeded, ParseError, ValidationError
+from .monitor import MUTATION_FLAGS
 from .scenario import make_random_scenario, parse, run_scenario, serialize
 from .units import MS_NS
 
@@ -26,6 +27,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, help="override the scenario seed")
     p_run.add_argument("--mode", choices=("leap", "tzasc"))
     p_run.add_argument("--mutate", action="append", default=[],
+                       choices=sorted(MUTATION_FLAGS),
                        help="disable one defense (repeatable)")
     p_run.add_argument("--trace-out", help="write the trace (JSON lines)")
     p_run.add_argument("--metrics-out", help="write metrics JSON")
@@ -38,7 +40,8 @@ def main(argv=None) -> int:
     p_explore.add_argument("--depth", type=int, default=12)
     p_explore.add_argument("--budget", type=int, default=500_000,
                            help="state count cap")
-    p_explore.add_argument("--mutate", action="append", default=[])
+    p_explore.add_argument("--mutate", action="append", default=[],
+                           choices=sorted(MUTATION_FLAGS))
     p_explore.add_argument("--out", default="counterexamples",
                            help="directory for counterexample files")
     p_explore.add_argument("--stop-at-first", action="store_true")

@@ -1,8 +1,9 @@
 """Physical machine model: cores, address map, per-core TLBs, shared L2.
 
 The cache is owner-tagged rather than timed: each line remembers which
-context filled it, which is all the direct-cache-attack oracle needs. The
-TLB caches successful stage-2 translations per core with FIFO eviction.
+context filled it, which is all the direct-cache-attack oracle needs. It has
+no capacity, so a line leaves it only when it is invalidated. The TLB caches
+successful stage-2 translations per core with FIFO eviction.
 """
 
 from collections import OrderedDict
@@ -12,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 from . import stage2
 from .errors import AlignmentError, ConfigError
-from .state import SHARED, Schema, clone_values, keyed, sorted_items
+from .state import DICT, SHARED, Schema, clone_values, keyed
 from .units import BLOCK_2M, GB, KB, MB, PAGE_4K, align_down, is_aligned, overlaps
 
 ROS_CTX = 0
@@ -53,7 +54,6 @@ class MachineConfig:
     peripherals: Tuple[PeripheralDesc, ...] = ()
     cache_line_bytes: int = 64
     tlb_capacity: int = 512
-    cache_capacity_lines: Optional[int] = None
 
     def validate(self) -> None:
         if len(self.cores) < 2:
@@ -154,7 +154,7 @@ class Machine:
         # Per-core FIFO TLB: (ctx, block_base, gran) -> attr, insertion-ordered.
         self.tlbs: Dict[int, OrderedDict] = {cid: OrderedDict() for cid in self.cores}
         # Shared physically indexed L2: line base -> filling context.
-        self.cache: "OrderedDict[int, int]" = OrderedDict()
+        self.cache: Dict[int, int] = {}
         ros = stage2.Stage2TableSet(ROS_CTX)
         ros.map_range((0, config.ram_bytes), stage2.Attr.NORMAL)
         ros.map_range(config.io_window, stage2.Attr.DEVICE)
@@ -173,14 +173,7 @@ class Machine:
     # -- cache model ------------------------------------------------------
 
     def cache_fill(self, context_id: int, pa: int) -> None:
-        line = align_down(pa, self.config.cache_line_bytes)
-        if line in self.cache:
-            del self.cache[line]
-        self.cache[line] = context_id
-        cap = self.config.cache_capacity_lines
-        if cap is not None:
-            while len(self.cache) > cap:
-                self.cache.popitem(last=False)
+        self.cache[align_down(pa, self.config.cache_line_bytes)] = context_id
 
     def cache_lookup(self, pa: int) -> Optional[int]:
         return self.cache.get(align_down(pa, self.config.cache_line_bytes))
@@ -280,14 +273,15 @@ class Machine:
             lambda sets: tuple(ts.canonical() for _, ts in sorted(sets.items())),
             copy=clone_values,
         ),
-        # TLB and cache entries are keyed sorted, so FIFO eviction order is
-        # copied but not keyed (ROADMAP Open item 2).
+        # TLB entries are keyed sorted, so their FIFO eviction order is
+        # copied but not keyed. No explored state fills a TLB
+        # (tests/test_state.py), so no eviction reads that order.
         tlbs=keyed(
             lambda tlbs: tuple((cid, tuple(sorted(tlb)))
                                for cid, tlb in sorted(tlbs.items())),
             copy=lambda tlbs: {cid: OrderedDict(tlb) for cid, tlb in tlbs.items()},
         ),
-        cache=keyed(sorted_items, copy=OrderedDict),
+        cache=DICT,
     )
     clone = STATE.clone
     canonical = STATE.canonical

@@ -56,6 +56,11 @@ class AdjustVerdict:
         return AdjustVerdict(False, reason)
 
 
+# Each mutation flag and the defense it turns off.
+MUTATION_FLAGS = {"no_verify": "verify", "no_sanitize": "sanitize",
+                  "no_legality_check": "legality_check", "no_smmu": "smmu"}
+
+
 @dataclass
 class Defenses:
     verify: bool = True
@@ -67,11 +72,9 @@ class Defenses:
     def with_mutations(flags) -> "Defenses":
         d = Defenses()
         for flag in flags:
-            attr = {"no_verify": "verify", "no_sanitize": "sanitize",
-                    "no_legality_check": "legality_check", "no_smmu": "smmu"}.get(flag)
-            if attr is None:
+            if flag not in MUTATION_FLAGS:
                 raise ValueError(f"unknown mutation flag {flag!r}")
-            setattr(d, attr, False)
+            setattr(d, MUTATION_FLAGS[flag], False)
         return d
 
 
@@ -196,14 +199,13 @@ class ResourceLedger:
 
 class Monitor:
     def __init__(self, machine: Machine, store: KeyStore, eng,
-                 defenses: Optional[Defenses] = None, mode: str = "leap",
-                 shared_pool_range: Optional[Tuple[int, int]] = None):
+                 defenses: Optional[Defenses] = None, mode: str = "leap"):
         self.machine = machine
         self.store = store
         self.engine = eng
         self.defenses = defenses or Defenses()
         self.mode = mode
-        self.shared_pool_range = shared_pool_range
+        self.shared_pool_range = None  # set by the ROS actor
         self.ledger = ResourceLedger(machine)
         self.sandboxes: Dict[int, SandboxMeta] = {}
         self.driver_states = None  # wired by the world; (ctx, dev) -> state

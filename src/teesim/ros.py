@@ -22,6 +22,7 @@ from .errors import (
 from .hw_model import ROS_CTX, DevKind, MachineConfig
 from .monitor import LaunchSpec, Monitor
 from .secure_world import EncryptedImage, KeyStore, digest64
+from .sos import MEM_GRANULE
 from .state import DICT, NESTED, REWIRED, SHARED, Schema, copied, keyed
 from .units import BLOCK_2M, GB, MB, is_aligned
 
@@ -33,12 +34,14 @@ DRIVER_SUSPENDED_GPU = "suspended_gpu"
 @dataclass(frozen=True)
 class PoolLayout:
     """Where ROS carves sandbox memory from: weakly reserved contiguous
-    extents plus one fixed shared-channel pool."""
+    extents plus one fixed shared-channel pool; and the granule in which
+    sandbox runtimes grow and shrink their memory."""
 
     cma_extents: Tuple[Tuple[int, int], ...]
     shared_pool: Tuple[int, int]
     channel_bytes: int
     sandbox_base_bytes: int
+    mem_granule: int
 
 
 def default_layout(config: MachineConfig) -> PoolLayout:
@@ -48,6 +51,7 @@ def default_layout(config: MachineConfig) -> PoolLayout:
             shared_pool=(3 * GB, 3 * GB + 64 * MB),
             channel_bytes=4 * MB,
             sandbox_base_bytes=128 * MB,
+            mem_granule=MEM_GRANULE,
         )
     # Desk-scale machines: leave the first frame to the OS, reserve the last
     # frames for channels.
@@ -58,6 +62,7 @@ def default_layout(config: MachineConfig) -> PoolLayout:
         shared_pool=((frames - pool_frames) * BLOCK_2M, frames * BLOCK_2M),
         channel_bytes=BLOCK_2M,
         sandbox_base_bytes=2 * BLOCK_2M,
+        mem_granule=BLOCK_2M,
     )
 
 
@@ -180,13 +185,12 @@ class SharedPool:
 
 
 class RosActor:
-    def __init__(self, machine, monitor: Monitor, store: KeyStore, eng,
-                 layout: Optional[PoolLayout] = None):
+    def __init__(self, machine, monitor: Monitor, store: KeyStore, eng):
         self.machine = machine
         self.monitor = monitor
         self.store = store
         self.engine = eng
-        self.layout = layout or default_layout(machine.config)
+        self.layout = default_layout(machine.config)
         self.cma = CmaPool(self.layout.cma_extents)
         self.shared = SharedPool(self.layout.shared_pool, self.layout.channel_bytes)
         # Encrypted images as staged on disk; adversarial scenarios tamper here.
@@ -208,10 +212,10 @@ class RosActor:
     def stage_image(self, app_id: str, payload: bytes) -> None:
         self.images[app_id] = self.store.export_image(app_id, payload)
 
-    def tamper_image(self, app_id: str, flip_index: int = 0) -> None:
+    def tamper_image(self, app_id: str) -> None:
         img = self.images[app_id]
         raw = bytearray(img.payload)
-        raw[flip_index % len(raw)] ^= 0xFF
+        raw[0] ^= 0xFF
         self.images[app_id] = EncryptedImage(app_id, bytes(raw), img.encrypted)
 
     def register_driver(self, dev_id: str, blob: bytes) -> None:

@@ -22,24 +22,23 @@ from .hw_model import (
     MachineConfig,
     PeripheralDesc,
     default_config,
-    small_config,
 )
-from .monitor import Defenses
+from .monitor import MUTATION_FLAGS, Defenses
 from .sos import CipherQuery, Idle, InferenceBatch
 from .units import (
-    MB,
     S_NS,
     format_duration_ns,
     format_size,
     parse_duration_ns,
     parse_size,
 )
-from .world import World, WorldOptions, build_world
+from .world import World, build_world
 
 HEADER = "teesim-scenario"
 VERSION = 1
 
-MUTATION_FLAGS = ("no_verify", "no_sanitize", "no_legality_check", "no_smmu")
+HEADER_KEYS = ("seed", "mode", "horizon", "mutate")
+MACHINE_KEYS = ("ram", "io_window", "cache_line", "tlb_capacity")
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,6 @@ class Scenario:
     cost_overrides: Tuple[Tuple[str, float], ...] = ()
     apps: Tuple[Tuple[str, str], ...] = ()
     timeline: Tuple[Directive, ...] = ()
-    optimized_core_transfers: bool = True
-    mem_granule: int = 16 * MB
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +72,6 @@ def serialize(s: Scenario) -> str:
     lines.append(f"seed = {s.seed}")
     lines.append(f"mode = {s.mode}")
     lines.append(f"horizon = {format_duration_ns(s.horizon_ns)}")
-    if not s.optimized_core_transfers:
-        lines.append("optimized_core_transfers = off")
-    if s.mem_granule != 16 * MB:
-        lines.append(f"mem_granule = {format_size(s.mem_granule)}")
     if s.mutations:
         lines.append("mutate = " + ",".join(s.mutations))
     lines.append("")
@@ -131,6 +124,7 @@ def serialize(s: Scenario) -> str:
 
 def parse(text: str) -> Scenario:
     header: Dict[str, str] = {}
+    mutations: Tuple[str, ...] = ()
     machine_lines: List[Tuple[int, str]] = []
     costs: List[Tuple[str, float]] = []
     apps: List[Tuple[str, str]] = []
@@ -150,24 +144,21 @@ def parse(text: str) -> Scenario:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1]
-            if section not in ("machine", "costs", "apps", "timeline", "defenses"):
+            if section not in ("machine", "costs", "apps", "timeline"):
                 raise ParseError(f"unknown section [{section}]", line=lineno, col=1)
             continue
         if section is None:
             key, value = _split_kv(line, lineno)
+            if key not in HEADER_KEYS:
+                raise ParseError(f"unknown header key {key!r}", line=lineno, col=1)
             header[key] = value
+            if key == "mutate":
+                mutations = tuple(f for f in value.split(",") if f)
+                for f in mutations:
+                    if f not in MUTATION_FLAGS:
+                        raise ParseError(f"unknown mutation flag {f!r}", line=lineno)
         elif section == "machine":
             machine_lines.append((lineno, line))
-        elif section == "defenses":
-            key, value = _split_kv(line, lineno)
-            if value not in ("on", "off"):
-                raise ParseError("defense value must be on/off", line=lineno)
-            if value == "off":
-                header.setdefault("mutate", "")
-                flag = f"no_{key}"
-                header["mutate"] = ",".join(
-                    x for x in (header["mutate"], flag) if x
-                )
         elif section == "costs":
             key, value = _split_kv(line, lineno)
             try:
@@ -186,12 +177,6 @@ def parse(text: str) -> Scenario:
             timeline.append(_parse_directive(line, lineno))
 
     machine = _parse_machine(machine_lines)
-    mutations = tuple(
-        f for f in header.get("mutate", "").split(",") if f
-    )
-    for f in mutations:
-        if f not in MUTATION_FLAGS:
-            raise ParseError(f"unknown mutation flag {f!r}", line=1)
     scenario = Scenario(
         machine=machine,
         seed=int(header.get("seed", "0"), 0),
@@ -201,9 +186,6 @@ def parse(text: str) -> Scenario:
         cost_overrides=tuple(costs),
         apps=tuple(apps),
         timeline=tuple(timeline),
-        optimized_core_transfers=header.get("optimized_core_transfers", "on")
-        != "off",
-        mem_granule=parse_size(header.get("mem_granule", "16M")),
     )
     validate(scenario)
     return scenario
@@ -223,7 +205,6 @@ def _parse_machine(machine_lines) -> MachineConfig:
     fields = {}
     cores: List[Tuple[int, CoreClass]] = []
     peripherals: List[PeripheralDesc] = []
-    preset = None
     for lineno, line in machine_lines:
         if line.startswith("core "):
             parts = line.split()
@@ -253,16 +234,11 @@ def _parse_machine(machine_lines) -> MachineConfig:
             ))
         elif "=" in line:
             key, value = _split_kv(line, lineno)
-            if key == "preset":
-                preset = value
-            else:
-                fields[key] = value
+            if key not in MACHINE_KEYS:
+                raise ParseError(f"unknown machine key {key!r}", line=lineno, col=1)
+            fields[key] = value
         else:
             raise ParseError(f"unrecognized machine line {line!r}", line=lineno)
-    if preset == "small" and not cores:
-        return small_config()
-    if preset == "default" and not cores:
-        return default_config()
     base = default_config()
     return MachineConfig(
         ram_bytes=parse_size(fields["ram"]) if "ram" in fields else base.ram_bytes,
@@ -372,10 +348,6 @@ def run_scenario(scenario: Scenario, with_trace: bool = True,
         costs=costs,
         defenses=Defenses.with_mutations(scenario.mutations),
         mode=scenario.mode,
-        options=WorldOptions(
-            optimized_core_transfers=scenario.optimized_core_transfers,
-            mem_granule=scenario.mem_granule,
-        ),
         apps=[(a, p.encode()) for a, p in scenario.apps],
     )
     handles: Dict[str, int] = {}
@@ -464,8 +436,7 @@ def _apply_directive(world: World, handles: Dict[str, int], d: Directive) -> Non
     elif d.kind == "add_core":
         world._request_core_increase(sb, d.get("core"))
     elif d.kind == "release_core":
-        rt = world.runtimes[sb]
-        surplus = sorted(c for c in rt.cores if c != rt.boot_core)
+        surplus = world.runtimes[sb].surplus_cores()
         if surplus:
             world._request_core_release(sb, surplus[0])
     elif d.kind == "terminate":

@@ -8,7 +8,7 @@ any ownership schedule.
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from .errors import BadState
 from .state import DICT, KEYED, SET, SHARED, Schema, copied
@@ -261,6 +261,11 @@ class SandboxRuntime:
         agg = sum(per_core.values()) // max(1, len(per_core))
         self.usage.append((agg, per_core))
 
+    def surplus_cores(self) -> List[int]:
+        """Cores held beyond the boot core, lowest first: the ones a
+        release may give back."""
+        return sorted(c for c in self.cores if c != self.boot_core)
+
     def monitor_cpu(self, now_ns: int) -> Optional[AdjustRequest]:
         if self.state != "running" or now_ns < self.hysteresis_until_ns:
             return None
@@ -271,8 +276,7 @@ class SandboxRuntime:
                 return AdjustRequest(
                     "increase_core", core_class=self.cores[self.boot_core]
                 )
-        surplus = sorted(c for c in self.cores if c != self.boot_core)
-        for cid in surplus:
+        for cid in self.surplus_cores():
             # Only samples taken while the core was owned count toward its
             # idle window.
             vals = [pc[cid] for _, pc in self.usage if cid in pc]

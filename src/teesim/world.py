@@ -23,20 +23,14 @@ from .errors import (
 )
 from .hw_model import ROS_CTX, DevKind, MachineConfig, build_machine
 from .monitor import Defenses, Monitor
-from .ros import DRIVER_LOADED, DRIVER_UNLOADED, PoolLayout, RosActor
+from .ros import DRIVER_LOADED, DRIVER_UNLOADED, RosActor
 from .secure_world import KeyStore
 from .sos import SandboxRuntime
 from .state import NESTED, SHARED, Schema, clone_values, copied, keyed, reset
 from .units import MB, MS_NS, PAGE_4K, S_NS
 
-
-@dataclass
-class WorldOptions:
-    optimized_core_transfers: bool = True
-    tick_ns: int = 100 * MS_NS
-    device_wait_timeout_ns: int = 5 * S_NS
-    mem_granule: int = 16 * MB
-    instant: bool = False
+# A queued device request is dropped if the device stays busy this long.
+DEVICE_WAIT_TIMEOUT_NS = 5 * S_NS
 
 
 @dataclass
@@ -103,17 +97,15 @@ class World:
     def __init__(self, config: MachineConfig,
                  costs: Optional[CostTable] = None,
                  defenses: Optional[Defenses] = None,
-                 mode: str = "leap",
-                 layout: Optional[PoolLayout] = None,
-                 options: Optional[WorldOptions] = None):
-        self.options = options or WorldOptions()
+                 mode: str = "leap", instant: bool = False):
+        self.instant = instant
         self.engine = Engine(costs)
         self.machine = build_machine(config)
         self.store = KeyStore()
         self.monitor = Monitor(self.machine, self.store, self.engine,
                                defenses, mode)
         self.ros = RosActor(self.machine, self.monitor, self.store,
-                            self.engine, layout)
+                            self.engine)
         self.runtimes: Dict[int, SandboxRuntime] = {}
         self.payloads: Dict[str, bytes] = {}
         self.metrics = Metrics()
@@ -139,7 +131,7 @@ class World:
         return rt.state if rt else "dead"
 
     def _later(self, delay_ns: int, fn) -> None:
-        if self.options.instant:
+        if self.instant:
             fn()
         else:
             self.engine.schedule(delay_ns, fn)
@@ -166,7 +158,7 @@ class World:
             boot_core_class=self.machine.cores[meta.boot_core].core_class.value,
             base_bytes=meta.base_bytes,
             workload=workload,
-            mem_granule=self.options.mem_granule,
+            mem_granule=self.ros.layout.mem_granule,
         )
         rt.advance("verifying")
         rt.advance("booting")
@@ -184,8 +176,8 @@ class World:
         rt.advance("running")
         rt.start_work(self.engine.now_ns)
         self.engine.trace(f"sb{sb}", "running")
-        if not self.options.instant:
-            self.engine.schedule(self.options.tick_ns, lambda: self._tick(sb))
+        if not self.instant:
+            self.engine.schedule(sos.USAGE_SAMPLE_NS, lambda: self._tick(sb))
             self._repredict(sb)
 
     def terminate(self, sb: int) -> None:
@@ -226,7 +218,7 @@ class World:
         if rt is None or rt.state != "running":
             return
         now = self.engine.now_ns
-        tick = self.options.tick_ns
+        tick = sos.USAGE_SAMPLE_NS
         rt.account_to(now)
         busy_ns = self._busy_ns(rt, now)
         rt.sample_usage(now, busy_ns)
@@ -253,7 +245,7 @@ class World:
 
     def _busy_ns(self, rt: SandboxRuntime, now: int) -> int:
         """Busy time of rt in the tick window that ends at now."""
-        busy_start = max(now - self.options.tick_ns, rt.work_started_ns or now)
+        busy_start = max(now - sos.USAGE_SAMPLE_NS, rt.work_started_ns or now)
         busy_end = min(now, rt.work_finished_ns if rt.work_finished_ns is not None
                        else now)
         if rt.busy():
@@ -273,7 +265,7 @@ class World:
         """
         if rt.busy() or now < rt.hysteresis_until_ns:
             return 0
-        tick = self.options.tick_ns
+        tick = sos.USAGE_SAMPLE_NS
         count = (self.engine.end_ns - now) // tick
         next_ns = self.engine.next_event_ns
         if next_ns is not None:
@@ -291,7 +283,7 @@ class World:
 
     def _sample_utilization(self, rt: SandboxRuntime, busy_ns: int,
                             ticks: int = 1) -> None:
-        span = self.options.tick_ns * ticks
+        span = sos.USAGE_SAMPLE_NS * ticks
         alloc = self.monitor.ledger.sandbox_size(rt.id)
         used = min(alloc, rt.used_bytes())
         self.metrics.mem_used_integral += used * span
@@ -302,7 +294,7 @@ class World:
 
     def _repredict(self, sb: int) -> None:
         rt = self.runtimes.get(sb)
-        if rt is None or rt.state != "running" or self.options.instant:
+        if rt is None or rt.state != "running" or self.instant:
             return
         eta = rt.finish_eta_ns()
         if eta is None:
@@ -398,10 +390,7 @@ class World:
                               "rejected", "NoFreeCore")
             rt.hysteresis_until_ns = now + sos.HYSTERESIS_NS
             return False
-        cost = self.monitor.transfer_core(
-            core_id, ROS_CTX, sb,
-            optimized=self.options.optimized_core_transfers,
-        )
+        cost = self.monitor.transfer_core(core_id, ROS_CTX, sb)
         cls = self.machine.cores[core_id].core_class.value
         rt.hysteresis_until_ns = now + cost + sos.HYSTERESIS_NS
         self.metrics.adjust_count += 1
@@ -424,10 +413,7 @@ class World:
         self.engine.charge(f"sb{sb}", "ipi_sb_to_ros",
                            self.engine.costs.ipi_sb_to_ros_ns)
         rt.account_to(now)
-        cost = self.monitor.transfer_core(
-            core_id, sb, ROS_CTX,
-            optimized=self.options.optimized_core_transfers,
-        )
+        cost = self.monitor.transfer_core(core_id, sb, ROS_CTX)
         rt.cores.pop(core_id, None)
         rt.hysteresis_until_ns = now + cost + sos.HYSTERESIS_NS
         self.metrics.adjust_count += 1
@@ -452,11 +438,9 @@ class World:
         queue.append(sb)
         self.engine.trace("ros", "device_request",
                           {"sandbox": sb, "dev": dev_id}, "queued", "DeviceBusy")
-        if not self.options.instant:
-            self.engine.schedule(
-                self.options.device_wait_timeout_ns,
-                lambda: self._queue_timeout(sb, dev_id),
-            )
+        if not self.instant:
+            self.engine.schedule(DEVICE_WAIT_TIMEOUT_NS,
+                                 lambda: self._queue_timeout(sb, dev_id))
         return "queued"
 
     def _queue_timeout(self, sb: int, dev_id: str) -> None:
@@ -591,13 +575,10 @@ class World:
                     return self.monitor.ledger.dev_owner[p.dev_id] != ctx
         return False
 
-    # -- digests and cloning -------------------------------------------------------------------
-
-    def state_digest(self) -> str:
-        return digest(self.canonical())
+    # -- cloning -------------------------------------------------------------------------------
 
     STATE = Schema(
-        options=SHARED, store=SHARED, payloads=SHARED,
+        instant=SHARED, store=SHARED, payloads=SHARED,
         engine=reset(lambda eng: Engine(eng.costs)),
         metrics=reset(lambda _: Metrics()),
         attack_outcomes=reset(lambda _: []),
@@ -623,10 +604,9 @@ class World:
 
 def build_world(config: MachineConfig, costs: Optional[CostTable] = None,
                 defenses: Optional[Defenses] = None, mode: str = "leap",
-                layout: Optional[PoolLayout] = None,
-                options: Optional[WorldOptions] = None,
+                instant: bool = False,
                 apps: Optional[List[Tuple[str, bytes]]] = None) -> World:
-    world = World(config, costs, defenses, mode, layout, options)
+    world = World(config, costs, defenses, mode, instant)
     world.register_default_drivers()
     for app_id, payload in apps or []:
         world.register_app(app_id, payload)

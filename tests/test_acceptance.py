@@ -20,7 +20,7 @@ from teesim.adversary import (
 from teesim.hw_model import default_config
 from teesim.stage2 import Attr, Stage2TableSet
 from teesim.units import GB, KB, MB, MS_NS
-from teesim.world import WorldOptions, build_world
+from teesim.world import build_world
 
 # Golden exploration numbers for the bundled small config at depth 12; the
 # traversal is deterministic, so any drift means the protocol model changed.
@@ -92,7 +92,7 @@ def test_criterion_03_attack_catalogue():
     details = []
     for kind in AttackKind:
         world = build_world(default_config(),
-                            options=WorldOptions(instant=True),
+                            instant=True,
                             apps=[("demo", b"secret weights")])
         out = run_attack(world, AttackScenario(kind))
         good = (out.blocked and out.leaked_bytes == 0

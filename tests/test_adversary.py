@@ -19,7 +19,7 @@ from teesim.adversary import (
 from teesim.errors import BudgetExceeded, OutOfMemory, SimError
 from teesim.hw_model import default_config
 from teesim.monitor import Defenses
-from teesim.world import World, WorldOptions, build_world
+from teesim.world import World, build_world
 
 PAYLOAD = b"secret model weights"
 
@@ -27,7 +27,7 @@ PAYLOAD = b"secret model weights"
 def fresh(mutations=()):
     return build_world(default_config(),
                        defenses=Defenses.with_mutations(mutations),
-                       options=WorldOptions(instant=True),
+                       instant=True,
                        apps=[("demo", PAYLOAD)])
 
 

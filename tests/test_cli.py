@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from teesim import cli
 from teesim.scenario import HEADER, VERSION
 
@@ -94,6 +96,14 @@ def test_explore_mutation_writes_counterexample(tmp_path, capsys):
     assert files
     # replay through the run subcommand reproduces the finding
     assert cli.main(["run", "--replay", str(files[0])]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "explore"])
+def test_unknown_mutation_flag_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--mutate", "no_such_flag"])
+    assert exc.value.code == 2
+    assert "no_such_flag" in capsys.readouterr().err
 
 
 def test_explore_honest_shallow_is_clean(capsys):

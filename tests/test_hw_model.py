@@ -70,17 +70,6 @@ def test_cache_fill_unaligned_rounds_to_line():
     assert m.cache_lookup(0x1040) is None
 
 
-def test_cache_capacity_evicts_fifo():
-    cfg = default_config()
-    cfg = MachineConfig(**{**cfg.__dict__, "cache_capacity_lines": 2})
-    m = build_machine(cfg)
-    m.cache_fill(0, 0x0)
-    m.cache_fill(0, 0x40)
-    m.cache_fill(0, 0x80)
-    assert m.cache_lookup(0x0) is None
-    assert m.cache_lookup(0x40) == 0 and m.cache_lookup(0x80) == 0
-
-
 def test_tlb_flush_range_counts_matching_entries():
     m = build_machine(default_config())
     # three entries over the target range on two cores, one outside

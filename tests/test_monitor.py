@@ -17,13 +17,13 @@ from teesim.errors import (
 from teesim.hw_model import ROS_CTX, default_config
 from teesim.monitor import Reason
 from teesim.units import MB, MS_NS
-from teesim.world import WorldOptions, build_world
+from teesim.world import build_world
 
 PAYLOAD = b"protected-app-payload"
 
 
 def fresh_world(**kw):
-    return build_world(default_config(), options=WorldOptions(instant=True),
+    return build_world(default_config(), instant=True,
                        apps=[("demo", PAYLOAD)], **kw)
 
 

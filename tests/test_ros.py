@@ -16,13 +16,13 @@ from teesim.ros import (
     CmaPool,
 )
 from teesim.units import GB, MB, MS_NS
-from teesim.world import WorldOptions, build_world
+from teesim.world import build_world
 
 PAYLOAD = b"app-bytes"
 
 
 def fresh_world():
-    return build_world(default_config(), options=WorldOptions(instant=True),
+    return build_world(default_config(), instant=True,
                        apps=[("demo", PAYLOAD)])
 
 

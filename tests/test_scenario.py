@@ -55,6 +55,21 @@ def test_bad_keyvalue_reports_line():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("extra,line", [
+    ("optimized_core_transfers = off", 4),
+    ("mem_granule = 2M", 4),
+    ("colour = blue", 4),
+    ("mutate = no_such_flag", 4),
+    ("[defenses]\nsanitize = off", 4),
+    ("[machine]\nram = 3584M\npreset = small", 6),
+])
+def test_unknown_key_or_section_reports_line(extra, line):
+    text = MINIMAL.replace("horizon = 3s", "horizon = 3s\n" + extra)
+    with pytest.raises(ParseError) as exc:
+        sc.parse(text)
+    assert exc.value.line == line
+
+
 def test_unknown_device_is_validation_error():
     text = MINIMAL.replace("at 800ms workload sb1 idle",
                            "at 800ms request_dev sb1 floppy")

@@ -7,7 +7,7 @@ from teesim.errors import BadState
 from teesim.hw_model import ROS_CTX, default_config
 from teesim.sos import WORK_SCALE, InferenceBatch
 from teesim.units import MB, MS_NS, S_NS
-from teesim.world import WorldOptions, build_world
+from teesim.world import build_world
 
 PAYLOAD = b"workload-app"
 
@@ -39,14 +39,15 @@ def test_device_fifo_wait_and_grant_on_release():
 
 
 def test_device_wait_times_out():
-    w = build_world(default_config(), apps=[("demo", PAYLOAD)],
-                    options=WorldOptions(device_wait_timeout_ns=1 * S_NS))
+    w = timed_world()
     a = w.create_sandbox("demo")
     b = w.create_sandbox("demo")
     w.engine.run_until(600 * MS_NS)
     w.request_peripheral(a, "wifi")
     w.request_peripheral(b, "wifi")
-    w.engine.run_until(2 * S_NS)
+    w.engine.run_until(5 * S_NS)
+    assert w.dev_queues["wifi"] == [b]
+    w.engine.run_until(6 * S_NS)
     assert w.dev_queues["wifi"] == []
     assert w.monitor.ledger.dev_owner["wifi"] == a
 
