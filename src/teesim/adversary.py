@@ -23,7 +23,7 @@ from .errors import (
 from .hw_model import ROS_CTX, small_config
 from .monitor import Defenses
 from .units import BLOCK_2M, PAGE_4K
-from .world import World, build_world, digest
+from .world import World, build_world
 
 
 class AttackKind(str, Enum):
@@ -461,9 +461,6 @@ class _Node:
     def peek(self) -> World:
         return self._parent_world if self._world is None else self._world
 
-    def digest(self) -> str:
-        return digest((self.world.canonical(), tuple(sorted(self.handles.items()))))
-
     def child(self) -> "_Node":
         node = _Node(None, dict(self.handles), self.trace)
         node._parent_world = self.world
@@ -549,8 +546,7 @@ def _op_adv_prime(node: _Node) -> int:
 def _op_adv_probe(node: _Node) -> int:
     a = _alive(node, "a")
     w = node.world
-    base = w.monitor.ledger.sandbox_span(a)[0]
-    span_end = w.monitor.ledger.sandbox_span(a)[1]
+    base, span_end = w.monitor.ledger.sandbox_span(a)
     leaked = 0
     for pa in (base, span_end - BLOCK_2M):
         _, l1 = w.probe_read(ROS_CTX, pa)
@@ -615,14 +611,33 @@ def default_alphabet(dev: str = "wifi") -> List[Tuple[str, Callable]]:
     return ops
 
 
+def _state_keys() -> Callable[[_Node], tuple]:
+    """Key function for one exploration, by hash-consing (Filliatre & Conchon,
+    2006): each sub-key value gets an int id in first-seen order, and a key is
+    the ids of `World.canonical()`'s elements (a tuple element as the tuple
+    of its field ids) and of the sorted handles. Ids compare values by ==."""
+    ids = {}
+
+    def intern(value) -> int:
+        return ids.setdefault(value, len(ids))
+
+    def key(node: _Node) -> tuple:
+        return (*[intern(tuple(map(intern, part)))
+                  for part in node.world.canonical()],
+                intern(tuple(sorted(node.handles.items()))))
+
+    return key
+
+
 def explore(world_factory: Callable[[], World] = make_small_world,
             op_alphabet: Optional[List[Tuple[str, Callable]]] = None,
             depth: int = 12,
             state_budget: int = 500_000,
             stop_at_first: bool = False) -> ExploreResult:
     """Breadth-first enumeration over the op alphabet with state dedup by
-    canonical digest; ops that raise are disabled edges."""
+    canonical key; ops that raise are disabled edges."""
     ops = default_alphabet() if op_alphabet is None else op_alphabet
+    key = _state_keys()
     root = _Node(world_factory(), {}, ())
     result = ExploreResult(states_visited=1, transitions=0, max_depth=0)
     # `seen` holds only states that passed check_invariants, so a transition
@@ -632,7 +647,7 @@ def explore(world_factory: Callable[[], World] = make_small_world,
     # `seen`, so every transition into it is reported.
     seen = set()
     if not check_invariants(root.world):
-        seen.add(root.digest())
+        seen.add(key(root))
     frontier = deque([(root, 0)])
     while frontier:
         node, d = frontier.popleft()
@@ -647,8 +662,8 @@ def explore(world_factory: Callable[[], World] = make_small_world,
             result.transitions += 1
             child.trace = node.trace + (op_name,)
             if not leaked:
-                digest = child.digest()
-                if digest in seen:
+                state = key(child)
+                if state in seen:
                     continue
             violations = check_invariants(child.world)
             if leaked:
@@ -663,7 +678,7 @@ def explore(world_factory: Callable[[], World] = make_small_world,
                 return result
             if violations or leaked:
                 continue  # record once, do not expand corrupted states
-            seen.add(digest)
+            seen.add(state)
             result.states_visited += 1
             result.max_depth = max(result.max_depth, d + 1)
             if result.states_visited > state_budget:

@@ -264,8 +264,8 @@ class Machine:
     STATE = Schema(
         config=SHARED,
         cores=keyed(
-            lambda cores: tuple((c.core_id, c.core_class.value, c.state.value,
-                                 c.active_ctx) for c in cores.values()),
+            lambda cores: tuple((c.core_id, c.core_class, c.state, c.active_ctx)
+                                for c in cores.values()),
             copy=lambda cores: {cid: Core(c.core_id, c.core_class, c.state,
                                           c.active_ctx) for cid, c in cores.items()},
         ),

@@ -39,6 +39,19 @@ VERSION = 1
 
 HEADER_KEYS = ("seed", "mode", "horizon", "mutate")
 MACHINE_KEYS = ("ram", "io_window", "cache_line", "tlb_capacity")
+PERIPHERAL_KEYS = frozenset(("kind", "mmio"))
+PERIPHERAL_FLAGS = ("dma", "shared_driver", "always_busy")
+# The key=value arguments each directive reads, and those each workload kind
+# reads where `create` or `workload` names it; positionals are not listed.
+DIRECTIVE_KEYS = {
+    "create": ("app", "cores", "memory", "core", "base"),
+    "add_core": ("core",),
+    "attack": ("victim", "requester", "target", "holder", "dev", "app"),
+}
+WORKLOAD_KEYS = {
+    "inference": ("images", "units", "serial", "gpu_speedup"),
+    "cipher": ("files", "queries", "cache", "scan", "miss"),
+}
 
 
 @dataclass(frozen=True)
@@ -87,13 +100,8 @@ def serialize(s: Scenario) -> str:
     for cid, cls in m.cores:
         lines.append(f"core {cid} {cls.value}")
     for p in m.peripherals:
-        flags = []
-        if p.dma_capable:
-            flags.append("dma")
-        if not p.independent:
-            flags.append("shared_driver")
-        if p.always_busy_in_ros:
-            flags.append("always_busy")
+        flags = [f for f, on in zip(PERIPHERAL_FLAGS, (
+            p.dma_capable, not p.independent, p.always_busy_in_ros)) if on]
         lines.append(
             f"peripheral {p.dev_id} kind={p.kind.value} "
             f"mmio={format_size(p.mmio_range[0])}:{format_size(p.mmio_range[1])}"
@@ -113,7 +121,7 @@ def serialize(s: Scenario) -> str:
     for d in s.timeline:
         parts = [f"at {format_duration_ns(d.at_ns)} {d.kind}"]
         for k, v in d.args:
-            parts.append(f"{k}={v}" if k != "_" else str(v))
+            parts.append(f"{k}={v}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -219,6 +227,9 @@ def _parse_machine(machine_lines) -> MachineConfig:
             dev_id = parts[1]
             kv = dict(p.split("=", 1) for p in parts[2:] if "=" in p)
             flags = {p for p in parts[2:] if "=" not in p}
+            if not (PERIPHERAL_KEYS.issuperset(kv) and flags.issubset(PERIPHERAL_FLAGS)):
+                raise ParseError(f"unknown peripheral key or flag in {line!r}",
+                                 line=lineno)
             try:
                 kind = DevKind(kv.get("kind", "other"))
                 lo, hi = kv["mmio"].split(":")
@@ -261,16 +272,18 @@ def _parse_directive(line: str, lineno: int) -> Directive:
         raise ParseError(f"bad time {tokens[1]!r}", line=lineno,
                          col=len("at ") + 1) from None
     kind = tokens[2]
-    # Positional tokens are stored as empty-valued args; directives that
-    # expect positionals read them in order.
-    args: List[Tuple[str, str]] = []
-    for tok in tokens[3:]:
-        if "=" in tok:
-            k, v = tok.split("=", 1)
-            args.append((k, v))
-        else:
-            args.append((tok, ""))
-    return Directive(at_ns, kind, tuple(args))
+    # Positional tokens (bare, or `tok=` as `serialize` writes them) are
+    # stored as empty-valued args; directives read them in order.
+    args = tuple([tok.partition("=")[::2] for tok in tokens[3:]])
+    allowed = DIRECTIVE_KEYS.get(kind, ())
+    if kind in ("create", "workload"):
+        pos = [k for k, v in args if not v]
+        if len(pos) > 1:
+            allowed += WORKLOAD_KEYS.get(pos[1], ())
+    for k, v in args:
+        if v and k not in allowed:
+            raise ParseError(f"unknown {kind} argument {k!r}", line=lineno)
+    return Directive(at_ns, kind, args)
 
 
 def validate(s: Scenario) -> None:
@@ -285,7 +298,7 @@ def validate(s: Scenario) -> None:
         if d.at_ns < last:
             raise ValidationError("timeline directives must be time-sorted")
         last = d.at_ns
-        pos = [k for k, v in d.args if v == ""]
+        pos = _positional(d)
         if d.kind == "create":
             if not pos:
                 raise ValidationError("create needs a handle")

@@ -183,8 +183,7 @@ class Stage2TableSet:
 
     STATE = Schema(
         context_id=KEYED,
-        _runs=keyed(lambda runs: tuple((s, e, a.value) for s, e, a in runs),
-                    copy=list),
+        _runs=keyed(tuple, copy=list),
     )
     clone = STATE.clone
     canonical = STATE.canonical

@@ -8,7 +8,6 @@ instant mode (used by exploration) everything applies synchronously and the
 clock is ignored.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -76,11 +75,6 @@ class Metrics:
             },
             "trace_digest": trace_digest,
         }
-
-
-def digest(value) -> str:
-    """Digest of a canonical state key."""
-    return hashlib.blake2b(repr(value).encode(), digest_size=16).hexdigest()
 
 
 def _rewire(world: "World") -> None:

@@ -307,11 +307,19 @@ def test_explore_empty_alphabet_has_no_transitions():
         replay_trace(("create_a",), op_alphabet=[])
 
 
+def _repr_key(node):
+    """A state key that shares no code with the explorer's interned ids: a
+    digest of the printed canonical tuple and sorted handles."""
+    value = (node.world.canonical(), tuple(sorted(node.handles.items())))
+    return hashlib.blake2b(repr(value).encode(), digest_size=16).hexdigest()
+
+
 def _reference_explore(world_factory, depth):
-    """Plain BFS: clone before every op and check every transition."""
+    """Plain BFS: clone before every op, check every transition and key
+    states by `_repr_key`."""
     ops = default_alphabet()
     root = _Node(world_factory(), {}, ())
-    seen = {root.digest()}
+    seen = {_repr_key(root)}
     states, transitions, findings = 1, 0, []
     frontier = deque([(root, 0)])
     while frontier:
@@ -334,7 +342,7 @@ def _reference_explore(world_factory, depth):
                          for v in violations]
             if violations or leaked:
                 continue
-            digest = child.digest()
+            digest = _repr_key(child)
             if digest not in seen:
                 seen.add(digest)
                 states += 1
@@ -351,6 +359,34 @@ def test_explore_matches_reference_bfs(mutations):
            [(f.kind, f.detail, f.trace) for f in res.violations])
     assert got == _reference_explore(factory, 5)
     assert bool(got[2]) == bool(mutations)
+
+
+def test_interned_keys_match_repr_keys(monkeypatch):
+    """Over every successful transition of an honest depth-6 explore, two
+    states share an interned key exactly when they share a repr digest, so
+    == and repr agree on every value a key holds."""
+    interned_of, repr_of = {}, {}
+    calls = []
+    make_keys = adversary._state_keys
+
+    def recording_keys():
+        key = make_keys()
+
+        def recorded(node):
+            k, r = key(node), _repr_key(node)
+            calls.append(k)
+            assert interned_of.setdefault(r, k) == k
+            assert repr_of.setdefault(k, r) == r
+            return k
+
+        return recorded
+
+    monkeypatch.setattr(adversary, "_state_keys", recording_keys)
+    res = explore(depth=6)
+    assert (res.states_visited, res.transitions) == (1147, 3357)
+    assert len(calls) == 1 + 3357  # the root, then every transition
+    assert len(interned_of) == len(repr_of) == 1147
+    assert all(type(i) is int for k in repr_of for i in k)
 
 
 def test_explore_reports_every_transition_into_a_violating_root():

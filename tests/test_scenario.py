@@ -55,6 +55,9 @@ def test_bad_keyvalue_reports_line():
     assert exc.value.line == 2
 
 
+WIFI = "peripheral wifi kind=wifi mmio=3584M:3585M"
+
+
 @pytest.mark.parametrize("extra,line", [
     ("optimized_core_transfers = off", 4),
     ("mem_granule = 2M", 4),
@@ -62,12 +65,34 @@ def test_bad_keyvalue_reports_line():
     ("mutate = no_such_flag", 4),
     ("[defenses]\nsanitize = off", 4),
     ("[machine]\nram = 3584M\npreset = small", 6),
+    (f"[machine]\n{WIFI} dam colour=red", 5),
+    (f"[machine]\n{WIFI} dam", 5),
+    (f"[machine]\n{WIFI} dma colour=red", 5),
+    ("at 0ms create sb1 app=demo corse=2", 12),
+    ("at 2s workload sb1 inference imgaes=3", 12),
+    ("at 2s workload sb1 inference files=20M", 12),
+    ("at 2s workload sb1 idle images=3", 12),
+    ("at 2s create sb2 app=demo cipher serial=1", 12),
 ])
 def test_unknown_key_or_section_reports_line(extra, line):
-    text = MINIMAL.replace("horizon = 3s", "horizon = 3s\n" + extra)
+    """`extra` goes after the header, or at the end of the timeline if it
+    is a directive."""
+    if extra.startswith("at "):
+        text = MINIMAL + extra
+    else:
+        text = MINIMAL.replace("horizon = 3s", "horizon = 3s\n" + extra)
     with pytest.raises(ParseError) as exc:
         sc.parse(text)
     assert exc.value.line == line
+
+
+def test_peripheral_flags_roundtrip():
+    text = MINIMAL.replace(
+        "[apps]", f"[machine]\n{WIFI} dma shared_driver always_busy\n[apps]")
+    s = sc.parse(text)
+    p = s.machine.peripherals[0]
+    assert (p.dma_capable, p.independent, p.always_busy_in_ros) == (True, False, True)
+    assert sc.parse(sc.serialize(s)) == s
 
 
 def test_unknown_device_is_validation_error():

@@ -1,0 +1,156 @@
+"""Record the end-to-end numbers of one or more teesim checkouts as BENCH JSON.
+
+    python3 tools/bench_record.py --out BENCH_7.json \\
+        --tree parent=/path/to/parent/checkout --tree change=. \\
+        --pairs explore_bfs=10 --pairs scenario_fuzz=10 --pairs costmodel_suites=5
+
+Every measurement runs in a fresh process, and the trees take turns (the
+first tree goes first in even rounds, last in odd ones), so a drift in host
+speed lands on both. Per tree it records:
+
+* an honest `explore` at each of DEPTHS, RUNS times each: wall seconds,
+  states/s and the process's peak RSS;
+* work counters of one explore at the first of DEPTHS: `World.clone` and
+  `World.canonical` calls;
+* `perfbench/run.py --trace 0` of each `--pairs` workload, SECONDS per run
+  at run.py's default seed, so every round runs the same items: every
+  result line, and each end-to-end metric's median, min, max and
+  quartiles; with two trees, also the rounds in which the second did
+  better, by the directions in BENCHMARK.json.
+
+Timed figures are given as median, min and max. Standard library only.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+RUNS = 3
+DEPTHS = (8, 12)
+SECONDS = 30
+
+EXPLORE = """
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from teesim.adversary import explore
+t0 = time.perf_counter()
+r = explore(depth=int(sys.argv[2]))
+s = time.perf_counter() - t0
+print(json.dumps({"states": r.states_visited, "transitions": r.transitions,
+                  "s": s, "states_per_s": r.states_visited / s,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+COUNTERS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from teesim.adversary import explore
+from teesim.world import World
+calls = {"clone": 0, "canonical": 0}
+for name in calls:
+    def counted(self, _f=getattr(World, name), _n=name):
+        calls[_n] += 1
+        return _f(self)
+    setattr(World, name, counted)
+r = explore(depth=int(sys.argv[2]))
+print(json.dumps(dict(calls, states=r.states_visited, transitions=r.transitions)))
+"""
+
+
+def last_json(cmd, cwd=None) -> dict:
+    out = subprocess.run(cmd, cwd=cwd, check=True, capture_output=True, text=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def spread(values) -> dict:
+    out = {"median": statistics.median(values), "min": min(values),
+           "max": max(values), "n": len(values)}
+    if len(values) > 1:
+        out["q1"], _, out["q3"] = statistics.quantiles(values, n=4)
+    return out
+
+
+def wins(base_lines, new_lines, better) -> dict:
+    """Per metric, the rounds in which the second tree did better."""
+    out = {}
+    for name in base_lines[0]["metrics"]:
+        sign = 1 if better.get(name) == "higher" else -1
+        out[name] = sum(sign * (n["metrics"][name]["value"]
+                                - b["metrics"][name]["value"]) > 0
+                        for b, n in zip(base_lines, new_lines))
+    return out
+
+
+def summarize(runs, fields) -> dict:
+    return {f: spread([r[f] for r in runs]) for f in fields}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--tree", action="append", required=True,
+                    help="label=path of a checkout")
+    ap.add_argument("--pairs", action="append", default=[],
+                    help="workload=rounds of perfbench/run.py")
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+    trees = dict(t.split("=", 1) for t in args.tree)
+    trees = {label: Path(path).resolve() for label, path in trees.items()}
+    py = sys.executable
+
+    def order(i):
+        labels = list(trees)
+        return labels if i % 2 == 0 else labels[::-1]
+
+    result = {"host": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                       "machine": platform.machine()},
+              "trees": {label: {} for label in trees}}
+    for depth in DEPTHS:
+        runs = {label: [] for label in trees}
+        for i in range(RUNS):
+            for label in order(i):
+                run = last_json([py, "-c", EXPLORE, str(trees[label] / "src"), str(depth)])
+                print(label, f"explore depth {depth}", run, flush=True)
+                runs[label].append(run)
+        for label, rs in runs.items():
+            result["trees"][label][f"explore_depth_{depth}"] = {
+                "states": rs[0]["states"], "transitions": rs[0]["transitions"],
+                **summarize(rs, ("s", "states_per_s", "peak_rss_mb"))}
+    for label, tree in trees.items():
+        counters = last_json([py, "-c", COUNTERS, str(tree / "src"), str(DEPTHS[0])])
+        print(label, f"counters depth {DEPTHS[0]}", counters, flush=True)
+        result["trees"][label][f"work_counters_depth_{DEPTHS[0]}"] = counters
+    first = next(iter(trees.values()))
+    better = {m["name"]: m["better"] for m in
+              json.loads((first / "BENCHMARK.json").read_text())["end_to_end"]}
+    for spec in args.pairs:
+        workload, rounds = spec.split("=")
+        runs = {label: [] for label in trees}
+        for i in range(int(rounds)):
+            for label in order(i):
+                line = last_json([py, "perfbench/run.py", "--workload", workload,
+                                  "--seconds", str(SECONDS), "--trace", "0"],
+                                 cwd=trees[label])
+                print(label, workload, json.dumps(line), flush=True)
+                runs[label].append(line)
+        for label, lines in runs.items():
+            metrics = {name: spread([ln["metrics"][name]["value"] for ln in lines])
+                       for name in lines[0]["metrics"]}
+            result["trees"][label][f"perfbench_{workload}"] = {
+                "all_correct": all(ln["correct"] for ln in lines),
+                "metrics": metrics, "result_lines": lines}
+        if len(trees) == 2:
+            (base, base_lines), (new, new_lines) = runs.items()
+            result[f"perfbench_{workload}_wins_of_{new}_over_{base}"] = {
+                "rounds": len(base_lines),
+                "metrics": wins(base_lines, new_lines, better)}
+    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
