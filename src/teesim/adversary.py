@@ -586,7 +586,7 @@ def _op_adv_steal_core(node: _Node) -> int:
     return 0
 
 
-def default_alphabet(dev: str = "wifi") -> List[Tuple[str, Callable]]:
+def default_alphabet() -> List[Tuple[str, Callable]]:
     ops: List[Tuple[str, Callable]] = []
     for name in ("a", "b"):
         ops.append((f"create_{name}", _op_create(name)))
@@ -596,9 +596,9 @@ def default_alphabet(dev: str = "wifi") -> List[Tuple[str, Callable]]:
                     _op_world(name, "_request_detach", BLOCK_2M)))
         ops.append((f"terminate_{name}", _op_terminate(name)))
         ops.append((f"dev_request_{name}",
-                    _op_world(name, "request_peripheral", dev)))
+                    _op_world(name, "request_peripheral", "wifi")))
         ops.append((f"dev_release_{name}",
-                    _op_world(name, "release_peripheral", dev)))
+                    _op_world(name, "release_peripheral", "wifi")))
     ops.append(("grow_core_a", _op_world("a", "_request_core_increase", None)))
     ops.append(("shrink_core_a", _op_shrink_core("a")))
     ops.append(("create_a_tampered", _op_create("a", tampered=True)))
@@ -691,12 +691,10 @@ def explore(world_factory: Callable[[], World] = make_small_world,
 
 
 def replay_trace(ops_trace: Tuple[str, ...], mutations=(),
-                 world_factory: Optional[Callable[[], World]] = None,
                  op_alphabet: Optional[List[Tuple[str, Callable]]] = None):
     """Re-run a counterexample op sequence; returns (violations, leaked)."""
-    factory = world_factory or (lambda: make_small_world(mutations))
     ops = dict(default_alphabet() if op_alphabet is None else op_alphabet)
-    node = _Node(factory(), {}, ())
+    node = _Node(make_small_world(mutations), {}, ())
     leaked_total = 0
     for op_name in ops_trace:
         leaked_total += ops[op_name](node) or 0

@@ -6,7 +6,7 @@ size; mem_query compares the flexible memory strategy against static
 pre-allocations on completion time and utilization.
 """
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from .errors import UnknownSuite
 from .hw_model import ROS_CTX, default_config
@@ -17,13 +17,13 @@ from .world import build_world
 SUITES = ("cpu_adjust", "mem_query", "dl_batch")
 
 
-def run_suite(name: str, **kwargs) -> dict:
+def run_suite(name: str) -> dict:
     if name == "cpu_adjust":
-        return run_cpu_adjust(**kwargs)
+        return run_cpu_adjust()
     if name == "dl_batch":
-        return run_dl_batch(**kwargs)
+        return run_dl_batch()
     if name == "mem_query":
-        return run_mem_query(**kwargs)
+        return run_mem_query()
     raise UnknownSuite(f"unknown suite {name!r} (have {', '.join(SUITES)})")
 
 
@@ -97,26 +97,26 @@ def _dl_scenario(images: int, max_cores: int) -> str:
     )
 
 
-def run_dl_batch(batches: Tuple[int, ...] = DL_BATCHES) -> dict:
+def run_dl_batch() -> dict:
     """Completion time of an inference batch under core quotas 1 (static),
     2, and 3; speedups are relative to the single-core run."""
     times: Dict[int, Dict[int, int]] = {}
     for max_cores in (1, 2, 3):
         times[max_cores] = {}
-        for n in batches:
+        for n in DL_BATCHES:
             res = run_scenario(parse(_dl_scenario(n, max_cores)),
                                with_trace=False, check_each_directive=False)
             sb = res.handles["sb1"]
             times[max_cores][n] = res.world.metrics.completion_ns[sb]
     rows = {}
-    for n in batches:
+    for n in DL_BATCHES:
         base = times[1][n]
         rows[n] = {
             "single_core_ms": base / MS_NS,
             "speedup_quota1": base / times[2][n],
             "speedup_quota2": base / times[3][n],
         }
-    return {"suite": "dl_batch", "batches": list(batches), "rows": rows}
+    return {"suite": "dl_batch", "batches": list(DL_BATCHES), "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def _query_scenario(cache_mb: int, dynamic: bool) -> str:
     )
 
 
-def run_mem_query(static_sizes: Tuple[int, ...] = STATIC_SIZES_MB) -> dict:
+def run_mem_query() -> dict:
     """Flexible 16MB-granularity adjustment against static pre-allocations."""
     results = {}
 
@@ -165,7 +165,7 @@ def run_mem_query(static_sizes: Tuple[int, ...] = STATIC_SIZES_MB) -> dict:
         }
 
     results["flexible"] = one(10, dynamic=True)
-    for size in static_sizes:
+    for size in STATIC_SIZES_MB:
         results[f"static_{size}M"] = one(size, dynamic=False)
 
     flex = results["flexible"]

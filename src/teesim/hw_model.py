@@ -3,10 +3,10 @@
 The cache is owner-tagged rather than timed: each line remembers which
 context filled it, which is all the direct-cache-attack oracle needs. It has
 no capacity, so a line leaves it only when it is invalidated. The TLB caches
-successful stage-2 translations per core with FIFO eviction.
+successful stage-2 translations per core; it has no capacity either, so an
+entry leaves it only when it is flushed.
 """
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional, Tuple
@@ -17,6 +17,7 @@ from .state import DICT, SHARED, Schema, clone_values, keyed
 from .units import BLOCK_2M, GB, KB, MB, PAGE_4K, align_down, is_aligned, overlaps
 
 ROS_CTX = 0
+CACHE_LINE_BYTES = 64
 
 
 class CoreClass(str, Enum):
@@ -52,8 +53,6 @@ class MachineConfig:
     io_window: Tuple[int, int]
     cores: Tuple[Tuple[int, CoreClass], ...]
     peripherals: Tuple[PeripheralDesc, ...] = ()
-    cache_line_bytes: int = 64
-    tlb_capacity: int = 512
 
     def validate(self) -> None:
         if len(self.cores) < 2:
@@ -76,8 +75,6 @@ class MachineConfig:
             for b in self.peripherals[i + 1 :]:
                 if overlaps(a.mmio_range, b.mmio_range):
                     raise ConfigError(f"{a.dev_id}/{b.dev_id}: MMIO ranges overlap")
-        if self.cache_line_bytes <= 0 or self.tlb_capacity <= 0:
-            raise ConfigError("cache_line_bytes and tlb_capacity must be positive")
 
     def peripheral(self, dev_id: str) -> PeripheralDesc:
         for p in self.peripherals:
@@ -151,8 +148,8 @@ class Machine:
             cid: Core(cid, cls) for cid, cls in config.cores
         }
         self.table_sets: Dict[int, stage2.Stage2TableSet] = {}
-        # Per-core FIFO TLB: (ctx, block_base, gran) -> attr, insertion-ordered.
-        self.tlbs: Dict[int, OrderedDict] = {cid: OrderedDict() for cid in self.cores}
+        # Per-core TLB: (ctx, block_base, gran) -> attr.
+        self.tlbs: Dict[int, dict] = {cid: {} for cid in self.cores}
         # Shared physically indexed L2: line base -> filling context.
         self.cache: Dict[int, int] = {}
         ros = stage2.Stage2TableSet(ROS_CTX)
@@ -173,12 +170,12 @@ class Machine:
     # -- cache model ------------------------------------------------------
 
     def cache_fill(self, context_id: int, pa: int) -> None:
-        self.cache[align_down(pa, self.config.cache_line_bytes)] = context_id
+        self.cache[align_down(pa, CACHE_LINE_BYTES)] = context_id
 
     def cache_lookup(self, pa: int) -> Optional[int]:
-        return self.cache.get(align_down(pa, self.config.cache_line_bytes))
+        return self.cache.get(align_down(pa, CACHE_LINE_BYTES))
 
-    def cache_invalidate_range(self, rng: Tuple[int, int], keep_owner=None) -> int:
+    def cache_invalidate_range(self, rng: Tuple[int, int], keep_owner: int) -> int:
         start, end = rng
         victims = [
             line
@@ -199,13 +196,7 @@ class Machine:
 
     def tlb_insert(self, core_id: int, ctx: int, ipa: int, attr) -> None:
         gran = stage2.granularity_of(attr)
-        tlb = self.tlbs[core_id]
-        key = (ctx, align_down(ipa, gran), gran)
-        if key in tlb:
-            del tlb[key]
-        tlb[key] = attr
-        while len(tlb) > self.config.tlb_capacity:
-            tlb.popitem(last=False)
+        self.tlbs[core_id][(ctx, align_down(ipa, gran), gran)] = attr
 
     def tlb_lookup(self, core_id: int, ctx: int, ipa: int):
         tlb = self.tlbs[core_id]
@@ -273,19 +264,14 @@ class Machine:
             lambda sets: tuple(ts.canonical() for _, ts in sorted(sets.items())),
             copy=clone_values,
         ),
-        # TLB entries are keyed sorted, so their FIFO eviction order is
-        # copied but not keyed. No explored state fills a TLB
-        # (tests/test_state.py), so no eviction reads that order.
+        # TLB entries are keyed sorted: nothing evicts, so no future reads
+        # their insertion order.
         tlbs=keyed(
             lambda tlbs: tuple((cid, tuple(sorted(tlb)))
                                for cid, tlb in sorted(tlbs.items())),
-            copy=lambda tlbs: {cid: OrderedDict(tlb) for cid, tlb in tlbs.items()},
+            copy=lambda tlbs: {cid: dict(tlb) for cid, tlb in tlbs.items()},
         ),
         cache=DICT,
     )
     clone = STATE.clone
     canonical = STATE.canonical
-
-
-def build_machine(config: MachineConfig) -> Machine:
-    return Machine(config)

@@ -424,10 +424,8 @@ class Monitor:
     # -- core transfer ------------------------------------------------------
 
     def transfer_core(self, core_id: int, from_ctx: int, to_ctx: int,
-                      optimized: bool = True, charge: bool = True,
-                      allow_last: bool = False) -> int:
-        machine = self.machine
-        core = machine.cores.get(core_id)
+                      optimized: bool = True) -> int:
+        core = self.machine.cores.get(core_id)
         if core is None:
             raise NotOwner(f"no core {core_id}")
         if from_ctx == to_ctx or (from_ctx != ROS_CTX and to_ctx != ROS_CTX):
@@ -445,13 +443,26 @@ class Monitor:
                 self._trace("transfer_core", {"core": core_id},
                             "rejected", "QuotaExceeded")
                 raise QuotaExceeded(f"sandbox {to_ctx} core quota reached")
-        if not allow_last:
-            owned = self.ledger.cores_of(from_ctx)
-            if len(owned) <= 1:
-                raise LastCoreError(f"ctx {from_ctx} would lose its last core")
-            if from_ctx != ROS_CTX and core_id == self.sandboxes[from_ctx].boot_core:
-                raise LastCoreError("booting core is never adjusted")
+        if len(self.ledger.cores_of(from_ctx)) <= 1:
+            raise LastCoreError(f"ctx {from_ctx} would lose its last core")
+        if from_ctx != ROS_CTX and core_id == self.sandboxes[from_ctx].boot_core:
+            raise LastCoreError("booting core is never adjusted")
 
+        self._move_core(core_id, from_ctx, to_ctx, optimized)
+        direction = "inc" if from_ctx == ROS_CTX else "dec"
+        cost = self.engine.costs.core_adjust(core.core_class.value, direction,
+                                             optimized)
+        actor = f"sb{to_ctx if to_ctx != ROS_CTX else from_ctx}"
+        return self.engine.charge(
+            actor, f"core_{direction}_{core.core_class.value}_"
+                   f"{'opt' if optimized else 'noopt'}", cost
+        )
+
+    def _move_core(self, core_id: int, from_ctx: int, to_ctx: int,
+                   optimized: bool) -> None:
+        """The effect of a core transfer, unchecked and uncharged."""
+        machine = self.machine
+        core = machine.cores[core_id]
         # Departing context's lines are cleaned. The core passes through a
         # busy-wait (optimized) or off (full hotplug) state inside this op;
         # only the cost model charges that path, so no state records it.
@@ -462,46 +473,26 @@ class Monitor:
         )
         core.active_ctx = to_ctx
         self.ledger.core_owner[core_id] = to_ctx
-        direction = "inc" if from_ctx == ROS_CTX else "dec"
         self._trace("transfer_core",
                     {"core": core_id, "from": from_ctx, "to": to_ctx,
                      "optimized": optimized})
-        if not charge:
-            return 0
-        cost = self.engine.costs.core_adjust(core.core_class.value, direction,
-                                             optimized)
-        actor = f"sb{to_ctx if to_ctx != ROS_CTX else from_ctx}"
-        return self.engine.charge(
-            actor, f"core_{direction}_{core.core_class.value}_"
-                   f"{'opt' if optimized else 'noopt'}", cost
-        )
 
     # -- peripherals ----------------------------------------------------------
 
     def switch_peripheral(self, dev_id: str, from_ctx: int, to_ctx: int,
-                          charge: bool = True, require_release: bool = True) -> int:
-        machine = self.machine
-        desc = machine.config.peripheral(dev_id)
+                          charge: bool = True) -> int:
+        kind = self.machine.config.peripheral(dev_id).kind.value
         if self.ledger.dev_owner[dev_id] != from_ctx:
             self._trace("switch_peripheral", {"dev": dev_id}, "rejected",
                         "NotOwner")
             raise NotOwner(f"{dev_id} not owned by ctx {from_ctx}")
-        if require_release and self.driver_states is not None:
-            state = self.driver_states.get((from_ctx, dev_id), "loaded")
-            if state == "loaded":
-                self._trace("switch_peripheral", {"dev": dev_id}, "rejected",
-                            "DeviceBusy")
-                raise DeviceBusy(f"{dev_id} driver still active in ctx {from_ctx}")
-        rng = desc.mmio_range
-        machine.table_sets[from_ctx].unmap_range(rng)
-        machine._tlb_flush_any(rng)
-        machine.table_sets[to_ctx].map_range(rng, stage2.Attr.DEVICE)
-        self.ledger.dev_owner[dev_id] = to_ctx
-        self._trace("switch_peripheral",
-                    {"dev": dev_id, "from": from_ctx, "to": to_ctx})
+        if self.driver_states.get((from_ctx, dev_id), "loaded") == "loaded":
+            self._trace("switch_peripheral", {"dev": dev_id}, "rejected",
+                        "DeviceBusy")
+            raise DeviceBusy(f"{dev_id} driver still active in ctx {from_ctx}")
+        self._move_device(dev_id, from_ctx, to_ctx)
         if not charge:
             return 0
-        kind = desc.kind.value
         from_side = "ros" if from_ctx == ROS_CTX else "sandbox"
         to_side = "ros" if to_ctx == ROS_CTX else "sandbox"
         actor = f"sb{to_ctx if to_ctx != ROS_CTX else from_ctx}"
@@ -514,6 +505,17 @@ class Monitor:
             self.engine.costs.periph(kind, "map", to_side),
         )
         return total
+
+    def _move_device(self, dev_id: str, from_ctx: int, to_ctx: int) -> None:
+        """The effect of a peripheral switch, unchecked and uncharged."""
+        machine = self.machine
+        rng = machine.config.peripheral(dev_id).mmio_range
+        machine.table_sets[from_ctx].unmap_range(rng)
+        machine._tlb_flush_any(rng)
+        machine.table_sets[to_ctx].map_range(rng, stage2.Attr.DEVICE)
+        self.ledger.dev_owner[dev_id] = to_ctx
+        self._trace("switch_peripheral",
+                    {"dev": dev_id, "from": from_ctx, "to": to_ctx})
 
     # -- SMMU (DMA access control) ---------------------------------------------
 
@@ -534,20 +536,18 @@ class Monitor:
 
     # -- teardown ---------------------------------------------------------------
 
-    def teardown(self, sb: int, state_of=None, charge: bool = True) -> Tuple[int, List[str]]:
+    def teardown(self, sb: int, state_of) -> Tuple[int, List[str]]:
         """Release everything a sandbox holds; returns (cost_ns, devices that
         went back to ROS)."""
-        meta = self._require_sandbox(sb)
-        if state_of is not None and state_of(sb) != "terminating":
+        self._require_sandbox(sb)
+        if state_of(sb) != "terminating":
             raise BadState(f"sandbox {sb} not in terminating state")
         machine = self.machine
         returned_devs = [d for d, o in self.ledger.dev_owner.items() if o == sb]
         for dev in returned_devs:
-            self.switch_peripheral(dev, sb, ROS_CTX, charge=False,
-                                   require_release=False)
+            self._move_device(dev, sb, ROS_CTX)
         for core_id in self.ledger.cores_of(sb):
-            self.transfer_core(core_id, sb, ROS_CTX, optimized=True,
-                               charge=False, allow_last=True)
+            self._move_core(core_id, sb, ROS_CTX, optimized=True)
         ros_set = machine.table_sets[ROS_CTX]
         for region in self.ledger.sandbox_intervals(sb):
             self.sanitize(region, new_owner=ROS_CTX)
@@ -561,10 +561,8 @@ class Monitor:
         self.machine.cache_invalidate_owner(sb)
         self.sandboxes.pop(sb)
         self._approvals = {key for key in self._approvals if key[0] != sb}
-        cost = 0
-        if charge:
-            cost = self.engine.charge(f"sb{sb}", "shutdown",
-                                      self.engine.costs.shutdown_ns)
+        cost = self.engine.charge(f"sb{sb}", "shutdown",
+                                  self.engine.costs.shutdown_ns)
         self._trace("teardown", {"sandbox": sb, "devices": returned_devs})
         return cost, returned_devs
 

@@ -216,7 +216,7 @@ class RosActor:
         img = self.images[app_id]
         raw = bytearray(img.payload)
         raw[0] ^= 0xFF
-        self.images[app_id] = EncryptedImage(app_id, bytes(raw), img.encrypted)
+        self.images[app_id] = EncryptedImage(app_id, bytes(raw))
 
     def register_driver(self, dev_id: str, blob: bytes) -> None:
         self.driver_blobs[dev_id] = blob

@@ -38,7 +38,7 @@ HEADER = "teesim-scenario"
 VERSION = 1
 
 HEADER_KEYS = ("seed", "mode", "horizon", "mutate")
-MACHINE_KEYS = ("ram", "io_window", "cache_line", "tlb_capacity")
+MACHINE_KEYS = ("ram", "io_window")
 PERIPHERAL_KEYS = frozenset(("kind", "mmio"))
 PERIPHERAL_FLAGS = ("dma", "shared_driver", "always_busy")
 # The key=value arguments each directive reads, and those each workload kind
@@ -93,10 +93,6 @@ def serialize(s: Scenario) -> str:
     lines.append(f"ram = {format_size(m.ram_bytes)}")
     lines.append(f"io_window = {format_size(m.io_window[0])}:"
                  f"{format_size(m.io_window[1])}")
-    if m.cache_line_bytes != 64:
-        lines.append(f"cache_line = {m.cache_line_bytes}")
-    if m.tlb_capacity != 512:
-        lines.append(f"tlb_capacity = {m.tlb_capacity}")
     for cid, cls in m.cores:
         lines.append(f"core {cid} {cls.value}")
     for p in m.peripherals:
@@ -257,8 +253,6 @@ def _parse_machine(machine_lines) -> MachineConfig:
         if "io_window" in fields else base.io_window,
         cores=tuple(cores) if cores else base.cores,
         peripherals=tuple(peripherals) if peripherals else base.peripherals,
-        cache_line_bytes=int(fields.get("cache_line", "64")),
-        tlb_capacity=int(fields.get("tlb_capacity", "512")),
     )
 
 
@@ -329,6 +323,12 @@ def validate(s: Scenario) -> None:
                 raise ValidationError(f"unknown attack kind {pos[0]!r}") from None
         else:
             raise ValidationError(f"unknown directive {d.kind!r}")
+        try:
+            _values(d)
+        except ValueError as exc:
+            raise ValidationError(f"bad {d.kind} argument: {exc}") from None
+        except IndexError:
+            raise ValidationError(f"{d.kind} is missing an argument") from None
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +392,31 @@ def _positional(d: Directive) -> List[str]:
     return [k for k, v in d.args if v == ""]
 
 
+def _values(d: Directive) -> tuple:
+    """The typed arguments, after the handle, that a create, workload, send,
+    attach or detach directive passes on; a malformed value raises
+    ValueError or IndexError."""
+    pos = _positional(d)
+    if d.kind == "create":
+        base = d.get("base")
+        return (d.get("app"), int(d.get("cores", "1")),
+                parse_size(d.get("memory", "512M")), d.get("core"),
+                parse_size(base) if base else None, _parse_workload(d, 1))
+    if d.kind == "workload":
+        return (_parse_workload(d, 1) or Idle(),)
+    if d.kind == "send":
+        if pos[1] not in ("to_sandbox", "to_ros"):
+            raise ValueError(f"unknown direction {pos[1]!r}")
+        return (int(pos[2], 0) if len(pos) > 2 else 0, pos[1])
+    if d.kind in ("attach", "detach"):
+        return (parse_size(pos[1]),)
+    return ()
+
+
 def _apply_directive(world: World, handles: Dict[str, int], d: Directive) -> None:
     pos = _positional(d)
     if d.kind == "create":
-        handle = pos[0]
-        workload = _parse_workload(d, 1)
-        sb = world.create_sandbox(
-            d.get("app"),
-            max_cores=int(d.get("cores", "1")),
-            max_memory=parse_size(d.get("memory", "512M")),
-            core_pref=d.get("core"),
-            base_bytes=parse_size(d.get("base")) if d.get("base") else None,
-            workload=workload,
-        )
-        handles[handle] = sb
+        handles[pos[0]] = world.create_sandbox(*_values(d))
         return
     if d.kind == "attack":
         params = []
@@ -427,7 +438,7 @@ def _apply_directive(world: World, handles: Dict[str, int], d: Directive) -> Non
         return
     if d.kind == "workload":
         rt = world.runtimes[sb]
-        rt.workload = _parse_workload(d, 1) or Idle()
+        rt.workload = _values(d)[0]
         rt.remaining_scaled = (
             rt.workload.total_scaled()
             if isinstance(rt.workload, InferenceBatch) else 0
@@ -437,15 +448,15 @@ def _apply_directive(world: World, handles: Dict[str, int], d: Directive) -> Non
             rt.start_work(world.engine.now_ns)
             world._repredict(sb)
     elif d.kind == "send":
-        world.send_data(sb, int(pos[2], 0) if len(pos) > 2 else 0, pos[1])
+        world.send_data(sb, *_values(d))
     elif d.kind == "request_dev":
         world.request_peripheral(sb, pos[1])
     elif d.kind == "release_dev":
         world.release_peripheral(sb, pos[1])
     elif d.kind == "attach":
-        world._request_attach(sb, parse_size(pos[1]))
+        world._request_attach(sb, *_values(d))
     elif d.kind == "detach":
-        world._request_detach(sb, parse_size(pos[1]))
+        world._request_detach(sb, *_values(d))
     elif d.kind == "add_core":
         world._request_core_increase(sb, d.get("core"))
     elif d.kind == "release_core":
@@ -454,8 +465,6 @@ def _apply_directive(world: World, handles: Dict[str, int], d: Directive) -> Non
             world._request_core_release(sb, surplus[0])
     elif d.kind == "terminate":
         world.terminate(sb)
-    else:
-        raise ValidationError(f"unknown directive {d.kind!r}")
 
 
 def _parse_workload(d: Directive, pos_index: int):

@@ -8,7 +8,7 @@ Real primitives could be swapped in behind the same three functions.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from .errors import DuplicateApp, IntegrityError, UnknownApp
 
@@ -45,14 +45,12 @@ class ImageRecord:
     app_id: str
     digest: int
     key_id: int
-    signature: Tuple[int, int]  # (digest, key_id) binding
 
 
 @dataclass(frozen=True)
 class EncryptedImage:
     app_id: str
     payload: bytes
-    encrypted: bool = True
 
 
 class KeyStore:
@@ -68,8 +66,7 @@ class KeyStore:
             raise DuplicateApp(app_id)
         key_id = self._next_key
         self._next_key += 1
-        d = digest64(payload)
-        record = ImageRecord(app_id, d, key_id, (d, key_id))
+        record = ImageRecord(app_id, digest64(payload), key_id)
         self._records[app_id] = record
         return record
 
@@ -89,12 +86,7 @@ class KeyStore:
     def decrypt_unchecked(self, image: EncryptedImage) -> bytes:
         """Decryption without the integrity gate; only reachable when the
         verification defense is disabled by a mutation flag."""
-        record = self._record(image.app_id)
-        return (
-            _transform(image.payload, record.key_id)
-            if image.encrypted
-            else image.payload
-        )
+        return _transform(image.payload, self._record(image.app_id).key_id)
 
     def digest_of(self, app_id: str) -> int:
         return self._record(app_id).digest

@@ -20,7 +20,7 @@ from .errors import (
     OutOfMemory,
     ResourceBusy,
 )
-from .hw_model import ROS_CTX, DevKind, MachineConfig, build_machine
+from .hw_model import CACHE_LINE_BYTES, ROS_CTX, DevKind, Machine, MachineConfig
 from .monitor import Defenses, Monitor
 from .ros import DRIVER_LOADED, DRIVER_UNLOADED, RosActor
 from .secure_world import KeyStore
@@ -94,7 +94,7 @@ class World:
                  mode: str = "leap", instant: bool = False):
         self.instant = instant
         self.engine = Engine(costs)
-        self.machine = build_machine(config)
+        self.machine = Machine(config)
         self.store = KeyStore()
         self.monitor = Monitor(self.machine, self.store, self.engine,
                                defenses, mode)
@@ -545,7 +545,7 @@ class World:
         if owner is None:
             self.engine.trace(f"ctx{ctx}", "cache_probe", {"pa": pa}, "miss")
             return False, 0
-        leaked = self.machine.config.cache_line_bytes if owner != ctx else 0
+        leaked = CACHE_LINE_BYTES if owner != ctx else 0
         self.engine.trace(f"ctx{ctx}", "cache_probe", {"pa": pa},
                           "hit" if not leaked else "leak")
         return True, leaked

@@ -62,6 +62,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_malformed_directive_value_exit_code(tmp_path, capsys):
+    path = write(tmp_path, "bad.txt", MINIMAL + "at 2s send sb1 sideways 10\n")
+    assert cli.main(["run", path]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_compare_reports_seven_vs_three(tmp_path, capsys):
     path = write(tmp_path, "seven.txt", SEVEN)
     assert cli.main(["compare", path]) == 0

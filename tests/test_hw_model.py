@@ -6,9 +6,9 @@ from teesim.hw_model import (
     CoreClass,
     CoreState,
     DevKind,
+    Machine,
     MachineConfig,
     PeripheralDesc,
-    build_machine,
     default_config,
 )
 from teesim.stage2 import Attr
@@ -16,7 +16,7 @@ from teesim.units import BLOCK_2M, GB, KB, MB
 
 
 def test_default_machine_boots_all_cores_in_ros():
-    m = build_machine(default_config())
+    m = Machine(default_config())
     assert len(m.cores) == 8
     big = [c for c in m.cores.values() if c.core_class is CoreClass.BIG]
     assert len(big) == 4
@@ -29,7 +29,7 @@ def test_single_core_config_rejected():
     cfg = MachineConfig(ram_bytes=GB, io_window=(GB, GB + MB),
                         cores=((0, CoreClass.BIG),))
     with pytest.raises(ConfigError):
-        build_machine(cfg)
+        Machine(cfg)
 
 
 def test_overlapping_mmio_rejected():
@@ -41,7 +41,7 @@ def test_overlapping_mmio_rejected():
         peripherals=base.peripherals + (clash,),
     )
     with pytest.raises(ConfigError):
-        build_machine(cfg)
+        Machine(cfg)
 
 
 def test_io_window_must_not_overlap_ram():
@@ -51,27 +51,27 @@ def test_io_window_must_not_overlap_ram():
 
 
 def test_classification_is_total_partition():
-    m = build_machine(default_config())
+    m = Machine(default_config())
     samples = [0, 123, 3584 * MB - 1, 3584 * MB, 4 * GB - 1, 4 * GB, 5 * GB]
     kinds = [m.classify(pa) for pa in samples]
     assert kinds == ["ram", "ram", "ram", "mmio", "mmio", "hole", "hole"]
 
 
 def test_cache_fill_then_lookup_hits():
-    m = build_machine(default_config())
+    m = Machine(default_config())
     m.cache_fill(0, 0x1000)
     assert m.cache_lookup(0x1000) == 0
 
 
 def test_cache_fill_unaligned_rounds_to_line():
-    m = build_machine(default_config())
+    m = Machine(default_config())
     m.cache_fill(0, 0x1034)
     assert m.cache_lookup(0x1000) == 0
     assert m.cache_lookup(0x1040) is None
 
 
 def test_tlb_flush_range_counts_matching_entries():
-    m = build_machine(default_config())
+    m = Machine(default_config())
     # three entries over the target range on two cores, one outside
     m.tlb_insert(0, 0, 0, Attr.NORMAL)
     m.tlb_insert(0, 0, 2 * MB, Attr.NORMAL)
@@ -88,12 +88,12 @@ def test_tlb_flush_range_counts_matching_entries():
 
 
 def test_tlb_flush_untouched_range_is_zero():
-    m = build_machine(default_config())
+    m = Machine(default_config())
     assert m.tlb_flush_range((128 * MB, 256 * MB)) == 0
 
 
 def test_translate_inserts_one_tlb_entry_then_flush_removes_it():
-    m = build_machine(default_config())
+    m = Machine(default_config())
     res = m.translate(2, 0x1000_0000)
     assert res.hit
     assert len(m.tlbs[2]) == 1
@@ -102,26 +102,15 @@ def test_translate_inserts_one_tlb_entry_then_flush_removes_it():
 
 
 def test_tlb_flush_requires_2mb_alignment():
-    m = build_machine(default_config())
+    m = Machine(default_config())
     with pytest.raises(AlignmentError):
         m.tlb_flush_range((4 * KB, 2 * MB))
-
-
-def test_tlb_capacity_fifo():
-    cfg = default_config()
-    cfg = MachineConfig(**{**cfg.__dict__, "tlb_capacity": 3})
-    m = build_machine(cfg)
-    for i in range(4):
-        m.tlb_insert(0, 0, i * BLOCK_2M, Attr.NORMAL)
-    assert len(m.tlbs[0]) == 3
-    assert m.tlb_lookup(0, 0, 0) is None
-    assert m.tlb_lookup(0, 0, 3 * BLOCK_2M) is not None
 
 
 def test_stale_tlb_survives_unmap_until_flushed():
     """The attack window: translation cached, table entry removed, TLB still
     answers until sanitization flushes it."""
-    m = build_machine(default_config())
+    m = Machine(default_config())
     ros = m.table_sets[0]
     pa = 512 * MB
     assert m.translate(1, pa).hit
@@ -133,7 +122,7 @@ def test_stale_tlb_survives_unmap_until_flushed():
 
 def test_cache_determinism():
     def drive():
-        m = build_machine(default_config())
+        m = Machine(default_config())
         for i in range(40):
             m.cache_fill(i % 3, (i * 0x40) % 0x1000)
         return tuple(sorted(m.cache.items()))

@@ -73,6 +73,8 @@ WIFI = "peripheral wifi kind=wifi mmio=3584M:3585M"
     ("at 2s workload sb1 inference files=20M", 12),
     ("at 2s workload sb1 idle images=3", 12),
     ("at 2s create sb2 app=demo cipher serial=1", 12),
+    ("[machine]\ncache_line = 32", 5),
+    ("[machine]\ntlb_capacity = 4", 5),
 ])
 def test_unknown_key_or_section_reports_line(extra, line):
     """`extra` goes after the header, or at the end of the timeline if it
@@ -100,6 +102,39 @@ def test_unknown_device_is_validation_error():
                            "at 800ms request_dev sb1 floppy")
     with pytest.raises(ValidationError):
         sc.parse(text)
+
+
+@pytest.mark.parametrize("directive", [
+    "send sb1 sideways 10",
+    "send sb1 to_ros lots",
+    "send sb1",
+    "attach sb1 banana",
+    "attach sb1",
+    "detach sb1 x",
+    "create sb2 app=demo cores=abc",
+    "create sb2 app=demo corse=",
+    "workload sb1 inference images=x",
+])
+def test_malformed_directive_value_is_validation_error(directive):
+    with pytest.raises(ValidationError):
+        sc.parse(MINIMAL + f"at 2s {directive}\n")
+
+
+def test_teardown_returns_device_grant_still_in_flight():
+    """Terminate lands after the monitor gave sb1 the GPU but before the
+    grant reached its runtime, so teardown returns a device that
+    `rt.devices` does not hold yet."""
+    text = MINIMAL.replace("seed = 5\nhorizon = 3s", "seed = 1\nhorizon = 4s")
+    text = text.split("[timeline]")[0] + (
+        "[timeline]\n"
+        "at 0ms create sb1 app=demo cores=2 memory=512M core=big\n"
+        "at 600ms add_core sb1\n"
+        "at 1s request_dev sb1 gpu\n"
+        "at 1050ms terminate sb1\n")
+    res = sc.run_scenario(sc.parse(text))
+    assert res.trace_digest == \
+        "56451d33705155681b07aa00d62122d3df85ba2de22610ba2f715111955d7611"
+    assert res.world.metrics.frozen_gui_ns == [50_000_000]
 
 
 def test_unknown_handle_is_validation_error():

@@ -10,7 +10,6 @@ def test_register_stores_content_digest():
     ks = KeyStore()
     rec = ks.register_image("demo", b"hello world")
     assert rec.digest == digest64(b"hello world")
-    assert rec.signature == (rec.digest, rec.key_id)
 
 
 def test_duplicate_registration_rejected():

@@ -121,14 +121,6 @@ def test_clone_shares_no_copied_container(worlds):
             assert _snapshot(obj) == before, type(obj).__name__
 
 
-def test_no_tlb_fills(worlds):
-    """TLB entries are keyed sorted, which leaves out their FIFO order. Only
-    an eviction reads that order, and no TLB here ever holds `tlb_capacity`
-    entries, so none runs."""
-    peak = max(len(tlb) for world in worlds for tlb in world.machine.tlbs.values())
-    assert peak < worlds[0].machine.config.tlb_capacity
-
-
 def test_clone_rewires_back_references():
     world = make_small_world()
     world.create_sandbox("w")

@@ -12,6 +12,11 @@ speed lands on both. Per tree it records:
   states/s and the process's peak RSS;
 * work counters of one explore at the first of DEPTHS: `World.clone` and
   `World.canonical` calls;
+* acceptance criterion 01, RUNS times: SCENARIOS random honest scenarios
+  (seeds 0 to SCENARIOS - 1), each run as the criterion runs it. It records
+  wall seconds, scenarios/s and invariant violations, and the work counters
+  of the scenario path over that fixed seed range: events dispatched (the
+  sum of `Engine.run_until`'s return values) and trace records;
 * `perfbench/run.py --trace 0` of each `--pairs` workload, SECONDS per run
   at run.py's default seed, so every round runs the same items: every
   result line, and each end-to-end metric's median, min, max and
@@ -33,6 +38,7 @@ from pathlib import Path
 RUNS = 3
 DEPTHS = (8, 12)
 SECONDS = 30
+SCENARIOS = 10_000
 
 EXPLORE = """
 import json, resource, sys, time
@@ -59,6 +65,27 @@ for name in calls:
     setattr(World, name, counted)
 r = explore(depth=int(sys.argv[2]))
 print(json.dumps(dict(calls, states=r.states_visited, transitions=r.transitions)))
+"""
+
+CRITERION_01 = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from teesim import scenario as sc
+from teesim.engine import Engine
+n = {"events": 0, "trace_records": 0, "violations": 0}
+run_until = Engine.run_until
+def counted(self, t_end_ns):
+    dispatched = run_until(self, t_end_ns)
+    n["events"] += dispatched
+    return dispatched
+Engine.run_until = counted
+t0 = time.perf_counter()
+for seed in range(int(sys.argv[2])):
+    res = sc.run_scenario(sc.make_random_scenario(seed), with_trace=False)
+    n["violations"] += len(res.violations)
+    n["trace_records"] += len(res.world.engine.records)
+s = time.perf_counter() - t0
+print(json.dumps(dict(n, s=s, scenarios_per_s=int(sys.argv[2]) / s)))
 """
 
 
@@ -124,6 +151,20 @@ def main() -> int:
         counters = last_json([py, "-c", COUNTERS, str(tree / "src"), str(DEPTHS[0])])
         print(label, f"counters depth {DEPTHS[0]}", counters, flush=True)
         result["trees"][label][f"work_counters_depth_{DEPTHS[0]}"] = counters
+    runs = {label: [] for label in trees}
+    for i in range(RUNS):
+        for label in order(i):
+            run = last_json([py, "-c", CRITERION_01, str(trees[label] / "src"),
+                             str(SCENARIOS)])
+            print(label, f"criterion 01, {SCENARIOS} scenarios", run, flush=True)
+            runs[label].append(run)
+    for label, rs in runs.items():
+        counts = {k: rs[0][k] for k in ("events", "trace_records", "violations")}
+        if any({k: r[k] for k in counts} != counts for r in rs):
+            raise SystemExit(f"{label}: criterion 01 counters differ between runs")
+        result["trees"][label]["criterion_01"] = {
+            "scenarios": SCENARIOS, **counts,
+            **summarize(rs, ("s", "scenarios_per_s"))}
     first = next(iter(trees.values()))
     better = {m["name"]: m["better"] for m in
               json.loads((first / "BENCHMARK.json").read_text())["end_to_end"]}
