@@ -204,20 +204,11 @@ def _dev_at(config, pa):
 # Attack catalogue
 # ---------------------------------------------------------------------------
 
-MECHANISM = {
-    AttackKind.MALICIOUS_IMAGE_SWAP: "integrity",
-    AttackKind.OVERLAPPING_MEMORY_CONFIG: "legality check",
-    AttackKind.DOUBLE_CORE_ALLOC: "legality check",
-    AttackKind.IO_EAVESDROP: "stage-2",
-    AttackKind.CACHE_DIRECT_ATTACK: "sanitize",
-    AttackKind.DMA_BYPASS: "SMMU",
-    AttackKind.STALE_TLB_READ: "stage-2",
-}
-
-
 def run_attack(world: World, scenario: AttackScenario) -> AttackOutcome:
-    fn = _ATTACKS[scenario.kind]
-    outcome = fn(world, scenario)
+    step, mechanism = _ATTACKS[scenario.kind]
+    blocked, leaked, detail = step(world, scenario)
+    outcome = AttackOutcome(scenario.kind, blocked,
+                            mechanism if blocked else "none", leaked, detail)
     viol = check_invariants(world)
     if viol:
         outcome.blocked = False
@@ -238,10 +229,6 @@ def run_attack(world: World, scenario: AttackScenario) -> AttackOutcome:
 def _ensure_sandbox(world: World, app_id: str = None, **kwargs) -> int:
     app = app_id or next(iter(world.payloads))
     return world.create_sandbox(app, **kwargs)
-
-
-def _blocked(kind: AttackKind, detail: str) -> AttackOutcome:
-    return AttackOutcome(kind, True, MECHANISM[kind], 0, detail)
 
 
 # Attack steps shared by the catalogue and the exploration alphabet.
@@ -274,45 +261,37 @@ def _ros_dma(world: World, dev: str, sb: int) -> int:
     return world.dma_access(dev, ROS_CTX, (base, base + PAGE_4K))
 
 
-def _attack_image_swap(world: World, scenario: AttackScenario) -> AttackOutcome:
-    kind = AttackKind.MALICIOUS_IMAGE_SWAP
+def _attack_image_swap(world: World, scenario: AttackScenario) -> tuple:
     app = scenario.param("app") or next(iter(world.payloads))
     try:
         sb = _create_tampered(world, app)
     except IntegrityError:
-        return _blocked(kind, "verification rejected swapped image")
+        return True, 0, "verification rejected swapped image"
     # Tampered code is now running over the protected payload.
-    leaked = len(world.payloads[app])
-    return AttackOutcome(kind, False, "none", leaked,
-                         f"sandbox {sb} booted a tampered image")
+    return False, len(world.payloads[app]), f"sandbox {sb} booted a tampered image"
 
 
-def _attack_overlap(world: World, scenario: AttackScenario) -> AttackOutcome:
-    kind = AttackKind.OVERLAPPING_MEMORY_CONFIG
+def _attack_overlap(world: World, scenario: AttackScenario) -> tuple:
     victim = scenario.param("victim") or _ensure_sandbox(world)
     requester = scenario.param("requester") or _ensure_sandbox(world)
     verdict, leaked = _overlap_attach(world, requester, victim)
     if not verdict.approved:
-        return _blocked(kind, f"rejected: {verdict.reason.value}")
-    return AttackOutcome(kind, False, "none", max(leaked, BLOCK_2M),
-                         "requester mapped the victim's frames")
+        return True, 0, f"rejected: {verdict.reason.value}"
+    return False, max(leaked, BLOCK_2M), "requester mapped the victim's frames"
 
 
-def _attack_double_core(world: World, scenario: AttackScenario) -> AttackOutcome:
-    kind = AttackKind.DOUBLE_CORE_ALLOC
+def _attack_double_core(world: World, scenario: AttackScenario) -> tuple:
     victim = scenario.param("victim") or _ensure_sandbox(world)
     stolen = world.monitor.sandboxes[victim].boot_core
     try:
         sb, _ = world.ros.launch(next(iter(world.payloads)), stolen,
                                  world.ros.layout.sandbox_base_bytes)
     except (ResourceBusy, NotOwner):
-        return _blocked(kind, "occupied core refused at launch")
-    return AttackOutcome(kind, False, "none", 0,
-                         f"sandbox {sb} was handed core {stolen} owned by {victim}")
+        return True, 0, "occupied core refused at launch"
+    return False, 0, f"sandbox {sb} was handed core {stolen} owned by {victim}"
 
 
-def _attack_io_eavesdrop(world: World, scenario: AttackScenario) -> AttackOutcome:
-    kind = AttackKind.IO_EAVESDROP
+def _attack_io_eavesdrop(world: World, scenario: AttackScenario) -> tuple:
     dev = scenario.param("dev", "wifi")
     holder = scenario.param("holder")
     if holder is None:
@@ -321,81 +300,87 @@ def _attack_io_eavesdrop(world: World, scenario: AttackScenario) -> AttackOutcom
     mmio = world.machine.config.peripheral(dev).mmio_range
     reached, leaked = world.probe_read(ROS_CTX, mmio[0])
     if not reached:
-        return _blocked(kind, "IO translation faulted for ROS")
-    return AttackOutcome(kind, False, "none", max(leaked, PAGE_4K),
-                         "ROS reached a sandbox-owned device")
+        return True, 0, "IO translation faulted for ROS"
+    return False, max(leaked, PAGE_4K), "ROS reached a sandbox-owned device"
+
+
+def _ros_prime(node: "_Node", pa: int) -> bool:
+    """If ROS owns the frame at pa, touch it, caching both the translation
+    and the data. The check reads the world without cloning it."""
+    if not node.peek().monitor.ledger.owns_range(ROS_CTX, (pa, pa + BLOCK_2M)):
+        return False
+    w = node.world
+    w.probe_translate(ROS_CTX, pa)
+    w.machine.cache_fill(ROS_CTX, pa)
+    return True
 
 
 def _attach_next_granule(world: World, scenario: AttackScenario,
                          ros_primes: bool = False):
     """Pick a target sandbox with room to grow and ask to attach the granule
-    just past its span. With ros_primes, ROS first touches the granule it is
-    about to hand over, caching both the translation and the data. Returns
-    (sandbox, region, attached)."""
+    just past its span. With ros_primes, ROS first primes the granule it is
+    about to hand over, if ROS owns it. Returns (sandbox, region, attached)."""
     sb = scenario.param("target") or _ensure_sandbox(
         world, max_memory=world.ros.layout.sandbox_base_bytes + 16 * BLOCK_2M
     )
     span = world.monitor.ledger.sandbox_span(sb)
     region = (span[1], span[1] + world.ros.layout.mem_granule)
-    if ros_primes:
-        world.probe_translate(ROS_CTX, region[0])
-        world.machine.cache_fill(ROS_CTX, region[0])
+    if ros_primes:  # a node over the world itself, which it changes in place
+        _ros_prime(_Node(world, {}, ()), region[0])
     return sb, region, world._request_attach(sb, region[1] - region[0])
 
 
-def _attack_cache_direct(world: World, scenario: AttackScenario) -> AttackOutcome:
-    kind = AttackKind.CACHE_DIRECT_ATTACK
+def _attack_cache_direct(world: World, scenario: AttackScenario) -> tuple:
     sb, region, attached = _attach_next_granule(world, scenario, ros_primes=True)
     if not attached:
-        return _blocked(kind, "attach of primed region rejected")
+        return True, 0, "attach of primed region rejected"
     # Victim uses its new memory.
     victim_core = world.monitor.ledger.cores_of(sb)[0]
     world.machine.translate(victim_core, region[0])
     world.machine.cache_fill(sb, region[0])
     reached, leaked = world.probe_cache(ROS_CTX, region[0])
     if leaked:
-        return AttackOutcome(kind, False, "none", leaked,
-                             "stale translation exposed the victim's line")
-    return _blocked(kind, "sanitization cleared the stale path")
+        return False, leaked, "stale translation exposed the victim's line"
+    return True, 0, "sanitization cleared the stale path"
 
 
-def _attack_dma(world: World, scenario: AttackScenario) -> AttackOutcome:
-    kind = AttackKind.DMA_BYPASS
+def _attack_dma(world: World, scenario: AttackScenario) -> tuple:
     sb = scenario.param("target") or _ensure_sandbox(world)
     dev = scenario.param("dev", "wifi")
+    if not world.machine.config.peripheral(dev).dma_capable:
+        return True, 0, "device cannot do DMA"
     if world.monitor.ledger.dev_owner[dev] != ROS_CTX:
-        return _blocked(kind, "device not programmable by ROS")
+        return True, 0, "device not programmable by ROS"
     leaked = _ros_dma(world, dev, sb)
     if leaked:
-        return AttackOutcome(kind, False, "none", leaked,
-                             "DMA read crossed into sandbox memory")
-    return _blocked(kind, "DMA blocked against the ledger")
+        return False, leaked, "DMA read crossed into sandbox memory"
+    return True, 0, "DMA blocked against the ledger"
 
 
-def _attack_stale_tlb(world: World, scenario: AttackScenario) -> AttackOutcome:
-    kind = AttackKind.STALE_TLB_READ
+def _attack_stale_tlb(world: World, scenario: AttackScenario) -> tuple:
     sb, region, attached = _attach_next_granule(world, scenario)
     if not attached:
-        return _blocked(kind, "setup attach rejected")
+        return True, 0, "setup attach rejected"
     # Sandbox touches the region, caching the translation on its core.
     core = world.monitor.ledger.cores_of(sb)[0]
     world.machine.translate(core, region[0])
     world._request_detach(sb, region[1] - region[0])
     res = world.machine.translate(core, region[0])
     if not res.hit:
-        return _blocked(kind, "translation faulted after detach")
-    return AttackOutcome(kind, False, "none", PAGE_4K,
-                         "stale TLB entry survived the detach")
+        return True, 0, "translation faulted after detach"
+    return False, PAGE_4K, "stale TLB entry survived the detach"
 
 
-_ATTACKS: Dict[AttackKind, Callable] = {
-    AttackKind.MALICIOUS_IMAGE_SWAP: _attack_image_swap,
-    AttackKind.OVERLAPPING_MEMORY_CONFIG: _attack_overlap,
-    AttackKind.DOUBLE_CORE_ALLOC: _attack_double_core,
-    AttackKind.IO_EAVESDROP: _attack_io_eavesdrop,
-    AttackKind.CACHE_DIRECT_ATTACK: _attack_cache_direct,
-    AttackKind.DMA_BYPASS: _attack_dma,
-    AttackKind.STALE_TLB_READ: _attack_stale_tlb,
+# Attack kind -> (its catalogue step, which returns (blocked, leaked bytes,
+# detail), and the defense that must block it).
+_ATTACKS: Dict[AttackKind, Tuple[Callable, str]] = {
+    AttackKind.MALICIOUS_IMAGE_SWAP: (_attack_image_swap, "integrity"),
+    AttackKind.OVERLAPPING_MEMORY_CONFIG: (_attack_overlap, "legality check"),
+    AttackKind.DOUBLE_CORE_ALLOC: (_attack_double_core, "legality check"),
+    AttackKind.IO_EAVESDROP: (_attack_io_eavesdrop, "stage-2"),
+    AttackKind.CACHE_DIRECT_ATTACK: (_attack_cache_direct, "sanitize"),
+    AttackKind.DMA_BYPASS: (_attack_dma, "SMMU"),
+    AttackKind.STALE_TLB_READ: (_attack_stale_tlb, "stage-2"),
 }
 
 
@@ -533,13 +518,8 @@ def _op_adv_overlap(node: _Node) -> int:
 
 def _op_adv_prime(node: _Node) -> int:
     a = _alive(node, "a")
-    ledger = node.peek().monitor.ledger
-    target = ledger.sandbox_span(a)[1]
-    if not ledger.owns_range(ROS_CTX, (target, target + BLOCK_2M)):
+    if not _ros_prime(node, node.peek().monitor.ledger.sandbox_span(a)[1]):
         raise BadState("frame not ROS-owned")
-    w = node.world
-    w.probe_translate(ROS_CTX, target)
-    w.machine.cache_fill(ROS_CTX, target)
     return 0
 
 

@@ -82,6 +82,10 @@ class UnsupportedDevice(SimError):
     pass
 
 
+class NoSuchSandbox(SimError):
+    pass
+
+
 class BudgetExceeded(SimError):
     def __init__(self, message, partial=None):
         super().__init__(message)

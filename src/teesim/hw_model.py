@@ -25,11 +25,6 @@ class CoreClass(str, Enum):
     LITTLE = "little"
 
 
-class CoreState(str, Enum):
-    RUNNING_ROS = "running_ros"
-    RUNNING_SANDBOX = "running_sandbox"
-
-
 class DevKind(str, Enum):
     GPU = "gpu"
     WIFI = "wifi"
@@ -134,7 +129,6 @@ def small_config() -> MachineConfig:
 class Core:
     core_id: int
     core_class: CoreClass
-    state: CoreState = CoreState.RUNNING_ROS
     active_ctx: Optional[int] = ROS_CTX
 
 
@@ -255,10 +249,10 @@ class Machine:
     STATE = Schema(
         config=SHARED,
         cores=keyed(
-            lambda cores: tuple((c.core_id, c.core_class, c.state, c.active_ctx)
+            lambda cores: tuple((c.core_id, c.core_class, c.active_ctx)
                                 for c in cores.values()),
-            copy=lambda cores: {cid: Core(c.core_id, c.core_class, c.state,
-                                          c.active_ctx) for cid, c in cores.items()},
+            copy=lambda cores: {cid: Core(c.core_id, c.core_class, c.active_ctx)
+                                for cid, c in cores.items()},
         ),
         table_sets=keyed(
             lambda sets: tuple(ts.canonical() for _, ts in sorted(sets.items())),

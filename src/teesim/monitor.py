@@ -24,7 +24,7 @@ from .errors import (
     TooManySandboxes,
     VerdictError,
 )
-from .hw_model import ROS_CTX, CoreState, Machine
+from .hw_model import ROS_CTX, Machine
 from .secure_world import EncryptedImage, KeyStore, digest64
 from .state import DICT, NESTED, REWIRED, SET, SHARED, Schema, copied, keyed
 from .units import BLOCK_2M, MB, is_aligned, overlaps
@@ -91,7 +91,6 @@ class LaunchSpec:
 
 @dataclass(frozen=True)
 class SandboxMeta:
-    sandbox_id: int
     app_id: str
     base_bytes: int
     channel: Tuple[int, int]
@@ -291,13 +290,11 @@ class Monitor:
         self.sanitize(region, new_owner=sb)
 
         machine.tlb_flush_core(spec.core_id)
-        core.state = CoreState.RUNNING_SANDBOX
         core.active_ctx = sb
         self.ledger.core_owner[spec.core_id] = sb
         self.ledger.add_ram(sb, region)
         self.ledger.shared_channels[sb] = channel
         self.sandboxes[sb] = SandboxMeta(
-            sandbox_id=sb,
             app_id=spec.app_id,
             base_bytes=region[1] - region[0],
             channel=channel,
@@ -468,9 +465,6 @@ class Monitor:
         # only the cost model charges that path, so no state records it.
         machine.cache_invalidate_owner(from_ctx)
         machine.tlb_flush_core(core_id)
-        core.state = (
-            CoreState.RUNNING_ROS if to_ctx == ROS_CTX else CoreState.RUNNING_SANDBOX
-        )
         core.active_ctx = to_ctx
         self.ledger.core_owner[core_id] = to_ctx
         self._trace("transfer_core",

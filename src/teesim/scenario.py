@@ -9,13 +9,13 @@ fresh world and produces trace plus metrics.
 import hashlib
 import random
 import shlex
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import adversary
 from .adversary import AttackKind, AttackScenario, check_invariants
 from .engine import CostTable
-from .errors import ParseError, SimError, ValidationError
+from .errors import NoSuchSandbox, ParseError, SimError, ValidationError
 from .hw_model import (
     CoreClass,
     DevKind,
@@ -24,8 +24,9 @@ from .hw_model import (
     default_config,
 )
 from .monitor import MUTATION_FLAGS, Defenses
-from .sos import CipherQuery, Idle, InferenceBatch
+from .sos import DEFAULT_GPU_SPEEDUP_PCT, CipherQuery, Idle, InferenceBatch
 from .units import (
+    MB,
     S_NS,
     format_duration_ns,
     format_size,
@@ -41,16 +42,79 @@ HEADER_KEYS = ("seed", "mode", "horizon", "mutate")
 MACHINE_KEYS = ("ram", "io_window")
 PERIPHERAL_KEYS = frozenset(("kind", "mmio"))
 PERIPHERAL_FLAGS = ("dma", "shared_driver", "always_busy")
-# The key=value arguments each directive reads, and those each workload kind
-# reads where `create` or `workload` names it; positionals are not listed.
-DIRECTIVE_KEYS = {
-    "create": ("app", "cores", "memory", "core", "base"),
-    "add_core": ("core",),
-    "attack": ("victim", "requester", "target", "holder", "dev", "app"),
+
+
+# ---------------------------------------------------------------------------
+# Directive vocabulary
+# ---------------------------------------------------------------------------
+
+# Name types, whose values must be one of a set: a handle an earlier
+# `create` made, the handle this `create` makes, a registered app, a machine
+# peripheral, a workload kind, a `send` direction or a core class.
+HANDLE, NEW, APP, DEV = "handle", "new handle", "app", "device"
+WORKLOAD, DIRECTION, CORE = "workload", "direction", "core class"
+REQUIRED = object()  # the default of an argument that must be given
+
+# Every argument, positional or key=value, has one type wherever it
+# appears: a name type, or a reader from text (ValueError if malformed).
+TYPES = {
+    "new": NEW, "sb": HANDLE, "victim": HANDLE, "requester": HANDLE,
+    "target": HANDLE, "holder": HANDLE, "app": APP, "dev": DEV, "dev_id": DEV,
+    "workload": WORKLOAD, "direction": DIRECTION, "core": CORE,
+    "attack": AttackKind, "byte_count": parse_size, "nbytes": parse_size,
+    "cores": int, "memory": parse_size, "base": parse_size,
+    "images": int, "units": int, "gpu_speedup": float,
+    "files": lambda v: tuple(parse_size(x) for x in v.split(",")),
+    "queries": int, "cache": parse_size, "scan": int, "miss": int,
 }
-WORKLOAD_KEYS = {
-    "inference": ("images", "units", "serial", "gpu_speedup"),
-    "cipher": ("files", "queries", "cache", "scan", "miss"),
+# The values of absent optional positionals; only the last may be optional.
+SLOT_DEFAULTS = {"byte_count": 0, "workload": "idle"}
+
+# Workload kind -> (keys with their defaults, bare flags, build); `build`
+# takes the key values in this order, then whether each flag is given.
+WORKLOADS = {
+    "inference": (
+        {"images": 1, "units": 500, "gpu_speedup": DEFAULT_GPU_SPEEDUP_PCT / 100},
+        ("serial",),
+        lambda images, units, gpu_speedup, serial: InferenceBatch(
+            images, units, not serial, int(round(gpu_speedup * 100)))),
+    "cipher": (
+        {"files": (16 * MB,), "queries": 10, "cache": 10 * MB, "scan": 10, "miss": 50},
+        (), CipherQuery),
+    "idle": ({}, (), Idle),
+}
+
+
+def _call(method: str) -> Callable:
+    # One World method whose parameters are named as the directive's
+    # arguments; it is looked up when the directive runs.
+    return lambda world, **values: getattr(world, method)(**values)
+
+
+# Directive kind -> (positionals in order, keys with their defaults, run).
+# The runner calls run(world, **values), a `workload` value being the built
+# workload, and binds what a `create` returns to its new handle.
+DIRECTIVES = {
+    "create": (
+        ("new", "workload"),
+        {"app": REQUIRED, "cores": 1, "memory": 512 * MB, "core": None, "base": None},
+        lambda w, new, workload, app, cores, memory, core, base:
+            w.create_sandbox(app, cores, memory, core, base, workload)),
+    "workload": (("sb", "workload"), {}, _call("set_workload")),
+    "send": (("sb", "direction", "byte_count"), {}, _call("send_data")),
+    "request_dev": (("sb", "dev_id"), {}, _call("request_peripheral")),
+    "release_dev": (("sb", "dev_id"), {}, _call("release_peripheral")),
+    "attach": (("sb", "nbytes"), {}, _call("_request_attach")),
+    "detach": (("sb", "nbytes"), {}, _call("_request_detach")),
+    "add_core": (("sb",), {"core": None},
+                 lambda w, sb, core: w._request_core_increase(sb, core)),
+    "release_core": (("sb",), {}, _call("release_surplus_core")),
+    "terminate": (("sb",), {}, _call("terminate")),
+    "attack": (
+        ("attack",),
+        dict.fromkeys(("victim", "requester", "target", "holder", "dev", "app")),
+        lambda w, attack, **params: adversary.run_attack(w, AttackScenario(
+            attack, tuple((k, v) for k, v in params.items() if v is not None)))),
 }
 
 
@@ -59,9 +123,11 @@ class Directive:
     at_ns: int
     kind: str
     args: Tuple[Tuple[str, str], ...]
-
-    def get(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        return dict(self.args).get(key, default)
+    # `args` split by the parser: key=value arguments and the positionals
+    # (bare, or `tok=` as `serialize` writes them) that fill the kind's
+    # slots, by name, and the positionals past the slots, which are flags.
+    named: Dict[str, str] = field(compare=False, repr=False)
+    flags: Tuple[str, ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -266,69 +332,87 @@ def _parse_directive(line: str, lineno: int) -> Directive:
         raise ParseError(f"bad time {tokens[1]!r}", line=lineno,
                          col=len("at ") + 1) from None
     kind = tokens[2]
-    # Positional tokens (bare, or `tok=` as `serialize` writes them) are
-    # stored as empty-valued args; directives read them in order.
     args = tuple([tok.partition("=")[::2] for tok in tokens[3:]])
-    allowed = DIRECTIVE_KEYS.get(kind, ())
-    if kind in ("create", "workload"):
-        pos = [k for k, v in args if not v]
-        if len(pos) > 1:
-            allowed += WORKLOAD_KEYS.get(pos[1], ())
+    if kind not in DIRECTIVES:  # a validation error
+        return Directive(at_ns, kind, args, {}, ())
+    slots, declared, _ = DIRECTIVES[kind]
+    named, flags, filled = {}, [], 0
+    for k, v in args:  # positionals fill the slots in order, then are flags
+        if v:
+            named[k] = v
+        elif filled < len(slots):
+            named[slots[filled]] = k
+            filled += 1
+        else:
+            flags.append(k)
+    # A directive with no workload slot takes no workload keys or flags.
+    wl_keys, wl_flags, _ = WORKLOADS.get(named.get("workload", "idle"),
+                                         WORKLOADS["idle"])
     for k, v in args:
-        if v and k not in allowed:
+        if v and k not in declared and k not in wl_keys:
             raise ParseError(f"unknown {kind} argument {k!r}", line=lineno)
-    return Directive(at_ns, kind, args)
+    for tok in flags:
+        if tok not in wl_flags:
+            raise ParseError(f"surplus {kind} argument {tok!r}", line=lineno)
+    return Directive(at_ns, kind, args, named, tuple(flags))
+
+
+def _read(d: Directive, lookup: Callable[[str, str], object]) -> dict:
+    """Directive d's argument values by name, each read by its type, with
+    the workload built; `lookup(type, name)` resolves a name. A missing or
+    malformed value raises ValueError."""
+    slots, declared, _ = DIRECTIVES[d.kind]
+    values = _values(slots, SLOT_DEFAULTS, d.named, lookup)
+    values.update(_values(declared, declared, d.named, lookup))
+    if "workload" in values:
+        wl_keys, flags, build = WORKLOADS[values["workload"]]
+        values["workload"] = build(*_values(wl_keys, wl_keys, d.named, lookup).values(),
+                                   *[f in d.flags for f in flags])
+    return values
+
+
+def _values(names, defaults: dict, given: Dict[str, str], lookup) -> dict:
+    """Each name's value: its token in `given` read by its type, else its
+    default, which REQUIRED (or no default) marks as missing."""
+    out = {}
+    for name in names:
+        token = given.get(name)
+        if token is not None:
+            t = TYPES[name]
+            out[name] = lookup(t, token) if isinstance(t, str) else t(token)
+        elif defaults.get(name, REQUIRED) is REQUIRED:
+            raise ValueError(f"missing {name}")
+        else:
+            out[name] = defaults[name]
+    return out
 
 
 def validate(s: Scenario) -> None:
     s.machine.validate()
     if s.mode not in ("leap", "tzasc"):
         raise ValidationError(f"unknown mode {s.mode!r}")
-    app_ids = {a for a, _ in s.apps}
-    devs = {p.dev_id for p in s.machine.peripherals}
-    handles = set()
+    known = {HANDLE: set(), APP: {a for a, _ in s.apps},
+             DEV: {p.dev_id for p in s.machine.peripherals}, WORKLOAD: WORKLOADS,
+             DIRECTION: ("to_sandbox", "to_ros"), CORE: {c.value for c in CoreClass}}
+
+    def lookup(t: str, name: str) -> str:
+        if t == NEW:
+            known[HANDLE].add(name)
+        elif name not in known[t]:
+            raise ValidationError(f"{d.kind} references unknown {t} {name!r}")
+        return name
+
     last = -1
     for d in s.timeline:
         if d.at_ns < last:
             raise ValidationError("timeline directives must be time-sorted")
         last = d.at_ns
-        pos = _positional(d)
-        if d.kind == "create":
-            if not pos:
-                raise ValidationError("create needs a handle")
-            app = d.get("app")
-            if app not in app_ids:
-                raise ValidationError(f"create references unknown app {app!r}")
-            handles.add(pos[0])
-        elif d.kind in ("workload", "send", "request_dev", "release_dev",
-                        "attach", "detach", "add_core", "release_core",
-                        "terminate"):
-            if not pos or pos[0] not in handles:
-                raise ValidationError(
-                    f"directive {d.kind} references unknown handle "
-                    f"{pos[0] if pos else '?'}"
-                )
-            if d.kind in ("request_dev", "release_dev"):
-                if len(pos) < 2 or pos[1] not in devs:
-                    raise ValidationError(
-                        f"{d.kind} references unknown device "
-                        f"{pos[1] if len(pos) > 1 else '?'}"
-                    )
-        elif d.kind == "attack":
-            if not pos:
-                raise ValidationError("attack needs a kind")
-            try:
-                AttackKind(pos[0])
-            except ValueError:
-                raise ValidationError(f"unknown attack kind {pos[0]!r}") from None
-        else:
+        if d.kind not in DIRECTIVES:
             raise ValidationError(f"unknown directive {d.kind!r}")
         try:
-            _values(d)
+            _read(d, lookup)
         except ValueError as exc:
             raise ValidationError(f"bad {d.kind} argument: {exc}") from None
-        except IndexError:
-            raise ValidationError(f"{d.kind} is missing an argument") from None
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +450,24 @@ def run_scenario(scenario: Scenario, with_trace: bool = True,
     handles: Dict[str, int] = {}
     violations: List[adversary.ViolationReport] = []
 
+    def lookup(t: str, name: str):
+        if t != HANDLE:
+            return name
+        sb = handles.get(name)
+        if sb is None or world.state_of(sb) == "dead":
+            raise NoSuchSandbox(name)
+        return sb
+
     def execute(d: Directive):
+        run = DIRECTIVES[d.kind][2]
         try:
-            _apply_directive(world, handles, d)
+            values = _read(d, lookup)
+            out = run(world, **values)
+            if "new" in values:
+                handles[values["new"]] = out
         except SimError as exc:
-            world.engine.trace("system", d.kind, dict(d.args), "rejected",
+            verdict = "skipped" if isinstance(exc, NoSuchSandbox) else "rejected"
+            world.engine.trace("system", d.kind, dict(d.args), verdict,
                                type(exc).__name__)
         if check_each_directive:
             violations.extend(check_invariants(world))
@@ -386,111 +483,6 @@ def run_scenario(scenario: Scenario, with_trace: bool = True,
         result.trace_text = world.engine.serialize_trace(header)
         result.trace_digest = hashlib.sha256(result.trace_text.encode()).hexdigest()
     return result
-
-
-def _positional(d: Directive) -> List[str]:
-    return [k for k, v in d.args if v == ""]
-
-
-def _values(d: Directive) -> tuple:
-    """The typed arguments, after the handle, that a create, workload, send,
-    attach or detach directive passes on; a malformed value raises
-    ValueError or IndexError."""
-    pos = _positional(d)
-    if d.kind == "create":
-        base = d.get("base")
-        return (d.get("app"), int(d.get("cores", "1")),
-                parse_size(d.get("memory", "512M")), d.get("core"),
-                parse_size(base) if base else None, _parse_workload(d, 1))
-    if d.kind == "workload":
-        return (_parse_workload(d, 1) or Idle(),)
-    if d.kind == "send":
-        if pos[1] not in ("to_sandbox", "to_ros"):
-            raise ValueError(f"unknown direction {pos[1]!r}")
-        return (int(pos[2], 0) if len(pos) > 2 else 0, pos[1])
-    if d.kind in ("attach", "detach"):
-        return (parse_size(pos[1]),)
-    return ()
-
-
-def _apply_directive(world: World, handles: Dict[str, int], d: Directive) -> None:
-    pos = _positional(d)
-    if d.kind == "create":
-        handles[pos[0]] = world.create_sandbox(*_values(d))
-        return
-    if d.kind == "attack":
-        params = []
-        for key in ("victim", "requester", "target", "holder"):
-            if d.get(key) in handles:
-                params.append((key, handles[d.get(key)]))
-        if d.get("dev"):
-            params.append(("dev", d.get("dev")))
-        if d.get("app"):
-            params.append(("app", d.get("app")))
-        adversary.run_attack(
-            world, AttackScenario(AttackKind(pos[0]), tuple(params))
-        )
-        return
-    sb = handles.get(pos[0])
-    if sb is None or world.state_of(sb) == "dead":
-        world.engine.trace("system", d.kind, dict(d.args), "skipped",
-                           "NoSuchSandbox")
-        return
-    if d.kind == "workload":
-        rt = world.runtimes[sb]
-        rt.workload = _values(d)[0]
-        rt.remaining_scaled = (
-            rt.workload.total_scaled()
-            if isinstance(rt.workload, InferenceBatch) else 0
-        )
-        rt.work_finished_ns = None
-        if rt.state == "running":
-            rt.start_work(world.engine.now_ns)
-            world._repredict(sb)
-    elif d.kind == "send":
-        world.send_data(sb, *_values(d))
-    elif d.kind == "request_dev":
-        world.request_peripheral(sb, pos[1])
-    elif d.kind == "release_dev":
-        world.release_peripheral(sb, pos[1])
-    elif d.kind == "attach":
-        world._request_attach(sb, *_values(d))
-    elif d.kind == "detach":
-        world._request_detach(sb, *_values(d))
-    elif d.kind == "add_core":
-        world._request_core_increase(sb, d.get("core"))
-    elif d.kind == "release_core":
-        surplus = world.runtimes[sb].surplus_cores()
-        if surplus:
-            world._request_core_release(sb, surplus[0])
-    elif d.kind == "terminate":
-        world.terminate(sb)
-
-
-def _parse_workload(d: Directive, pos_index: int):
-    pos = _positional(d)
-    if len(pos) <= pos_index:
-        return None
-    wkind = pos[pos_index]
-    if wkind == "inference":
-        return InferenceBatch(
-            images=int(d.get("images", "1")),
-            units_per_image=int(d.get("units", "500")),
-            parallelizable=d.get("serial") is None and "serial" not in pos,
-            gpu_speedup_pct=int(round(float(d.get("gpu_speedup", "3.57")) * 100)),
-        )
-    if wkind == "cipher":
-        sizes = tuple(parse_size(x) for x in d.get("files", "16M").split(","))
-        return CipherQuery(
-            file_sizes=sizes,
-            queries_per_file=int(d.get("queries", "10")),
-            cache_base_bytes=parse_size(d.get("cache", "10M")),
-            scan_units_per_mb=int(d.get("scan", "10")),
-            miss_units_per_mb=int(d.get("miss", "50")),
-        )
-    if wkind == "idle":
-        return Idle()
-    raise ValidationError(f"unknown workload {wkind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -88,12 +88,11 @@ _CLOCK = ("simulated time; exploration runs in instant mode, where the clock "
 
 
 class SandboxRuntime:
-    def __init__(self, sandbox_id: int, app_id: str, max_cores: int,
+    def __init__(self, sandbox_id: int, max_cores: int,
                  max_memory: int, boot_core: int, boot_core_class: str,
                  base_bytes: int, workload=None,
                  mem_granule: int = MEM_GRANULE):
         self.id = sandbox_id
-        self.app_id = app_id
         self.state = "created"
         self.max_cores = max_cores
         self.max_memory = max_memory
@@ -310,7 +309,7 @@ class SandboxRuntime:
     # -- cloning for exploration ------------------------------------------------
 
     STATE = Schema(
-        id=KEYED, app_id=KEYED, state=KEYED,
+        id=KEYED, state=KEYED,
         max_cores=SHARED, max_memory=SHARED, boot_core=SHARED, base_bytes=SHARED,
         mem_granule=SHARED,
         workload=SHARED,  # parameters only; progress is in the fields below

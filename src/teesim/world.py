@@ -147,7 +147,7 @@ class World:
         )
         meta = self.monitor.sandboxes[sb]
         rt = SandboxRuntime(
-            sb, app_id, max_cores=max_cores, max_memory=max_memory,
+            sb, max_cores=max_cores, max_memory=max_memory,
             boot_core=meta.boot_core,
             boot_core_class=self.machine.cores[meta.boot_core].core_class.value,
             base_bytes=meta.base_bytes,
@@ -198,6 +198,17 @@ class World:
         rt.gpu_owned = False
         self._bump_gen(sb)
         self._later(cost, lambda: self._dead(sb))
+
+    def set_workload(self, sb: int, workload) -> None:
+        """Replace the sandbox's workload; a running sandbox starts it now."""
+        rt = self.runtimes[sb]
+        rt.workload = workload
+        rt.remaining_scaled = (workload.total_scaled()
+                               if isinstance(workload, sos.InferenceBatch) else 0)
+        rt.work_finished_ns = None
+        if rt.state == "running":
+            rt.start_work(self.engine.now_ns)
+            self._repredict(sb)
 
     def _dead(self, sb: int) -> None:
         rt = self.runtimes.get(sb)
@@ -414,6 +425,11 @@ class World:
         self.metrics.adjust_latency_ns += cost
         self._repredict(sb)
         return True
+
+    def release_surplus_core(self, sb: int) -> bool:
+        """Give back the sandbox's first core beyond its boot core, if any."""
+        surplus = self.runtimes[sb].surplus_cores()
+        return bool(surplus) and self._request_core_release(sb, surplus[0])
 
     # -- peripherals ----------------------------------------------------------------------
 

@@ -4,7 +4,6 @@ from teesim import hw_model
 from teesim.errors import AlignmentError, ConfigError
 from teesim.hw_model import (
     CoreClass,
-    CoreState,
     DevKind,
     Machine,
     MachineConfig,
@@ -20,7 +19,6 @@ def test_default_machine_boots_all_cores_in_ros():
     assert len(m.cores) == 8
     big = [c for c in m.cores.values() if c.core_class is CoreClass.BIG]
     assert len(big) == 4
-    assert all(c.state is CoreState.RUNNING_ROS for c in m.cores.values())
     assert all(c.active_ctx == hw_model.ROS_CTX for c in m.cores.values())
     assert not m.cache and all(not t for t in m.tlbs.values())
 

@@ -75,6 +75,13 @@ WIFI = "peripheral wifi kind=wifi mmio=3584M:3585M"
     ("at 2s create sb2 app=demo cipher serial=1", 12),
     ("[machine]\ncache_line = 32", 5),
     ("[machine]\ntlb_capacity = 4", 5),
+    ("at 2s attach sb1 16M 32M", 12),
+    ("at 2s add_core sb1 extra", 12),
+    ("at 2s terminate sb1 foo=", 12),
+    ("at 2s request_dev sb1 wifi now=", 12),
+    ("at 2s send sb1 to_ros 5 6", 12),
+    ("at 2s workload sb1 inference serial=0", 12),
+    ("at 2s workload sb1 idle serial", 12),
 ])
 def test_unknown_key_or_section_reports_line(extra, line):
     """`extra` goes after the header, or at the end of the timeline if it
@@ -114,6 +121,10 @@ def test_unknown_device_is_validation_error():
     "create sb2 app=demo cores=abc",
     "create sb2 app=demo corse=",
     "workload sb1 inference images=x",
+    "attack malicious_image_swap app=nope",
+    "attack io_eavesdrop dev=floppy",
+    "attack dma_bypass target=sb9",
+    "add_core sb1 core=medium",
 ])
 def test_malformed_directive_value_is_validation_error(directive):
     with pytest.raises(ValidationError):
@@ -180,9 +191,85 @@ def test_attack_directive_runs():
     assert res.world.attack_outcomes[0].blocked
 
 
+def test_dma_attack_through_device_without_dma_is_blocked():
+    text = MINIMAL.replace("at 800ms workload sb1 idle",
+                           "at 800ms attack dma_bypass target=sb1 dev=bluetooth")
+    res = sc.run_scenario(sc.parse(text))
+    assert res.exit_code == 0
+    assert [o.blocked for o in res.world.attack_outcomes] == [True]
+
+
+def test_cache_attack_primes_only_ros_memory():
+    """sb2 sits right past sb1, so the frame the cache attack would prime
+    belongs to sb2, not ROS: it is left alone and the attach is refused."""
+    text = MINIMAL.replace("at 800ms workload sb1 idle",
+                           "at 0ms create sb2 app=demo\n"
+                           "at 1s attack cache_direct_attack target=sb1")
+    res = sc.run_scenario(sc.parse(text))
+    assert res.violations == []
+    assert res.exit_code == 0
+    assert [o.blocked for o in res.world.attack_outcomes] == [True]
+
+
 def test_unblocked_attack_sets_exit_code():
     text = MINIMAL.replace("seed = 5", "seed = 5\nmutate = no_smmu")
     text = text.replace("at 800ms workload sb1 idle",
                         "at 800ms attack dma_bypass target=sb1")
     res = sc.run_scenario(sc.parse(text))
     assert res.exit_code == 1
+
+
+# Every directive kind and every attack key, run once.
+ALL_DIRECTIVES = """teesim-scenario v1
+seed = 7
+horizon = 12s
+
+[apps]
+app demo demo-payload
+app qdb query-payload
+
+[timeline]
+at 0ms create sb1 app=demo cores=3 memory=512M core=big inference images=4 units=300 serial
+at 0ms create sb2 app=qdb cores=1 memory=320M core=little base=160M cipher files=20M,40M queries=2 cache=10M scan=10 miss=25
+at 0ms create sb3 app=demo
+at 700ms workload sb3 inference images=2 units=100 gpu_speedup=2.5
+at 800ms send sb1 to_sandbox 65536
+at 850ms send sb1 to_ros
+at 900ms request_dev sb1 gpu
+at 950ms request_dev sb3 gpu
+at 1s request_dev sb2 usb
+at 1100ms attach sb1 16M
+at 1200ms add_core sb1 core=little
+at 1300ms add_core sb1
+at 1500ms release_dev sb1 gpu
+at 1600ms release_dev sb2 wifi
+at 2s detach sb1 16M
+at 2100ms release_core sb1
+at 2200ms release_core sb3
+at 2500ms attack overlapping_memory_config victim=sb1 requester=sb3
+at 2600ms attack double_core_alloc victim=sb1
+at 2700ms attack io_eavesdrop holder=sb3 dev=gpu
+at 2800ms attack dma_bypass target=sb1 dev=wifi
+at 2900ms attack malicious_image_swap app=demo
+at 3s attack stale_tlb_read target=sb2
+at 3100ms attack cache_direct_attack
+at 4s terminate sb3
+at 5s send sb3 to_ros 4096
+at 5100ms workload sb3 idle
+at 6s terminate sb1
+"""
+
+
+def test_all_directive_kinds_pinned():
+    res = sc.run_scenario(sc.parse(ALL_DIRECTIVES))
+    assert res.trace_digest == \
+        "795881383c800cab590450dd3980b776521396a114730b79c6cd408569cdad2c"
+    assert res.exit_code == 0
+    assert len(res.world.attack_outcomes) == 7
+    assert all(o.blocked for o in res.world.attack_outcomes)
+    system = [(r["op"], r["verdict"], r["reason"])
+              for r in res.world.engine.records if r["actor"] == "system"]
+    assert system == [("request_dev", "rejected", "UnsupportedDevice"),
+                      ("release_dev", "rejected", "BadState"),
+                      ("send", "skipped", "NoSuchSandbox"),
+                      ("workload", "skipped", "NoSuchSandbox")]

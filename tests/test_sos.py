@@ -18,7 +18,7 @@ from teesim.units import MB, MS_NS, S_NS
 
 
 def running_runtime(workload=None, max_cores=2, cores=("big",)):
-    rt = SandboxRuntime(1, "app", max_cores=max_cores, max_memory=512 * MB,
+    rt = SandboxRuntime(1, max_cores=max_cores, max_memory=512 * MB,
                         boot_core=4, boot_core_class=cores[0],
                         base_bytes=128 * MB, workload=workload)
     rt.advance("verifying")
@@ -64,7 +64,7 @@ def test_gpu_factor_357():
 
 
 def test_step_requires_running():
-    rt = SandboxRuntime(1, "app", 1, 512 * MB, 4, "big", 128 * MB,
+    rt = SandboxRuntime(1, 1, 512 * MB, 4, "big", 128 * MB,
                         InferenceBatch(1, 1))
     with pytest.raises(BadState):
         rt.step_workload(MS_NS)
@@ -159,7 +159,7 @@ def test_memory_monitor_detaches_freed_granules():
 
 
 def test_state_transitions_enforced():
-    rt = SandboxRuntime(1, "app", 1, 512 * MB, 4, "big", 128 * MB)
+    rt = SandboxRuntime(1, 1, 512 * MB, 4, "big", 128 * MB)
     with pytest.raises(BadState):
         rt.advance("running")
     rt.advance("verifying")

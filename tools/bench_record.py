@@ -17,6 +17,11 @@ speed lands on both. Per tree it records:
   wall seconds, scenarios/s and invariant violations, and the work counters
   of the scenario path over that fixed seed range: events dispatched (the
   sum of `Engine.run_until`'s return values) and trace records;
+* parse cost, RUNS times: microseconds per `scenario.parse` over the
+  serialized texts of POOL random honest scenarios (seeds 0 to POOL - 1),
+  the minimum of PASSES passes, in process time;
+* the tier-1 suite (ROADMAP's verify command), RUNS times: wall seconds and
+  pytest's last summary line;
 * `perfbench/run.py --trace 0` of each `--pairs` workload, SECONDS per run
   at run.py's default seed, so every round runs the same items: every
   result line, and each end-to-end metric's median, min, max and
@@ -33,12 +38,15 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 RUNS = 3
 DEPTHS = (8, 12)
 SECONDS = 30
 SCENARIOS = 10_000
+POOL = 400
+PASSES = 7
 
 EXPLORE = """
 import json, resource, sys, time
@@ -87,6 +95,34 @@ for seed in range(int(sys.argv[2])):
 s = time.perf_counter() - t0
 print(json.dumps(dict(n, s=s, scenarios_per_s=int(sys.argv[2]) / s)))
 """
+
+
+PARSE = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from teesim import scenario as sc
+texts = [sc.serialize(sc.make_random_scenario(s)) for s in range(int(sys.argv[2]))]
+best = float("inf")
+for _ in range(int(sys.argv[3])):
+    t0 = time.process_time()
+    for text in texts:
+        sc.parse(text)
+    best = min(best, time.process_time() - t0)
+print(json.dumps({"us_per_parse": best / len(texts) * 1e6}))
+"""
+
+
+def tier1(tree: Path) -> dict:
+    """One run of the tier-1 suite in tree: wall seconds, exit code and
+    pytest's summary line."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                          "--continue-on-collection-errors"],
+                         cwd=tree, env=env, capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    return {"s": time.perf_counter() - t0, "exit_code": out.returncode,
+            "summary": lines[-1] if lines else ""}
 
 
 def last_json(cmd, cwd=None) -> dict:
@@ -165,6 +201,26 @@ def main() -> int:
         result["trees"][label]["criterion_01"] = {
             "scenarios": SCENARIOS, **counts,
             **summarize(rs, ("s", "scenarios_per_s"))}
+    runs = {label: [] for label in trees}
+    for i in range(RUNS):
+        for label in order(i):
+            run = last_json([py, "-c", PARSE, str(trees[label] / "src"), str(POOL),
+                             str(PASSES)])
+            print(label, f"parse, {POOL} texts", run, flush=True)
+            runs[label].append(run)
+    for label, rs in runs.items():
+        result["trees"][label]["parse"] = {
+            "texts": POOL, "passes": PASSES, **summarize(rs, ("us_per_parse",))}
+    runs = {label: [] for label in trees}
+    for i in range(RUNS):
+        for label in order(i):
+            run = tier1(trees[label])
+            print(label, "tier-1", run, flush=True)
+            runs[label].append(run)
+    for label, rs in runs.items():
+        result["trees"][label]["tier1"] = {
+            "summaries": [r["summary"] for r in rs],
+            "exit_codes": [r["exit_code"] for r in rs], **summarize(rs, ("s",))}
     first = next(iter(trees.values()))
     better = {m["name"]: m["better"] for m in
               json.loads((first / "BENCHMARK.json").read_text())["end_to_end"]}
