@@ -6,7 +6,7 @@ size; mem_query compares the flexible memory strategy against static
 pre-allocations on completion time and utilization.
 """
 
-from typing import Dict
+from typing import Dict, List
 
 from .errors import UnknownSuite
 from .hw_model import ROS_CTX, default_config
@@ -14,40 +14,25 @@ from .scenario import HEADER, VERSION, parse, run_scenario
 from .units import MS_NS
 from .world import build_world
 
-SUITES = ("cpu_adjust", "mem_query", "dl_batch")
-
-
-def run_suite(name: str) -> dict:
-    if name == "cpu_adjust":
-        return run_cpu_adjust()
-    if name == "dl_batch":
-        return run_dl_batch()
-    if name == "mem_query":
-        return run_mem_query()
-    raise UnknownSuite(f"unknown suite {name!r} (have {', '.join(SUITES)})")
-
-
 # ---------------------------------------------------------------------------
 # cpu_adjust
 # ---------------------------------------------------------------------------
 
 def run_cpu_adjust() -> dict:
     """Measure core-adjustment latencies with and without the busy-wait
-    optimization by driving real transfers and reading the charged costs
-    back out of the trace."""
+    optimization from the costs that real transfers charge."""
     world = build_world(default_config(), instant=True,
                         apps=[("bench", b"bench-payload")])
     sb = world.create_sandbox("bench", max_cores=3, core_pref="big")
     mon = world.monitor
-    big, little = 5, 1
-    for optimized in (False, True):
-        for core in (big, little):
-            mon.transfer_core(core, ROS_CTX, sb, optimized=optimized)
-            mon.transfer_core(core, sb, ROS_CTX, optimized=optimized)
     measured: Dict[str, int] = {}
-    for rec in world.engine.records:
-        if rec["op"] == "cost" and rec["args"]["name"].startswith("core_"):
-            measured[rec["args"]["name"]] = rec["args"]["ns"]
+    for optimized in (False, True):
+        opt = "opt" if optimized else "noopt"
+        for cls, core in (("big", 5), ("little", 1)):
+            measured[f"core_inc_{cls}_{opt}"] = mon.transfer_core(
+                core, ROS_CTX, sb, optimized=optimized)
+            measured[f"core_dec_{cls}_{opt}"] = mon.transfer_core(
+                core, sb, ROS_CTX, optimized=optimized)
 
     rows = {}
     table = world.engine.costs
@@ -189,37 +174,49 @@ def run_mem_query() -> dict:
 # Reporting
 # ---------------------------------------------------------------------------
 
+def _format_cpu_adjust(result: dict) -> List[str]:
+    (lo, hi), (tlo, thi) = result["band"], result["table_band"]
+    return [f"{'pair':<12}{'w/o opt':>10}{'w/ opt':>10}{'ratio':>9}{'table':>9}"] + [
+        f"{name:<12}{row['noopt_ms']:>9.0f}m{row['opt_ms']:>9.0f}m"
+        f"{row['ratio']:>9.2f}{row['table_ratio']:>9.2f}"
+        for name, row in result["rows"].items()
+    ] + [f"measured band {lo:.2f}x..{hi:.2f}x "
+         f"(table-derived band {tlo:.2f}x..{thi:.2f}x)"]
+
+
+def _format_dl_batch(result: dict) -> List[str]:
+    return [f"{'images':<8}{'1 core':>12}{'quota 1':>10}{'quota 2':>10}"] + [
+        f"{n:<8}{row['single_core_ms']:>10.0f}ms"
+        f"{row['speedup_quota1']:>9.2f}x{row['speedup_quota2']:>9.2f}x"
+        for n, row in result["rows"].items()
+    ]
+
+
+def _format_mem_query(result: dict) -> List[str]:
+    return [f"{'strategy':<14}{'time':>10}{'util':>8}{'adjusts':>9}"] + [
+        f"{name:<14}{row['completion_s']:>9.2f}s"
+        f"{row['utilization'] * 100:>7.1f}%{row['adjustments']:>9}"
+        for name, row in result["rows"].items()
+    ] + ["flexible beats comparable statics: "
+         f"{result['flexible_beats_all_comparable']} "
+         f"(comparable: {', '.join(result['comparable_statics']) or 'none'})"]
+
+
+# Suite name -> (run, format); `run` looks the suite up when called, so a
+# wrapper set on this module later is still called.
+SUITES = {
+    "cpu_adjust": (lambda: run_cpu_adjust(), _format_cpu_adjust),
+    "mem_query": (lambda: run_mem_query(), _format_mem_query),
+    "dl_batch": (lambda: run_dl_batch(), _format_dl_batch),
+}
+
+
+def run_suite(name: str) -> dict:
+    if name not in SUITES:
+        raise UnknownSuite(f"unknown suite {name!r} (have {', '.join(SUITES)})")
+    return SUITES[name][0]()
+
+
 def format_report(result: dict) -> str:
-    lines = [f"suite: {result['suite']}"]
-    if result["suite"] == "cpu_adjust":
-        lines.append(f"{'pair':<12}{'w/o opt':>10}{'w/ opt':>10}"
-                     f"{'ratio':>9}{'table':>9}")
-        for name, row in result["rows"].items():
-            lines.append(
-                f"{name:<12}{row['noopt_ms']:>9.0f}m{row['opt_ms']:>9.0f}m"
-                f"{row['ratio']:>9.2f}{row['table_ratio']:>9.2f}"
-            )
-        lo, hi = result["band"]
-        tlo, thi = result["table_band"]
-        lines.append(f"measured band {lo:.2f}x..{hi:.2f}x "
-                     f"(table-derived band {tlo:.2f}x..{thi:.2f}x)")
-    elif result["suite"] == "dl_batch":
-        lines.append(f"{'images':<8}{'1 core':>12}{'quota 1':>10}{'quota 2':>10}")
-        for n, row in result["rows"].items():
-            lines.append(
-                f"{n:<8}{row['single_core_ms']:>10.0f}ms"
-                f"{row['speedup_quota1']:>9.2f}x{row['speedup_quota2']:>9.2f}x"
-            )
-    elif result["suite"] == "mem_query":
-        lines.append(f"{'strategy':<14}{'time':>10}{'util':>8}{'adjusts':>9}")
-        for name, row in result["rows"].items():
-            lines.append(
-                f"{name:<14}{row['completion_s']:>9.2f}s"
-                f"{row['utilization'] * 100:>7.1f}%{row['adjustments']:>9}"
-            )
-        lines.append(
-            "flexible beats comparable statics: "
-            f"{result['flexible_beats_all_comparable']} "
-            f"(comparable: {', '.join(result['comparable_statics']) or 'none'})"
-        )
-    return "\n".join(lines)
+    name = result["suite"]
+    return "\n".join([f"suite: {name}"] + SUITES[name][1](result))

@@ -1,6 +1,10 @@
 """Per-sandbox runtime: synthetic workloads, CPU/memory pressure monitors,
 and the requests they raise.
 
+Every workload is a sequence of chunks (`Workload`). The runtime keeps one
+cursor, the chunk it runs and the work that chunk has left, and never asks
+which kind of workload it runs.
+
 Work is tracked in an integer fixed-point unit (milli-units times
 nanoseconds) so that total work done equals rate times time exactly under
 any ownership schedule.
@@ -32,21 +36,50 @@ HYSTERESIS_NS = 1 * S_NS
 MEM_GRANULE = 16 * MB
 
 
+class Workload:
+    """Chunks run one after another; a chunk's scaled cost is fixed when it
+    starts, from the cache memory owned then. This base has no chunks."""
+
+    parallelizable = True   # False: only the boot core works on it
+    gpu_speedup_pct = 100   # rate factor while a GPU is owned
+    cache_base_bytes: Optional[int] = None  # None: no memory demand
+
+    def chunks(self) -> int:
+        return 0
+
+    def chunk_scaled(self, i: int, cache_bytes: int) -> int:
+        raise IndexError(i)
+
+    def working_set_bytes(self, i: int) -> int:
+        return 0
+
+
 @dataclass
-class InferenceBatch:
+class Idle(Workload):
+    pass
+
+
+@dataclass
+class InferenceBatch(Workload):
+    """One chunk: the whole batch."""
+
     images: int
     units_per_image: int
     parallelizable: bool = True
     gpu_speedup_pct: int = DEFAULT_GPU_SPEEDUP_PCT
 
-    def total_scaled(self) -> int:
+    def chunks(self) -> int:
+        return 1
+
+    def chunk_scaled(self, i: int, cache_bytes: int) -> int:
         return self.images * self.units_per_image * WORK_SCALE
 
 
 @dataclass
-class CipherQuery:
-    """Query workload over encrypted files: the part of a file that fits in
-    the owned cache memory scans cheap, the rest pays a decrypt penalty."""
+class CipherQuery(Workload):
+    """Query workload over encrypted files, one chunk per query: the part of
+    a file that fits in the owned cache memory scans cheap, the rest pays a
+    decrypt penalty."""
 
     file_sizes: Tuple[int, ...]
     queries_per_file: int = 10
@@ -54,17 +87,21 @@ class CipherQuery:
     scan_units_per_mb: int = 10
     miss_units_per_mb: int = 50
 
+    def chunks(self) -> int:
+        return len(self.file_sizes) * self.queries_per_file
+
+    def chunk_scaled(self, i: int, cache_bytes: int) -> int:
+        return self.query_scaled(self.working_set_bytes(i), cache_bytes)
+
+    def working_set_bytes(self, i: int) -> int:
+        return self.file_sizes[i // self.queries_per_file]
+
     def query_scaled(self, file_bytes: int, cache_bytes: int) -> int:
         whole_mb = -(-file_bytes // MB)
         uncached_mb = -(-max(0, file_bytes - cache_bytes) // MB)
         units = whole_mb * self.scan_units_per_mb \
             + uncached_mb * self.miss_units_per_mb
         return units * WORK_SCALE
-
-
-@dataclass
-class Idle:
-    pass
 
 
 @dataclass(frozen=True)
@@ -80,7 +117,7 @@ class MemRequest:
     nbytes: int
 
 
-_STATE_ORDER = ["created", "verifying", "booting", "running", "terminating", "dead"]
+_STATE_ORDER = ["booting", "running", "terminating", "dead"]
 
 # Why the timing fields are not keyed.
 _CLOCK = ("simulated time; exploration runs in instant mode, where the clock "
@@ -93,7 +130,7 @@ class SandboxRuntime:
                  base_bytes: int, workload=None,
                  mem_granule: int = MEM_GRANULE):
         self.id = sandbox_id
-        self.state = "created"
+        self.state = "booting"
         self.max_cores = max_cores
         self.max_memory = max_memory
         self.boot_core = boot_core
@@ -103,13 +140,10 @@ class SandboxRuntime:
         self.cores: Dict[int, str] = {boot_core: boot_core_class}
         self.devices: Set[str] = set()
         self.gpu_owned = False
-        self.workload = workload if workload is not None else Idle()
-        self.remaining_scaled = (
-            workload.total_scaled() if isinstance(workload, InferenceBatch) else 0
-        )
-        # Cipher bookkeeping.
-        self._file_index = 0
-        self._queries_left = 0
+        self.workload: Workload = workload if workload is not None else Idle()
+        # Progress: the chunk being run and the scaled work it has left.
+        self._chunk = 0
+        self.remaining_scaled = 0
         self._attached_bytes = 0
         self.mem_pending = False
         # Accounting.
@@ -137,63 +171,57 @@ class SandboxRuntime:
     # -- workload ------------------------------------------------------------
 
     def busy(self) -> bool:
-        if self.state != "running":
-            return False
-        if isinstance(self.workload, InferenceBatch):
-            return self.remaining_scaled > 0
-        if isinstance(self.workload, CipherQuery):
-            return self._file_index < len(self.workload.file_sizes)
-        return False
+        return self.state == "running" and self._chunk < self.workload.chunks()
 
     def rate_mu_ms(self) -> int:
         """Aggregate compute rate over owned cores (boot core only for
         non-parallelizable work), GPU factor applied."""
-        if isinstance(self.workload, InferenceBatch) and not self.workload.parallelizable:
-            classes = [self.cores[self.boot_core]]
-        else:
+        if self.workload.parallelizable:
             classes = list(self.cores.values())
+        else:
+            classes = [self.cores[self.boot_core]]
         rate = sum(
             BIG_RATE_MU_MS if c == "big" else LITTLE_RATE_MU_MS for c in classes
         )
-        if self.gpu_owned and isinstance(self.workload, InferenceBatch):
+        if self.gpu_owned:
             rate = rate * self.workload.gpu_speedup_pct // 100
         return rate
 
     def start_work(self, now_ns: int) -> None:
+        """Run the workload from its first chunk."""
         self.work_started_ns = now_ns
+        self.work_finished_ns = None
         self._last_account_ns = now_ns
-        if isinstance(self.workload, CipherQuery) and self.workload.file_sizes:
-            self._queries_left = self.workload.queries_per_file
-            self.remaining_scaled = self._current_query_cost()
+        self._start_chunk(0)
+
+    def _start_chunk(self, i: int) -> None:
+        # A chunk that costs nothing at the current cache size is no work.
+        w, cache = self.workload, self._cache_bytes()
+        while i < w.chunks() and w.chunk_scaled(i, cache) <= 0:
+            i += 1
+        self._chunk = i
+        self.remaining_scaled = w.chunk_scaled(i, cache) if i < w.chunks() else 0
 
     def _cache_bytes(self) -> int:
-        assert isinstance(self.workload, CipherQuery)
-        return self.workload.cache_base_bytes + self._attached_bytes
-
-    def _current_query_cost(self) -> int:
-        w = self.workload
-        return w.query_scaled(w.file_sizes[self._file_index], self._cache_bytes())
+        return (self.workload.cache_base_bytes or 0) + self._attached_bytes
 
     def working_set_bytes(self) -> int:
-        if isinstance(self.workload, CipherQuery) and self.busy():
-            return self.workload.file_sizes[self._file_index]
-        return 0
+        return self.workload.working_set_bytes(self._chunk) if self.busy() else 0
 
     def used_bytes(self) -> int:
         """Memory the runtime is actually using: the OS image footprint plus
         whatever part of the working set fits the cache allocation."""
-        if isinstance(self.workload, CipherQuery):
-            os_part = self.base_bytes - self.workload.cache_base_bytes
-            return os_part + min(self.working_set_bytes(), self._cache_bytes())
-        return self.base_bytes
+        cache_base = self.workload.cache_base_bytes
+        if cache_base is None:
+            return self.base_bytes
+        return self.base_bytes - cache_base + min(self.working_set_bytes(),
+                                                  self._cache_bytes())
 
     def step_workload(self, dt_ns: int) -> int:
         """Consume work for dt at the current rate; returns scaled work done."""
         self.require_running()
         if dt_ns < 0:
             raise BadState("negative step")
-        if not self.busy():
-            return 0
         budget = self.rate_mu_ms() * dt_ns
         done = 0
         while budget > 0 and self.busy():
@@ -202,19 +230,8 @@ class SandboxRuntime:
             done += take
             budget -= take
             if self.remaining_scaled == 0:
-                self._on_chunk_done()
+                self._start_chunk(self._chunk + 1)
         return done
-
-    def _on_chunk_done(self) -> None:
-        if isinstance(self.workload, CipherQuery):
-            self._queries_left -= 1
-            if self._queries_left > 0:
-                self.remaining_scaled = self._current_query_cost()
-                return
-            self._file_index += 1
-            if self._file_index < len(self.workload.file_sizes):
-                self._queries_left = self.workload.queries_per_file
-                self.remaining_scaled = self._current_query_cost()
 
     def account_to(self, now_ns: int) -> None:
         """Fold elapsed time into the workload; call before any rate change."""
@@ -235,15 +252,10 @@ class SandboxRuntime:
         rate = self.rate_mu_ms()
         if rate == 0:
             return None
-        remaining = self.remaining_scaled
-        if isinstance(self.workload, CipherQuery):
-            w = self.workload
-            cache = self._cache_bytes()
-            remaining += (self._queries_left - 1) * w.query_scaled(
-                w.file_sizes[self._file_index], cache
-            )
-            for f in w.file_sizes[self._file_index + 1 :]:
-                remaining += w.queries_per_file * w.query_scaled(f, cache)
+        w, cache = self.workload, self._cache_bytes()
+        remaining = self.remaining_scaled + sum(
+            max(0, w.chunk_scaled(i, cache))
+            for i in range(self._chunk + 1, w.chunks()))
         return -(-remaining // rate)
 
     # -- usage sampling and monitors ----------------------------------------
@@ -251,10 +263,7 @@ class SandboxRuntime:
     def sample_usage(self, now_ns: int, busy_ns_in_window: int) -> None:
         permille = min(1000, busy_ns_in_window * 1000 // USAGE_SAMPLE_NS)
         per_core: Dict[int, int] = {}
-        parallel = not (
-            isinstance(self.workload, InferenceBatch)
-            and not self.workload.parallelizable
-        )
+        parallel = self.workload.parallelizable
         for cid in self.cores:
             per_core[cid] = permille if (parallel or cid == self.boot_core) else 0
         agg = sum(per_core.values()) // max(1, len(per_core))
@@ -287,9 +296,7 @@ class SandboxRuntime:
     def monitor_memory(self, requested_bytes: int) -> Optional[MemRequest]:
         """Attach when the demanded bytes outgrow the owned dynamic memory,
         detach whole granules once they are free again."""
-        if self.state != "running":
-            return None
-        if not isinstance(self.workload, CipherQuery):
+        if self.state != "running" or self.workload.cache_base_bytes is None:
             return None
         need = max(0, requested_bytes - self._cache_bytes())
         if need > 0:
@@ -314,7 +321,7 @@ class SandboxRuntime:
         mem_granule=SHARED,
         workload=SHARED,  # parameters only; progress is in the fields below
         cores=DICT, devices=SET,
-        remaining_scaled=KEYED, _file_index=KEYED, _queries_left=KEYED,
+        _chunk=KEYED, remaining_scaled=KEYED,
         _attached_bytes=KEYED,
         gpu_owned=copied("follows from devices: true iff one of them is a GPU"),
         mem_pending=copied("set and cleared inside one op in instant mode"),

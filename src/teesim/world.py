@@ -154,8 +154,6 @@ class World:
             workload=workload,
             mem_granule=self.ros.layout.mem_granule,
         )
-        rt.advance("verifying")
-        rt.advance("booting")
         self.runtimes[sb] = rt
         self.metrics.max_concurrent = max(
             self.metrics.max_concurrent, len(self.monitor.sandboxes)
@@ -203,9 +201,6 @@ class World:
         """Replace the sandbox's workload; a running sandbox starts it now."""
         rt = self.runtimes[sb]
         rt.workload = workload
-        rt.remaining_scaled = (workload.total_scaled()
-                               if isinstance(workload, sos.InferenceBatch) else 0)
-        rt.work_finished_ns = None
         if rt.state == "running":
             rt.start_work(self.engine.now_ns)
             self._repredict(sb)

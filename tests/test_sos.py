@@ -21,8 +21,6 @@ def running_runtime(workload=None, max_cores=2, cores=("big",)):
     rt = SandboxRuntime(1, max_cores=max_cores, max_memory=512 * MB,
                         boot_core=4, boot_core_class=cores[0],
                         base_bytes=128 * MB, workload=workload)
-    rt.advance("verifying")
-    rt.advance("booting")
     rt.advance("running")
     for i, cls in enumerate(cores[1:], start=5):
         rt.cores[i] = cls
@@ -160,10 +158,9 @@ def test_memory_monitor_detaches_freed_granules():
 
 def test_state_transitions_enforced():
     rt = SandboxRuntime(1, 1, 512 * MB, 4, "big", 128 * MB)
+    assert rt.state == "booting"
     with pytest.raises(BadState):
-        rt.advance("running")
-    rt.advance("verifying")
-    rt.advance("booting")
+        rt.advance("terminating")
     rt.advance("running")
     with pytest.raises(BadState):
         rt.advance("dead")
@@ -177,3 +174,25 @@ def test_cipher_cost_depends_on_cache():
     large = wl.query_scaled(100 * MB, 100 * MB)
     assert small == (100 * 10 + 90 * 50) * WORK_SCALE
     assert large == 100 * 10 * WORK_SCALE
+
+
+@pytest.mark.parametrize("wl", [
+    CipherQuery(file_sizes=(0,)),
+    CipherQuery(file_sizes=(10 * MB,), queries_per_file=0),
+    CipherQuery(file_sizes=(10 * MB,), scan_units_per_mb=0, miss_units_per_mb=0),
+], ids=["files=0", "queries=0", "scan=0,miss=0"])
+def test_zero_cost_work_is_no_work(wl):
+    """A busy runtime always has time left to finish: with a zero ETA the
+    completion event would reschedule itself forever at one instant."""
+    rt = running_runtime(wl)
+    assert not rt.busy() or rt.finish_eta_ns() > 0
+
+
+def test_restarted_cipher_runs_from_its_first_query():
+    wl = CipherQuery(file_sizes=(10 * MB, 20 * MB), queries_per_file=2)
+    rt = running_runtime(wl)
+    rt.step_workload(10 * S_NS)
+    assert not rt.busy()
+    rt.start_work(10 * S_NS)
+    assert rt.busy() and rt.working_set_bytes() == 10 * MB
+    assert rt.finish_eta_ns() == 200 * MS_NS + 1400 * MS_NS

@@ -108,6 +108,34 @@ def test_work_conservation_over_ownership_schedule():
     assert expected == total_work
 
 
+def test_zero_cost_cipher_work_finishes():
+    """Cipher work that costs nothing is no work: the run ends."""
+    text = (f"{sc.HEADER} v{sc.VERSION}\nhorizon = 2s\n\n[apps]\napp demo x\n\n"
+            "[timeline]\n"
+            "at 0ms create sb1 cipher files=0 app=demo\n"
+            "at 0ms create sb2 cipher queries=0 app=demo\n"
+            "at 0ms create sb3 cipher files=10M scan=0 miss=0 app=demo\n")
+    res = sc.run_scenario(sc.parse(text), with_trace=False)
+    assert res.exit_code == 0
+    assert not any(rt.busy() for rt in res.world.runtimes.values())
+
+
+@pytest.mark.parametrize("files, finished_ns", [
+    ("10M", 30_571_428_572),
+    ("10M,20M,30M", 35_428_571_429),
+])
+def test_second_cipher_workload_starts_from_its_first_file(files, finished_ns):
+    """A workload set after an earlier cipher finished runs all its own
+    files: none is skipped and none is out of range."""
+    text = (f"{sc.HEADER} v{sc.VERSION}\nhorizon = 40s\n\n[apps]\napp demo x\n\n"
+            "[timeline]\n"
+            "at 0ms create sb1 cipher files=10M,20M queries=2 app=demo\n"
+            f"at 30s workload sb1 cipher files={files} queries=2\n")
+    res = sc.run_scenario(sc.parse(text), with_trace=False)
+    assert res.exit_code == 0
+    assert res.world.runtimes[res.handles["sb1"]].work_finished_ns == finished_ns
+
+
 def test_terminate_mid_adjustment_is_atomic():
     w = timed_world()
     sb = w.create_sandbox("demo")
