@@ -236,18 +236,22 @@ def _ensure_sandbox(world: World, app_id: str = None, **kwargs) -> int:
 def _create_tampered(world: World, app: str, **kwargs) -> int:
     """Launch app from a tampered staged image; the image is restored
     whether or not the launch goes through."""
-    world.ros.tamper_image(app)
+    world.ros.images[app] = world.ros.tampered_image(app)
     try:
         return world.create_sandbox(app, **kwargs)
     finally:
         world.ros.stage_image(app, world.payloads[app])
 
 
+def _first_frame(world: World, sb: int) -> Tuple[int, int]:
+    start = world.monitor.ledger.sandbox_intervals(sb)[0][0]
+    return (start, start + BLOCK_2M)
+
+
 def _overlap_attach(world: World, requester: int, victim: int):
     """Ask the monitor to attach the victim's first frame to requester, then
     read it from requester. Returns (verdict, leaked bytes)."""
-    target = world.monitor.ledger.sandbox_intervals(victim)[0]
-    region = (target[0], target[0] + BLOCK_2M)
+    region = _first_frame(world, victim)
     verdict = world.monitor.verify_region_legality(requester, region, "attach")
     if not verdict.approved:
         return verdict, 0
@@ -413,6 +417,7 @@ def make_small_world(mutations=()) -> World:
         defenses=Defenses.with_mutations(mutations),
         instant=True,
         apps=[("w", b"tiny-protected-payload")],
+        traced=False,  # nothing reads an explored world's trace
     )
 
 
@@ -420,11 +425,11 @@ class _Node:
     """One explored state: a world plus the sandbox ids the ops name.
 
     A child made by `child()` shares its parent's world and clones it the
-    first time an op reads `world`, so an op that fails on `handles` alone
-    costs no clone. An op may test a precondition on `peek()` first, which
-    reads the shared world without cloning it; it must not change anything
-    it reaches that way. The parent's world is never changed after its node
-    enters the frontier, so the deferred clone sees the parent's state.
+    first time an op reads `world`. An op first checks its calls on
+    `peek()`, which reads the shared world and must change nothing, so
+    only a transition that happens costs a clone. The parent's world is
+    never changed after its node enters the frontier, so the deferred
+    clone sees the parent's state.
     """
 
     __slots__ = ("_world", "_parent_world", "handles", "trace")
@@ -463,11 +468,14 @@ def _op_create(name, tampered=False):
     def op(node: _Node) -> int:
         if name in node.handles:
             raise BadState("already alive")
-        w = node.world
+        w = node.peek()
+        base = w.ros.layout.sandbox_base_bytes
+        limits = dict(max_cores=2, max_memory=base + 2 * BLOCK_2M)
+        image = w.ros.tampered_image("w") if tampered else None
+        w.monitor.check_launch(w.ros.propose("w", w.ros.pick_core(), base,
+                                             image=image, **limits))
         create = _create_tampered if tampered else World.create_sandbox
-        node.handles[name] = create(w, "w", max_cores=2,
-                                    max_memory=w.ros.layout.sandbox_base_bytes
-                                    + 2 * BLOCK_2M)
+        node.handles[name] = create(node.world, "w", **limits)
         return 0
 
     return op
@@ -483,26 +491,16 @@ def _op_terminate(name):
     return op
 
 
-def _op_world(name, method, *args):
-    """Op applying World.<method>(sandbox, *args) to the live sandbox name;
-    a False result is a disabled edge. The method is looked up when the op
-    runs, so a tracer that wraps World methods later still sees the call."""
+def _op_world(name, check, method, *args):
+    """Op applying World.<method>(sandbox, *args) to the live sandbox name
+    once check(parent's world, sandbox, *args) passed; a False result of
+    either is a disabled edge. The method is looked up when the op runs,
+    so a tracer that wraps World methods later still sees the call."""
     def op(node: _Node) -> int:
         sb = _alive(node, name)
-        if getattr(node.world, method)(sb, *args) is False:
+        if check(node.peek(), sb, *args) is False or \
+                getattr(node.world, method)(sb, *args) is False:
             raise BadState(f"{method} refused")
-        return 0
-
-    return op
-
-
-def _op_shrink_core(name):
-    def op(node: _Node) -> int:
-        sb = _alive(node, name)
-        surplus = node.peek().runtimes[sb].surplus_cores()
-        if not surplus:
-            raise BadState("no surplus core")
-        node.world._request_core_release(sb, surplus[0])
         return 0
 
     return op
@@ -510,10 +508,10 @@ def _op_shrink_core(name):
 
 def _op_adv_overlap(node: _Node) -> int:
     a, b = _alive(node, "a"), _alive(node, "b")
-    verdict, leaked = _overlap_attach(node.world, a, b)
-    if not verdict.approved:
+    w = node.peek()
+    if not w.monitor.check_region(a, _first_frame(w, b), "attach").approved:
         raise BadState("legality check held")
-    return leaked
+    return _overlap_attach(node.world, a, b)[1]
 
 
 def _op_adv_prime(node: _Node) -> int:
@@ -560,9 +558,10 @@ def _op_adv_dma(node: _Node) -> int:
 
 def _op_adv_steal_core(node: _Node) -> int:
     a = _alive(node, "a")
-    w = node.world
-    w.ros.launch("w", w.monitor.sandboxes[a].boot_core,
-                 w.ros.layout.sandbox_base_bytes)
+    w = node.peek()
+    stolen, base = w.monitor.sandboxes[a].boot_core, w.ros.layout.sandbox_base_bytes
+    w.monitor.check_launch(w.ros.propose("w", stolen, base))
+    node.world.ros.launch("w", stolen, base)
     return 0
 
 
@@ -570,17 +569,22 @@ def default_alphabet() -> List[Tuple[str, Callable]]:
     ops: List[Tuple[str, Callable]] = []
     for name in ("a", "b"):
         ops.append((f"create_{name}", _op_create(name)))
-        ops.append((f"grow_mem_{name}",
-                    _op_world(name, "_request_attach", BLOCK_2M)))
-        ops.append((f"shrink_mem_{name}",
-                    _op_world(name, "_request_detach", BLOCK_2M)))
+        ops.append((f"grow_mem_{name}", _op_world(name, lambda w, sb, n: (
+            w.monitor.check_region(sb, w.attach_region(sb, n), "attach").approved),
+            "_request_attach", BLOCK_2M)))
+        ops.append((f"shrink_mem_{name}", _op_world(name, lambda w, sb, n: (
+            w.monitor.check_region(sb, w.detach_region(sb, n), "detach").approved),
+            "_request_detach", BLOCK_2M)))
         ops.append((f"terminate_{name}", _op_terminate(name)))
-        ops.append((f"dev_request_{name}",
-                    _op_world(name, "request_peripheral", "wifi")))
-        ops.append((f"dev_release_{name}",
-                    _op_world(name, "release_peripheral", "wifi")))
-    ops.append(("grow_core_a", _op_world("a", "_request_core_increase", None)))
-    ops.append(("shrink_core_a", _op_shrink_core("a")))
+        ops.append((f"dev_request_{name}", _op_world(
+            name, World.check_request_peripheral, "request_peripheral", "wifi")))
+        ops.append((f"dev_release_{name}", _op_world(
+            name, World.check_release_peripheral, "release_peripheral", "wifi")))
+    ops.append(("grow_core_a", _op_world("a", lambda w, sb, cls: (
+        w.monitor.check_transfer_core(w.ros.pick_core(cls), ROS_CTX, sb)),
+        "_request_core_increase", None)))
+    ops.append(("shrink_core_a", _op_world("a", lambda w, sb: bool(
+        w.runtimes[sb].surplus_cores()), "release_surplus_core")))
     ops.append(("create_a_tampered", _op_create("a", tampered=True)))
     ops.append(("adv_overlap_attach", _op_adv_overlap))
     ops.append(("adv_prime_next_frame", _op_adv_prime))

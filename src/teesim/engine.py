@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .errors import ConfigError
+from .errors import ConfigError, SimError
 from .units import KB, MB, MS_NS, US_NS, ns_to_us_str
 
 TRACE_SCHEMA = "teesim-trace/1"
@@ -152,7 +152,7 @@ class CostTable:
 class Engine:
     """Single-threaded event queue plus the structured trace."""
 
-    def __init__(self, costs: Optional[CostTable] = None):
+    def __init__(self, costs: Optional[CostTable] = None, traced: bool = True):
         self.costs = costs or CostTable()
         self.now_ns = 0
         # End of the current (or last) run_until; no event after it runs
@@ -161,8 +161,8 @@ class Engine:
         self._seq = 0
         # (time_ns, seq, fn); seq is unique, so fn is never compared.
         self._queue: List[Tuple[int, int, Callable]] = []
-        self.records: List[dict] = []
-        self._trace_seq = 0
+        # The record sink; None keeps no records.
+        self.records: Optional[List[dict]] = [] if traced else None
 
     # -- scheduling -------------------------------------------------------
 
@@ -199,12 +199,13 @@ class Engine:
     # -- trace ------------------------------------------------------------
 
     def trace(self, actor: str, op: str, args: Optional[dict] = None,
-              verdict: str = "ok", reason: Optional[str] = None) -> dict:
-        self._trace_seq += 1
+              verdict: str = "ok", reason: Optional[str] = None) -> None:
+        if self.records is None:
+            return
         rec = {
             "t_ns": self.now_ns,
             "time_us": ns_to_us_str(self.now_ns),
-            "seq": self._trace_seq,
+            "seq": len(self.records) + 1,
             "actor": actor,
             "op": op,
             "verdict": verdict,
@@ -214,16 +215,22 @@ class Engine:
         if reason is not None:
             rec["reason"] = reason
         self.records.append(rec)
-        return rec
 
     def charge(self, actor: str, name: str, ns: int, detail: Optional[dict] = None) -> int:
         """Record a named cost; returns the duration for the caller to fold
         into its completion time."""
-        args = {"name": name, "ns": ns}
-        if detail:
-            args.update(detail)
-        self.trace(actor, "cost", args)
+        if self.records is not None:
+            self.trace(actor, "cost", {"name": name, "ns": ns, **(detail or {})})
         return ns
+
+    def checked(self, check: Callable, *args):
+        """check(*args), tracing the rejection record a SimError it raises carries."""
+        try:
+            return check(*args)
+        except SimError as exc:
+            if exc.rejection is not None:
+                self.trace(*exc.rejection)
+            raise
 
     def serialize_trace(self, header: Optional[dict] = None) -> str:
         head = {"schema": TRACE_SCHEMA}

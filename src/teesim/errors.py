@@ -7,7 +7,13 @@ returned as values instead.
 
 
 class SimError(Exception):
-    """Base class for all simulator errors."""
+    """Base class for all simulator errors; a refusal may carry its trace record."""
+
+    rejection = None
+
+    def traced(self, actor: str, op: str, args: dict, reason: str) -> "SimError":
+        self.rejection = (actor, op, args, "rejected", reason)
+        return self
 
 
 class ConfigError(SimError):

@@ -47,14 +47,6 @@ class AdjustVerdict:
     approved: bool
     reason: Optional[Reason] = None
 
-    @staticmethod
-    def ok() -> "AdjustVerdict":
-        return AdjustVerdict(True)
-
-    @staticmethod
-    def rejected(reason: Reason) -> "AdjustVerdict":
-        return AdjustVerdict(False, reason)
-
 
 # Each mutation flag and the defense it turns off.
 MUTATION_FLAGS = {"no_verify": "verify", "no_sanitize": "sanitize",
@@ -214,7 +206,7 @@ class Monitor:
     # -- helpers ----------------------------------------------------------
 
     def _trace(self, op: str, args=None, verdict="ok", reason=None):
-        return self.engine.trace("monitor", op, args, verdict, reason)
+        self.engine.trace("monitor", op, args, verdict, reason)
 
     def _require_sandbox(self, sb: int) -> SandboxMeta:
         try:
@@ -224,58 +216,51 @@ class Monitor:
 
     # -- launch -----------------------------------------------------------
 
-    def lock_and_launch(self, spec: LaunchSpec) -> Tuple[int, int]:
-        """Lock resources, verify the image, build tables and boot.
-
-        Returns (sandbox_id, boot_cost_ns); raises with all resources back
-        under ROS on any failure.
-        """
-        machine = self.machine
-        if len(self.sandboxes) >= len(machine.cores) - 1:
-            self._trace("lock_and_launch", {"app": spec.app_id},
-                        "rejected", "TooManySandboxes")
-            raise TooManySandboxes("core budget exhausted")
+    def check_launch(self, spec: LaunchSpec) -> Tuple[bytes, bool]:
+        """Every precondition of `lock_and_launch`, read-only. Returns the
+        image plaintext and whether it was attested."""
+        if len(self.sandboxes) >= len(self.machine.cores) - 1:
+            raise TooManySandboxes("core budget exhausted").traced(
+                "monitor", "lock_and_launch", {"app": spec.app_id}, "TooManySandboxes")
         if self.mode == "tzasc":
             need = TZASC_REGIONS_PER_SANDBOX * (len(self.sandboxes) + 1) \
                 + TZASC_REGIONS_SECURE_WORLD
             if need > TZASC_REGIONS:
-                self._trace("lock_and_launch", {"app": spec.app_id},
-                            "rejected", "TzascRegions")
-                raise TooManySandboxes("protected-region budget exhausted")
-        core = machine.cores.get(spec.core_id)
-        if core is None or spec.core_id == 0:
+                raise TooManySandboxes("protected-region budget exhausted").traced(
+                    "monitor", "lock_and_launch", {"app": spec.app_id}, "TzascRegions")
+        if spec.core_id not in self.machine.cores or spec.core_id == 0:
             raise ResourceBusy(f"core {spec.core_id} not assignable")
         if self.defenses.legality_check:
             if self.ledger.core_owner[spec.core_id] != ROS_CTX:
-                self._trace("lock_and_launch", {"core": spec.core_id},
-                            "rejected", "CoreOccupied")
-                raise ResourceBusy(f"core {spec.core_id} occupied")
-            owner = self.ledger.ram_overlap_owner(spec.region)
-            if owner is not None:
-                self._trace("lock_and_launch", {"region": list(spec.region)},
-                            "rejected", "RegionOccupied")
-                raise ResourceBusy("region overlaps a live sandbox")
+                raise ResourceBusy(f"core {spec.core_id} occupied").traced(
+                    "monitor", "lock_and_launch", {"core": spec.core_id}, "CoreOccupied")
+            if self.ledger.ram_overlap_owner(spec.region) is not None:
+                raise ResourceBusy("region overlaps a live sandbox").traced(
+                    "monitor", "lock_and_launch", {"region": list(spec.region)},
+                    "RegionOccupied")
         region = spec.region
         if not (is_aligned(region[0], BLOCK_2M) and is_aligned(region[1], BLOCK_2M)):
             raise AlignmentError("sandbox region must be 2MB-aligned")
         if region[1] - region[0] > spec.max_memory:
             raise QuotaExceeded("base region exceeds memory limit")
-
-        ros_set = machine.table_sets[ROS_CTX]
-        # Image region leaves ROS before verification runs.
-        ros_set.unmap_range(region)
+        if not self.defenses.verify:
+            return self.store.decrypt_unchecked(spec.image), False
         try:
-            if self.defenses.verify:
-                plaintext = self.store.verify_and_decrypt(spec.image)
-                attested = True
-            else:
-                plaintext = self.store.decrypt_unchecked(spec.image)
-                attested = False
-        except IntegrityError:
-            ros_set.map_range(region, stage2.Attr.NORMAL)
-            self._trace("verify_image", {"app": spec.app_id},
-                        "rejected", "IntegrityError")
-            raise
+            return self.store.verify_and_decrypt(spec.image), True
+        except IntegrityError as exc:
+            raise exc.traced("monitor", "verify_image", {"app": spec.app_id},
+                             "IntegrityError")
+
+    def lock_and_launch(self, spec: LaunchSpec) -> Tuple[int, int]:
+        """Check the request, then lock resources, build tables and boot.
+
+        Returns (sandbox_id, boot_cost_ns); a refused request changes
+        nothing but the trace.
+        """
+        plaintext, attested = self.engine.checked(self.check_launch, spec)
+        machine, region = self.machine, spec.region
+        ros_set = machine.table_sets[ROS_CTX]
+        ros_set.unmap_range(region)
         self._trace("verify_image", {"app": spec.app_id},
                     "ok" if attested else "skipped")
 
@@ -290,7 +275,7 @@ class Monitor:
         self.sanitize(region, new_owner=sb)
 
         machine.tlb_flush_core(spec.core_id)
-        core.active_ctx = sb
+        machine.cores[spec.core_id].active_ctx = sb
         self.ledger.core_owner[spec.core_id] = sb
         self.ledger.add_ram(sb, region)
         self.ledger.shared_channels[sb] = channel
@@ -314,13 +299,7 @@ class Monitor:
 
     def verify_region_legality(self, sb: int, region: Tuple[int, int],
                                op: str) -> AdjustVerdict:
-        assert op in ("attach", "detach")
-        meta = self._require_sandbox(sb)
-        verdict = (
-            AdjustVerdict.ok()
-            if not self.defenses.legality_check
-            else self._check_legality(sb, meta, region, op)
-        )
+        verdict = self.check_region(sb, region, op)
         if verdict.approved:
             self._approvals.add((sb, region, op))
         self._trace(
@@ -330,34 +309,39 @@ class Monitor:
         )
         return verdict
 
-    def _check_legality(self, sb: int, meta: SandboxMeta,
-                        region: Tuple[int, int], op: str) -> AdjustVerdict:
+    def check_region(self, sb: int, region: Tuple[int, int],
+                     op: str) -> AdjustVerdict:
+        """The verdict `verify_region_legality` gives, read-only."""
+        assert op in ("attach", "detach")
+        meta = self._require_sandbox(sb)
+        if not self.defenses.legality_check:
+            return AdjustVerdict(True)
         start, end = region
         if not (is_aligned(start, BLOCK_2M) and is_aligned(end, BLOCK_2M)) \
                 or start >= end:
-            return AdjustVerdict.rejected(Reason.BAD_ALIGNMENT)
+            return AdjustVerdict(False, Reason.BAD_ALIGNMENT)
         if op == "attach":
             if self.ledger.ram_overlap_owner(region) is not None:
-                return AdjustVerdict.rejected(Reason.OVERLAP)
+                return AdjustVerdict(False, Reason.OVERLAP)
             if end > self.machine.config.ram_bytes or (
                 self.shared_pool_range and overlaps(region, self.shared_pool_range)
             ):
-                return AdjustVerdict.rejected(Reason.NOT_FREE)
+                return AdjustVerdict(False, Reason.NOT_FREE)
             span = self.ledger.sandbox_span(sb)
             if start != span[1] and end != span[0]:
-                return AdjustVerdict.rejected(Reason.NOT_CONTIGUOUS)
+                return AdjustVerdict(False, Reason.NOT_CONTIGUOUS)
             if self.ledger.sandbox_size(sb) + (end - start) > meta.max_memory:
-                return AdjustVerdict.rejected(Reason.QUOTA_EXCEEDED)
+                return AdjustVerdict(False, Reason.QUOTA_EXCEEDED)
         else:
             ivs = self.ledger.sandbox_intervals(sb)
             if not any(s <= start and end <= e for s, e in ivs):
-                return AdjustVerdict.rejected(Reason.NOT_FREE)
+                return AdjustVerdict(False, Reason.NOT_FREE)
             span = (ivs[0][0], ivs[-1][1])
             if start != span[0] and end != span[1]:
-                return AdjustVerdict.rejected(Reason.NOT_CONTIGUOUS)
+                return AdjustVerdict(False, Reason.NOT_CONTIGUOUS)
             if self.ledger.sandbox_size(sb) - (end - start) < meta.base_bytes:
-                return AdjustVerdict.rejected(Reason.QUOTA_EXCEEDED)
-        return AdjustVerdict.ok()
+                return AdjustVerdict(False, Reason.QUOTA_EXCEEDED)
+        return AdjustVerdict(True)
 
     def attach_memory(self, sb: int, region: Tuple[int, int]) -> int:
         self._consume_approval(sb, region, "attach")
@@ -420,39 +404,37 @@ class Monitor:
 
     # -- core transfer ------------------------------------------------------
 
-    def transfer_core(self, core_id: int, from_ctx: int, to_ctx: int,
-                      optimized: bool = True) -> int:
-        core = self.machine.cores.get(core_id)
-        if core is None:
+    def check_transfer_core(self, core_id: int, from_ctx: int, to_ctx: int) -> None:
+        """Every precondition of `transfer_core`, read-only."""
+        if core_id not in self.machine.cores:
             raise NotOwner(f"no core {core_id}")
         if from_ctx == to_ctx or (from_ctx != ROS_CTX and to_ctx != ROS_CTX):
             raise ResourceBusy("cores move only between ROS and one sandbox")
         if to_ctx != ROS_CTX and core_id == 0:
             raise ResourceBusy("core 0 is pinned to ROS")
-        if self.defenses.legality_check:
-            if self.ledger.core_owner[core_id] != from_ctx:
-                self._trace("transfer_core", {"core": core_id},
-                            "rejected", "NotOwner")
-                raise NotOwner(f"core {core_id} not owned by ctx {from_ctx}")
+        if self.defenses.legality_check and self.ledger.core_owner[core_id] != from_ctx:
+            raise NotOwner(f"core {core_id} not owned by ctx {from_ctx}").traced(
+                "monitor", "transfer_core", {"core": core_id}, "NotOwner")
         if to_ctx != ROS_CTX:
             meta = self._require_sandbox(to_ctx)
             if len(self.ledger.cores_of(to_ctx)) + 1 > meta.max_cores:
-                self._trace("transfer_core", {"core": core_id},
-                            "rejected", "QuotaExceeded")
-                raise QuotaExceeded(f"sandbox {to_ctx} core quota reached")
+                raise QuotaExceeded(f"sandbox {to_ctx} core quota reached").traced(
+                    "monitor", "transfer_core", {"core": core_id}, "QuotaExceeded")
         if len(self.ledger.cores_of(from_ctx)) <= 1:
             raise LastCoreError(f"ctx {from_ctx} would lose its last core")
         if from_ctx != ROS_CTX and core_id == self.sandboxes[from_ctx].boot_core:
             raise LastCoreError("booting core is never adjusted")
 
+    def transfer_core(self, core_id: int, from_ctx: int, to_ctx: int,
+                      optimized: bool = True) -> int:
+        self.engine.checked(self.check_transfer_core, core_id, from_ctx, to_ctx)
         self._move_core(core_id, from_ctx, to_ctx, optimized)
         direction = "inc" if from_ctx == ROS_CTX else "dec"
-        cost = self.engine.costs.core_adjust(core.core_class.value, direction,
-                                             optimized)
+        cls = self.machine.cores[core_id].core_class.value
+        cost = self.engine.costs.core_adjust(cls, direction, optimized)
         actor = f"sb{to_ctx if to_ctx != ROS_CTX else from_ctx}"
         return self.engine.charge(
-            actor, f"core_{direction}_{core.core_class.value}_"
-                   f"{'opt' if optimized else 'noopt'}", cost
+            actor, f"core_{direction}_{cls}_{'opt' if optimized else 'noopt'}", cost
         )
 
     def _move_core(self, core_id: int, from_ctx: int, to_ctx: int,

@@ -90,6 +90,11 @@ class CmaPool:
 
     def alloc(self, nbytes: int, adjacent_to: Optional[Tuple[int, int]] = None,
               owner: Optional[int] = None) -> Tuple[int, int]:
+        return self.take(self.find(nbytes, adjacent_to), owner)
+
+    def find(self, nbytes: int,
+             adjacent_to: Optional[Tuple[int, int]] = None) -> Tuple[int, int]:
+        """The range `alloc` would take, read-only."""
         if nbytes <= 0 or nbytes % BLOCK_2M:
             raise OutOfMemory(f"allocation must be a positive 2MB multiple, got {nbytes}")
         if adjacent_to is not None:
@@ -97,7 +102,6 @@ class CmaPool:
             hi = (adjacent_to[1], adjacent_to[1] + nbytes)
             for cand in (lo, hi):
                 if self._gap_covers(cand):
-                    self._take(cand, owner)
                     return cand
             raise NoAdjacentSpace(
                 f"no free {nbytes:#x} bytes adjoining [{adjacent_to[0]:#x}, "
@@ -105,17 +109,16 @@ class CmaPool:
             )
         for gap_start, gap_end in self._free_gaps():
             if gap_end - gap_start >= nbytes:
-                rng = (gap_start, gap_start + nbytes)
-                self._take(rng, owner)
-                return rng
+                return (gap_start, gap_start + nbytes)
         raise OutOfMemory(f"no contiguous {nbytes:#x} bytes free")
 
     def _gap_covers(self, rng: Tuple[int, int]) -> bool:
         return any(g[0] <= rng[0] and rng[1] <= g[1] for g in self._free_gaps())
 
-    def _take(self, rng: Tuple[int, int], owner: Optional[int]) -> None:
+    def take(self, rng: Tuple[int, int], owner: Optional[int]) -> Tuple[int, int]:
         self.allocations.append((rng[0], rng[1], owner))
         self.allocations.sort()
+        return rng
 
     def set_owner(self, rng: Tuple[int, int], owner: int) -> None:
         for i, (s, e, _) in enumerate(self.allocations):
@@ -205,18 +208,18 @@ class RosActor:
         monitor.driver_states = self.driver_states
 
     def _trace(self, op, args=None, verdict="ok", reason=None):
-        return self.engine.trace("ros", op, args, verdict, reason)
+        self.engine.trace("ros", op, args, verdict, reason)
 
     # -- images and drivers -------------------------------------------------
 
     def stage_image(self, app_id: str, payload: bytes) -> None:
         self.images[app_id] = self.store.export_image(app_id, payload)
 
-    def tamper_image(self, app_id: str) -> None:
-        img = self.images[app_id]
-        raw = bytearray(img.payload)
+    def tampered_image(self, app_id: str) -> EncryptedImage:
+        """app_id's staged image with its first byte flipped."""
+        raw = bytearray(self.images[app_id].payload)
         raw[0] ^= 0xFF
-        self.images[app_id] = EncryptedImage(app_id, bytes(raw))
+        return EncryptedImage(app_id, bytes(raw))
 
     def register_driver(self, dev_id: str, blob: bytes) -> None:
         self.driver_blobs[dev_id] = blob
@@ -229,12 +232,11 @@ class RosActor:
 
     # -- allocation -----------------------------------------------------------
 
-    def alloc_contiguous(self, nbytes: int,
-                         adjacent_to: Optional[Tuple[int, int]] = None,
-                         owner: Optional[int] = None) -> Tuple[int, int]:
-        rng = self.cma.alloc(nbytes, adjacent_to, owner)
+    def alloc_contiguous(self, rng: Tuple[int, int],
+                         owner: Optional[int] = None) -> None:
+        """Take rng, a range `cma.find` offered, for owner."""
+        self.cma.take(rng, owner)
         self._trace("alloc", {"range": list(rng), "owner": owner})
-        return rng
 
     # -- sandbox creation -------------------------------------------------------
 
@@ -273,25 +275,31 @@ class RosActor:
         self._trace("create_sandbox", {"app": app_id, "sandbox": sb})
         return sb, boot_ns
 
+    def propose(self, app_id: str, core_id: int, base_bytes: int,
+                max_cores: int = 1, max_memory: int = 512 * MB,
+                image: Optional[EncryptedImage] = None) -> LaunchSpec:
+        """The request `launch` would hand the monitor, read-only: the staged
+        image (or image), a free channel and a free region of base_bytes."""
+        channel = self.shared.alloc_channel()
+        return LaunchSpec(app_id=app_id, image=image or self.images[app_id],
+                          core_id=core_id, region=self.cma.find(base_bytes),
+                          channel=channel, max_cores=max_cores,
+                          max_memory=max_memory)
+
     def launch(self, app_id: str, core_id: int, base_bytes: int,
                max_cores: int = 1, max_memory: int = 512 * MB):
         """Take a channel and a region and ask the monitor to launch app_id
         on core_id; nothing stays taken if it refuses. Adversarial callers
         name a core they do not hold. Returns (sandbox_id, boot_ns)."""
-        # The channel is only picked, not taken, so pick it before taking the
-        # region: a full shared pool then fails with nothing to undo.
-        channel = self.shared.alloc_channel()
-        region = self.alloc_contiguous(base_bytes)
-        spec = LaunchSpec(app_id=app_id, image=self.images[app_id],
-                          core_id=core_id, region=region, channel=channel,
-                          max_cores=max_cores, max_memory=max_memory)
+        spec = self.propose(app_id, core_id, base_bytes, max_cores, max_memory)
+        self.alloc_contiguous(spec.region)
         try:
             sb, boot_ns = self.monitor.lock_and_launch(spec)
         except Exception:
-            self.cma.free(region)
+            self.cma.free(spec.region)
             raise
-        self.cma.set_owner(region, sb)
-        self.shared.bind(sb, channel)
+        self.cma.set_owner(spec.region, sb)
+        self.shared.bind(sb, spec.channel)
         return sb, boot_ns
 
     def release_sandbox_memory(self, sb: int) -> None:

@@ -55,6 +55,13 @@ HANDLE, NEW, APP, DEV = "handle", "new handle", "app", "device"
 WORKLOAD, DIRECTION, CORE = "workload", "direction", "core class"
 REQUIRED = object()  # the default of an argument that must be given
 
+
+def _count(text: str) -> int:
+    if int(text) < 0:
+        raise ValueError(f"negative count {text}")
+    return int(text)
+
+
 # Every argument, positional or key=value, has one type wherever it
 # appears: a name type, or a reader from text (ValueError if malformed).
 TYPES = {
@@ -63,9 +70,9 @@ TYPES = {
     "workload": WORKLOAD, "direction": DIRECTION, "core": CORE,
     "attack": AttackKind, "byte_count": parse_size, "nbytes": parse_size,
     "cores": int, "memory": parse_size, "base": parse_size,
-    "images": int, "units": int, "gpu_speedup": float,
+    "images": _count, "units": _count, "gpu_speedup": float,
     "files": lambda v: tuple(parse_size(x) for x in v.split(",")),
-    "queries": int, "cache": parse_size, "scan": int, "miss": int,
+    "queries": _count, "cache": parse_size, "scan": _count, "miss": _count,
 }
 # The values of absent optional positionals; only the last may be optional.
 SLOT_DEFAULTS = {"byte_count": 0, "workload": "idle"}

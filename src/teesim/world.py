@@ -91,9 +91,9 @@ class World:
     def __init__(self, config: MachineConfig,
                  costs: Optional[CostTable] = None,
                  defenses: Optional[Defenses] = None,
-                 mode: str = "leap", instant: bool = False):
+                 mode: str = "leap", instant: bool = False, traced: bool = True):
         self.instant = instant
-        self.engine = Engine(costs)
+        self.engine = Engine(costs, traced)
         self.machine = Machine(config)
         self.store = KeyStore()
         self.monitor = Monitor(self.machine, self.store, self.engine,
@@ -312,7 +312,7 @@ class World:
         if rt.busy():
             self._repredict(sb)
             return
-        if rt.work_finished_ns is not None and sb not in self.metrics.completion_ns:
+        if rt.work_finished_ns is not None:
             dur = rt.work_finished_ns - rt.work_started_ns
             self.metrics.completion_ns[sb] = dur
             self.engine.trace(f"sb{sb}", "workload_complete",
@@ -320,19 +320,28 @@ class World:
 
     # -- memory adjustment ----------------------------------------------------------
 
+    def attach_region(self, sb: int, nbytes: int) -> Tuple[int, int]:
+        """The free region next to sb's that `_request_attach` asks for."""
+        return self.ros.cma.find(nbytes, self.monitor.ledger.sandbox_span(sb))
+
+    def detach_region(self, sb: int, nbytes: int) -> Tuple[int, int]:
+        """The top nbytes of sb's memory, which `_request_detach` asks for."""
+        end = self.monitor.ledger.sandbox_span(sb)[1]
+        return (end - nbytes, end)
+
     def _request_attach(self, sb: int, nbytes: int) -> bool:
         rt = self.runtimes[sb]
         if rt.mem_pending:
             return False
         self.engine.charge(f"sb{sb}", "ipi_sb_to_ros",
                            self.engine.costs.ipi_sb_to_ros_ns)
-        span = self.monitor.ledger.sandbox_span(sb)
         try:
-            region = self.ros.alloc_contiguous(nbytes, adjacent_to=span, owner=sb)
+            region = self.attach_region(sb, nbytes)
         except (NoAdjacentSpace, OutOfMemory) as exc:
             self.engine.trace("ros", "attach_request", {"sandbox": sb},
                               "rejected", type(exc).__name__)
             return False
+        self.ros.alloc_contiguous(region, owner=sb)
         verdict = self.monitor.verify_region_legality(sb, region, "attach")
         if not verdict.approved:
             self.ros.cma.free(region)
@@ -360,8 +369,7 @@ class World:
         rt = self.runtimes[sb]
         if rt.mem_pending:
             return False
-        span = self.monitor.ledger.sandbox_span(sb)
-        region = (span[1] - nbytes, span[1])
+        region = self.detach_region(sb, nbytes)
         self.engine.charge(f"sb{sb}", "ipi_sb_to_ros",
                            self.engine.costs.ipi_sb_to_ros_ns)
         verdict = self.monitor.verify_region_legality(sb, region, "detach")
@@ -428,12 +436,16 @@ class World:
 
     # -- peripherals ----------------------------------------------------------------------
 
-    def request_peripheral(self, sb: int, dev_id: str) -> str:
-        """Returns 'granted' or 'queued'."""
+    def check_request_peripheral(self, sb: int, dev_id: str) -> None:
+        """The preconditions of `request_peripheral`, read-only."""
         rt = self.runtimes[sb]
         rt.require_running()
         if dev_id in rt.devices:
             raise BadState(f"sandbox {sb} already holds {dev_id}")
+
+    def request_peripheral(self, sb: int, dev_id: str) -> str:
+        """Returns 'granted' or 'queued'."""
+        self.check_request_peripheral(sb, dev_id)
         self.engine.charge(f"sb{sb}", "ipi_sb_to_ros",
                            self.engine.costs.ipi_sb_to_ros_ns)
         queue = self.dev_queues.setdefault(dev_id, [])
@@ -488,11 +500,15 @@ class World:
 
         self._later(cost, apply)
 
-    def release_peripheral(self, sb: int, dev_id: str) -> None:
-        rt = self.runtimes[sb]
-        if dev_id not in rt.devices and \
+    def check_release_peripheral(self, sb: int, dev_id: str) -> None:
+        """The precondition of `release_peripheral`, read-only."""
+        if dev_id not in self.runtimes[sb].devices and \
                 self.monitor.ledger.dev_owner[dev_id] != sb:
             raise BadState(f"sandbox {sb} does not hold {dev_id}")
+
+    def release_peripheral(self, sb: int, dev_id: str) -> None:
+        self.check_release_peripheral(sb, dev_id)
+        rt = self.runtimes[sb]
         self.engine.charge(f"sb{sb}", "ipi_sb_to_ros",
                            self.engine.costs.ipi_sb_to_ros_ns)
         rt.account_to(self.engine.now_ns)
@@ -584,7 +600,7 @@ class World:
 
     STATE = Schema(
         instant=SHARED, store=SHARED, payloads=SHARED,
-        engine=reset(lambda eng: Engine(eng.costs)),
+        engine=reset(lambda eng: Engine(eng.costs, eng.records is not None)),
         metrics=reset(lambda _: Metrics()),
         attack_outcomes=reset(lambda _: []),
         machine=NESTED, monitor=NESTED, ros=NESTED,
@@ -609,9 +625,9 @@ class World:
 
 def build_world(config: MachineConfig, costs: Optional[CostTable] = None,
                 defenses: Optional[Defenses] = None, mode: str = "leap",
-                instant: bool = False,
+                instant: bool = False, traced: bool = True,
                 apps: Optional[List[Tuple[str, bytes]]] = None) -> World:
-    world = World(config, costs, defenses, mode, instant)
+    world = World(config, costs, defenses, mode, instant, traced)
     world.register_default_drivers()
     for app_id, payload in apps or []:
         world.register_app(app_id, payload)

@@ -18,7 +18,7 @@ from teesim.adversary import (
 )
 from teesim.errors import BudgetExceeded, OutOfMemory, SimError
 from teesim.hw_model import default_config
-from teesim.monitor import Defenses
+from teesim.monitor import MUTATION_FLAGS, Defenses
 from teesim.world import World, build_world
 
 PAYLOAD = b"secret model weights"
@@ -416,11 +416,45 @@ def test_explore_work_counters_at_depth_6(monkeypatch):
 
     def counted_check(world):
         calls["check"] += 1
+        assert world.engine.records is None  # explored worlds keep no trace
         return check(world)
 
     monkeypatch.setattr(World, "clone", counted_clone)
     monkeypatch.setattr(adversary, "check_invariants", counted_check)
     res = explore(depth=6)
     assert (res.states_visited, res.transitions) == (1147, 3357)
-    assert calls["clone"] <= 5902
+    # Every op checks on the parent's world first: a clone per transition.
+    assert calls["clone"] == res.transitions
     assert calls["check"] <= 1147
+
+
+@pytest.mark.parametrize("mutations,depth",
+                         [((), 7)] + [((flag,), 5) for flag in MUTATION_FLAGS])
+def test_failed_op_changes_nothing(monkeypatch, mutations, depth):
+    """Every op from every explored state: one that raises leaves the
+    parent's world and the handles as they were, and made no clone."""
+    clones = []
+    clone = World.clone
+    monkeypatch.setattr(World, "clone",
+                        lambda self: clones.append(1) or clone(self))
+
+    def state(world, node):
+        return (world.canonical(), sorted(node.handles.items()),
+                sorted(world.monitor._approvals), world.monitor._next_sandbox)
+
+    def checked(name, fn):
+        def op(node):
+            parent, made = node.peek(), len(clones)
+            before = state(parent, node)
+            try:
+                return fn(node)
+            except SimError:
+                assert state(parent, node) == before, name
+                assert len(clones) == made, name
+                raise
+        return op
+
+    ops = [(name, checked(name, fn)) for name, fn in default_alphabet()]
+    res = explore(world_factory=lambda: make_small_world(mutations),
+                  op_alphabet=ops, depth=depth)
+    assert res.transitions and bool(res.violations) == bool(mutations)

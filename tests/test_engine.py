@@ -121,3 +121,22 @@ def test_trace_time_reported_in_exact_microseconds():
     eng.schedule(23_890, lambda: eng.trace("x", "tick"))
     eng.run_until(1 * MS_NS)
     assert eng.records[0]["time_us"] == "23.89"
+
+
+@pytest.mark.parametrize("traced", [True, False])
+def test_checked_traces_a_refusal_only_into_a_sink(traced):
+    """A check's refusal reaches the trace through `checked`, unless the
+    engine keeps no records; charges return their cost either way."""
+    eng = Engine(traced=traced)
+
+    def refuse():
+        raise ConfigError("no").traced("monitor", "op", {"k": 1}, "Why")
+
+    with pytest.raises(ConfigError):
+        eng.checked(refuse)
+    assert eng.checked(lambda x: x + 1, 1) == 2
+    assert eng.charge("x", "boot", 7) == 7
+    want = [("monitor", "op", "rejected", "Why", 1), ("x", "cost", "ok", None, 2)]
+    assert [(r["actor"], r["op"], r["verdict"], r.get("reason"), r["seq"])
+            for r in eng.records or []] == (want if traced else [])
+    assert eng.records is None or traced

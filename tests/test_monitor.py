@@ -52,7 +52,7 @@ def test_tampered_image_rejected_and_ledger_untouched():
     w = fresh_world()
     before = w.monitor.ledger.canonical()
     ros_runs = w.machine.table_sets[ROS_CTX].canonical()
-    w.ros.tamper_image("demo")
+    w.ros.images["demo"] = w.ros.tampered_image("demo")
     with pytest.raises(IntegrityError):
         w.create_sandbox("demo")
     assert w.monitor.ledger.canonical() == before

@@ -193,7 +193,7 @@ def test_channel_immutable_until_teardown():
 
 def test_rollback_frees_pool_on_integrity_error():
     w = fresh_world()
-    w.ros.tamper_image("demo")
+    w.ros.images["demo"] = w.ros.tampered_image("demo")
     allocations = list(w.ros.cma.allocations)
     with pytest.raises(Exception):
         w.create_sandbox("demo")

@@ -121,6 +121,8 @@ def test_unknown_device_is_validation_error():
     "create sb2 app=demo cores=abc",
     "create sb2 app=demo corse=",
     "workload sb1 inference images=x",
+    "create sb2 inference images=-3 app=demo",
+    "workload sb1 cipher scan=-5",
     "attack malicious_image_swap app=nope",
     "attack io_eavesdrop dev=floppy",
     "attack dma_bypass target=sb9",

@@ -136,6 +136,20 @@ def test_second_cipher_workload_starts_from_its_first_file(files, finished_ns):
     assert res.world.runtimes[res.handles["sb1"]].work_finished_ns == finished_ns
 
 
+def test_every_finished_workload_is_reported():
+    """A workload set after an earlier one finished is traced and measured
+    when it completes too."""
+    text = (f"{sc.HEADER} v{sc.VERSION}\nhorizon = 40s\n\n[apps]\napp demo x\n\n"
+            "[timeline]\n"
+            "at 0ms create sb1 cipher files=10M,20M queries=2 app=demo\n"
+            "at 30s workload sb1 cipher files=10M queries=2\n")
+    res = sc.run_scenario(sc.parse(text))
+    done = [(r["t_ns"], r["args"]["duration_ns"]) for r in res.world.engine.records
+            if r["op"] == "workload_complete"]
+    assert done == [(3_674_857_143, 3_142_857_143), (30_571_428_572, 571_428_572)]
+    assert res.world.metrics.completion_ns == {res.handles["sb1"]: 571_428_572}
+
+
 def test_terminate_mid_adjustment_is_atomic():
     w = timed_world()
     sb = w.create_sandbox("demo")
