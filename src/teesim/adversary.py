@@ -22,7 +22,7 @@ from .errors import (
 )
 from .hw_model import ROS_CTX, small_config
 from .monitor import Defenses
-from .units import BLOCK_2M, PAGE_4K
+from .units import BLOCK_2M, MB, PAGE_4K
 from .world import World, build_world
 
 
@@ -34,15 +34,6 @@ class AttackKind(str, Enum):
     CACHE_DIRECT_ATTACK = "cache_direct_attack"
     DMA_BYPASS = "dma_bypass"
     STALE_TLB_READ = "stale_tlb_read"
-
-
-@dataclass(frozen=True)
-class AttackScenario:
-    kind: AttackKind
-    params: Tuple[Tuple[str, object], ...] = ()
-
-    def param(self, key, default=None):
-        return dict(self.params).get(key, default)
 
 
 @dataclass
@@ -204,10 +195,12 @@ def _dev_at(config, pa):
 # Attack catalogue
 # ---------------------------------------------------------------------------
 
-def run_attack(world: World, scenario: AttackScenario) -> AttackOutcome:
-    step, mechanism = _ATTACKS[scenario.kind]
-    blocked, leaked, detail = step(world, scenario)
-    outcome = AttackOutcome(scenario.kind, blocked,
+def run_attack(world: World, kind: AttackKind, **params) -> AttackOutcome:
+    """Run one catalogue attack on the sandboxes, device or app its params
+    name (an attack ignores the ones it does not use, creates the others)."""
+    step, mechanism = _ATTACKS[kind]
+    blocked, leaked, detail = step(world, **params)
+    outcome = AttackOutcome(kind, blocked,
                             mechanism if blocked else "none", leaked, detail)
     viol = check_invariants(world)
     if viol:
@@ -219,21 +212,20 @@ def run_attack(world: World, scenario: AttackScenario) -> AttackOutcome:
     else:
         world.metrics.attacks_unblocked += 1
     world.attack_outcomes.append(outcome)
-    world.engine.trace("adversary", f"attack_{scenario.kind.value}",
+    world.engine.trace("adversary", f"attack_{kind.value}",
                        {"leaked": outcome.leaked_bytes},
                        "blocked" if outcome.blocked else "unblocked",
                        outcome.mechanism)
     return outcome
 
 
-def _ensure_sandbox(world: World, app_id: str = None, **kwargs) -> int:
-    app = app_id or next(iter(world.payloads))
-    return world.create_sandbox(app, **kwargs)
+def _ensure_sandbox(world: World, **kwargs) -> int:
+    return world.create_sandbox(next(iter(world.payloads)), **kwargs)
 
 
-# Attack steps shared by the catalogue and the exploration alphabet.
+# Adversary steps: each is a scenario directive, and the catalogue runs them.
 
-def _create_tampered(world: World, app: str, **kwargs) -> int:
+def create_tampered(world: World, app: str, **kwargs) -> int:
     """Launch app from a tampered staged image; the image is restored
     whether or not the launch goes through."""
     world.ros.images[app] = world.ros.tampered_image(app)
@@ -248,7 +240,12 @@ def _first_frame(world: World, sb: int) -> Tuple[int, int]:
     return (start, start + BLOCK_2M)
 
 
-def _overlap_attach(world: World, requester: int, victim: int):
+def _next_frame(world: World, sb: int) -> Tuple[int, int]:
+    end = world.monitor.ledger.sandbox_span(sb)[1]
+    return (end, end + BLOCK_2M)
+
+
+def overlap_attach(world: World, requester: int, victim: int):
     """Ask the monitor to attach the victim's first frame to requester, then
     read it from requester. Returns (verdict, leaked bytes)."""
     region = _first_frame(world, victim)
@@ -259,45 +256,86 @@ def _overlap_attach(world: World, requester: int, victim: int):
     return verdict, world.probe_read(requester, region[0])[1]
 
 
-def _ros_dma(world: World, dev: str, sb: int) -> int:
+def ros_prime(world: World, sb: int) -> bool:
+    """ROS touches the frame past sb's memory, caching its translation and
+    data, if ROS owns it; sb's next attach may take it. Returns whether."""
+    frame = _next_frame(world, sb)
+    if not world.monitor.ledger.owns_range(ROS_CTX, frame):
+        return False
+    world.probe_translate(ROS_CTX, frame[0])
+    world.machine.cache_fill(ROS_CTX, frame[0])
+    return True
+
+
+def victim_touch(world: World, sb: int) -> None:
+    """sb writes to its highest frame (TLB and cache): bait for a cache attack."""
+    cores = world.monitor.ledger.cores_of(sb)
+    if not cores:
+        raise BadState(f"sandbox {sb} has no core")
+    top = world.monitor.ledger.sandbox_span(sb)[1] - BLOCK_2M
+    world.machine.translate(cores[0], top)
+    world.machine.cache_fill(sb, top)
+
+
+def ros_probe(world: World, sb: int) -> int:
+    """ROS reads sb's lowest and highest frame, directly and by cache."""
+    base, end = world.monitor.ledger.sandbox_span(sb)
+    leaked = 0
+    for pa in (base, end - BLOCK_2M):
+        leaked += world.probe_read(ROS_CTX, pa)[1] + world.probe_cache(ROS_CTX, pa)[1]
+    return leaked
+
+
+def check_ros_dma(world: World, sb: int, dev: str) -> None:
+    """ROS can program only a DMA-capable device that it holds."""
+    if not world.machine.config.peripheral(dev).dma_capable or \
+            world.monitor.ledger.dev_owner[dev] != ROS_CTX:
+        raise BadState(f"{dev} is not a DMA device under ROS")
+
+
+def ros_dma(world: World, sb: int, dev: str) -> int:
     """ROS programs dev to read sb's first page; returns the bytes leaked."""
+    check_ros_dma(world, sb, dev)
     base = world.monitor.ledger.sandbox_span(sb)[0]
     return world.dma_access(dev, ROS_CTX, (base, base + PAGE_4K))
 
 
-def _attack_image_swap(world: World, scenario: AttackScenario) -> tuple:
-    app = scenario.param("app") or next(iter(world.payloads))
+def steal_core(world: World, victim: int, app: str):
+    """ROS launches app on the victim's boot core; (sandbox, boot ns)."""
+    return world.ros.launch(app, world.monitor.sandboxes[victim].boot_core,
+                            world.ros.layout.sandbox_base_bytes)
+
+
+def _attack_image_swap(world: World, app=None, **_) -> tuple:
+    app = app or next(iter(world.payloads))
     try:
-        sb = _create_tampered(world, app)
+        sb = create_tampered(world, app)
     except IntegrityError:
         return True, 0, "verification rejected swapped image"
     # Tampered code is now running over the protected payload.
     return False, len(world.payloads[app]), f"sandbox {sb} booted a tampered image"
 
 
-def _attack_overlap(world: World, scenario: AttackScenario) -> tuple:
-    victim = scenario.param("victim") or _ensure_sandbox(world)
-    requester = scenario.param("requester") or _ensure_sandbox(world)
-    verdict, leaked = _overlap_attach(world, requester, victim)
+def _attack_overlap(world: World, victim=None, requester=None, **_) -> tuple:
+    victim = victim or _ensure_sandbox(world)
+    requester = requester or _ensure_sandbox(world)
+    verdict, leaked = overlap_attach(world, requester, victim)
     if not verdict.approved:
         return True, 0, f"rejected: {verdict.reason.value}"
     return False, max(leaked, BLOCK_2M), "requester mapped the victim's frames"
 
 
-def _attack_double_core(world: World, scenario: AttackScenario) -> tuple:
-    victim = scenario.param("victim") or _ensure_sandbox(world)
+def _attack_double_core(world: World, victim=None, **_) -> tuple:
+    victim = victim or _ensure_sandbox(world)
     stolen = world.monitor.sandboxes[victim].boot_core
     try:
-        sb, _ = world.ros.launch(next(iter(world.payloads)), stolen,
-                                 world.ros.layout.sandbox_base_bytes)
+        sb, _ = steal_core(world, victim, next(iter(world.payloads)))
     except (ResourceBusy, NotOwner):
         return True, 0, "occupied core refused at launch"
     return False, 0, f"sandbox {sb} was handed core {stolen} owned by {victim}"
 
 
-def _attack_io_eavesdrop(world: World, scenario: AttackScenario) -> tuple:
-    dev = scenario.param("dev", "wifi")
-    holder = scenario.param("holder")
+def _attack_io_eavesdrop(world: World, dev="wifi", holder=None, **_) -> tuple:
     if holder is None:
         holder = _ensure_sandbox(world)
         world.request_peripheral(holder, dev)
@@ -308,34 +346,23 @@ def _attack_io_eavesdrop(world: World, scenario: AttackScenario) -> tuple:
     return False, max(leaked, PAGE_4K), "ROS reached a sandbox-owned device"
 
 
-def _ros_prime(node: "_Node", pa: int) -> bool:
-    """If ROS owns the frame at pa, touch it, caching both the translation
-    and the data. The check reads the world without cloning it."""
-    if not node.peek().monitor.ledger.owns_range(ROS_CTX, (pa, pa + BLOCK_2M)):
-        return False
-    w = node.world
-    w.probe_translate(ROS_CTX, pa)
-    w.machine.cache_fill(ROS_CTX, pa)
-    return True
-
-
-def _attach_next_granule(world: World, scenario: AttackScenario,
+def _attach_next_granule(world: World, target: Optional[int],
                          ros_primes: bool = False):
     """Pick a target sandbox with room to grow and ask to attach the granule
     just past its span. With ros_primes, ROS first primes the granule it is
     about to hand over, if ROS owns it. Returns (sandbox, region, attached)."""
-    sb = scenario.param("target") or _ensure_sandbox(
+    sb = target or _ensure_sandbox(
         world, max_memory=world.ros.layout.sandbox_base_bytes + 16 * BLOCK_2M
     )
     span = world.monitor.ledger.sandbox_span(sb)
     region = (span[1], span[1] + world.ros.layout.mem_granule)
-    if ros_primes:  # a node over the world itself, which it changes in place
-        _ros_prime(_Node(world, {}, ()), region[0])
+    if ros_primes:
+        ros_prime(world, sb)
     return sb, region, world._request_attach(sb, region[1] - region[0])
 
 
-def _attack_cache_direct(world: World, scenario: AttackScenario) -> tuple:
-    sb, region, attached = _attach_next_granule(world, scenario, ros_primes=True)
+def _attack_cache_direct(world: World, target=None, **_) -> tuple:
+    sb, region, attached = _attach_next_granule(world, target, ros_primes=True)
     if not attached:
         return True, 0, "attach of primed region rejected"
     # Victim uses its new memory.
@@ -348,21 +375,19 @@ def _attack_cache_direct(world: World, scenario: AttackScenario) -> tuple:
     return True, 0, "sanitization cleared the stale path"
 
 
-def _attack_dma(world: World, scenario: AttackScenario) -> tuple:
-    sb = scenario.param("target") or _ensure_sandbox(world)
-    dev = scenario.param("dev", "wifi")
-    if not world.machine.config.peripheral(dev).dma_capable:
-        return True, 0, "device cannot do DMA"
-    if world.monitor.ledger.dev_owner[dev] != ROS_CTX:
-        return True, 0, "device not programmable by ROS"
-    leaked = _ros_dma(world, dev, sb)
+def _attack_dma(world: World, target=None, dev="wifi", **_) -> tuple:
+    sb = target or _ensure_sandbox(world)
+    try:
+        leaked = ros_dma(world, sb, dev)
+    except BadState as exc:
+        return True, 0, str(exc)
     if leaked:
         return False, leaked, "DMA read crossed into sandbox memory"
     return True, 0, "DMA blocked against the ledger"
 
 
-def _attack_stale_tlb(world: World, scenario: AttackScenario) -> tuple:
-    sb, region, attached = _attach_next_granule(world, scenario)
+def _attack_stale_tlb(world: World, target=None, **_) -> tuple:
+    sb, region, attached = _attach_next_granule(world, target)
     if not attached:
         return True, 0, "setup attach rejected"
     # Sandbox touches the region, caching the translation on its core.
@@ -406,9 +431,6 @@ class ExploreResult:
     max_depth: int
     violations: List[ExploreFinding] = field(default_factory=list)
     budget_exceeded: bool = False
-
-    def ok(self) -> bool:
-        return not self.violations and not self.budget_exceeded
 
 
 def make_small_world(mutations=()) -> World:
@@ -457,142 +479,90 @@ class _Node:
         return node
 
 
-def _alive(node: _Node, name: str) -> int:
-    sb = node.handles.get(name)
-    if sb is None:
-        raise BadState(f"{name} not alive")
-    return sb
-
-
-def _op_create(name, tampered=False):
-    def op(node: _Node) -> int:
-        if name in node.handles:
-            raise BadState("already alive")
-        w = node.peek()
+def _check_launch(w: World, app: str, core_id: int, cores: int = 1,
+                  memory: int = 512 * MB, base: Optional[int] = None, image=None):
+    if base is None:
         base = w.ros.layout.sandbox_base_bytes
-        limits = dict(max_cores=2, max_memory=base + 2 * BLOCK_2M)
-        image = w.ros.tampered_image("w") if tampered else None
-        w.monitor.check_launch(w.ros.propose("w", w.ros.pick_core(), base,
-                                             image=image, **limits))
-        create = _create_tampered if tampered else World.create_sandbox
-        node.handles[name] = create(node.world, "w", **limits)
-        return 0
-
-    return op
+    w.monitor.check_launch(w.ros.propose(app, core_id, base, cores, memory, image))
 
 
-def _op_terminate(name):
+# Directive kind -> the pure check of its World call (a SimError or False is
+# a refusal). The explorer runs it on the parent's world, so a refused op
+# costs no clone. The runner never calls it: each World call checks itself
+# and writes its own rejection record.
+GUARDS: Dict[str, Callable] = {
+    "create": lambda w, app, cores, memory, core, base, **_:
+        _check_launch(w, app, w.ros.pick_core(core), cores, memory, base),
+    "create_tampered": lambda w, app, cores, memory, **_: _check_launch(
+        w, app, w.ros.pick_core(), cores, memory, image=w.ros.tampered_image(app)),
+    "attach": lambda w, sb, nbytes:
+        w.monitor.check_region(sb, w.attach_region(sb, nbytes), "attach").approved,
+    "detach": lambda w, sb, nbytes:
+        w.monitor.check_region(sb, w.detach_region(sb, nbytes), "detach").approved,
+    "request_dev": lambda w, sb, dev_id: w.check_request_peripheral(sb, dev_id),
+    "release_dev": lambda w, sb, dev_id: w.check_release_peripheral(sb, dev_id),
+    "add_core": lambda w, sb, core:
+        w.monitor.check_transfer_core(w.ros.pick_core(core), ROS_CTX, sb),
+    "release_core": lambda w, sb: bool(w.runtimes[sb].surplus_cores()),
+    "overlap_attach": lambda w, requester, victim: w.monitor.check_region(
+        requester, _first_frame(w, victim), "attach").approved,
+    "ros_prime": lambda w, sb: w.monitor.ledger.owns_range(ROS_CTX, _next_frame(w, sb)),
+    "victim_touch": lambda w, sb: bool(w.monitor.ledger.cores_of(sb)),
+    "ros_dma": check_ros_dma,
+    "steal_core": lambda w, victim, app:
+        _check_launch(w, app, w.monitor.sandboxes[victim].boot_core),
+}
+
+# The exploration alphabet: op name -> its directive over the handles a
+# and b, on the small machine's app w (base memory 4M, two 2M granules of
+# room). A counterexample's ops are these directives, one per line.
+ALPHABET: Tuple[Tuple[str, str], ...] = tuple(
+    (f"{op}_{h}", line.format(h)) for h in "ab" for op, line in (
+        ("create", "create {} app=w cores=2 memory=8M"), ("grow_mem", "attach {} 2M"),
+        ("shrink_mem", "detach {} 2M"), ("terminate", "terminate {}"),
+        ("dev_request", "request_dev {} wifi"), ("dev_release", "release_dev {} wifi"))
+) + (
+    ("grow_core_a", "add_core a"), ("shrink_core_a", "release_core a"),
+    ("create_a_tampered", "create_tampered a app=w cores=2 memory=8M"),
+    ("adv_overlap_attach", "overlap_attach a b"), ("adv_prime_next_frame", "ros_prime a"),
+    ("adv_victim_touch", "victim_touch a"), ("adv_probe_a", "ros_probe a"),
+    ("adv_dma_a", "ros_dma a wifi"), ("adv_steal_core", "steal_core a app=w"),
+)
+
+
+def _op(kind: str, run: Callable, values: dict,
+        handles: Tuple[str, ...]) -> Callable[[_Node], int]:
+    """The op for one directive: it resolves its handles, runs the guard on
+    the parent's world, then the directive on its own; returns bytes leaked."""
+    guard = GUARDS.get(kind)
+    new = values.get("new")
+    gone = values["sb"] if kind == "terminate" else None  # keys hold live handles
+
     def op(node: _Node) -> int:
-        sb = _alive(node, name)
-        node.world.terminate(sb)
-        del node.handles[name]
-        return 0
+        args = values.copy()
+        for arg in handles:
+            sb = args[arg] = node.handles.get(values[arg])
+            if sb is None:
+                raise BadState(f"{values[arg]} not alive")
+        if new in node.handles:
+            raise BadState(f"{new} already alive")
+        if guard is not None and guard(node.peek(), **args) is False:
+            raise BadState(f"{kind} refused")
+        world = node.world
+        out = run(world, **args)
+        if out is False:
+            raise BadState(f"{kind} refused")
+        if new is not None:
+            node.handles[new] = out
+        node.handles.pop(gone, None)
+        return world.metrics.leaked_bytes
 
     return op
 
 
-def _op_world(name, check, method, *args):
-    """Op applying World.<method>(sandbox, *args) to the live sandbox name
-    once check(parent's world, sandbox, *args) passed; a False result of
-    either is a disabled edge. The method is looked up when the op runs,
-    so a tracer that wraps World methods later still sees the call."""
-    def op(node: _Node) -> int:
-        sb = _alive(node, name)
-        if check(node.peek(), sb, *args) is False or \
-                getattr(node.world, method)(sb, *args) is False:
-            raise BadState(f"{method} refused")
-        return 0
-
-    return op
-
-
-def _op_adv_overlap(node: _Node) -> int:
-    a, b = _alive(node, "a"), _alive(node, "b")
-    w = node.peek()
-    if not w.monitor.check_region(a, _first_frame(w, b), "attach").approved:
-        raise BadState("legality check held")
-    return _overlap_attach(node.world, a, b)[1]
-
-
-def _op_adv_prime(node: _Node) -> int:
-    a = _alive(node, "a")
-    if not _ros_prime(node, node.peek().monitor.ledger.sandbox_span(a)[1]):
-        raise BadState("frame not ROS-owned")
-    return 0
-
-
-def _op_adv_probe(node: _Node) -> int:
-    a = _alive(node, "a")
-    w = node.world
-    base, span_end = w.monitor.ledger.sandbox_span(a)
-    leaked = 0
-    for pa in (base, span_end - BLOCK_2M):
-        _, l1 = w.probe_read(ROS_CTX, pa)
-        _, l2 = w.probe_cache(ROS_CTX, pa)
-        leaked += l1 + l2
-    return leaked
-
-
-def _op_adv_victim_touch(node: _Node) -> int:
-    """Victim writes into its highest frame (cache + TLB), giving the cache
-    attack something to steal."""
-    a = _alive(node, "a")
-    w = node.world
-    span = w.monitor.ledger.sandbox_span(a)
-    core = w.monitor.ledger.cores_of(a)
-    if not core:
-        raise BadState("victim has no core")
-    w.machine.translate(core[0], span[1] - BLOCK_2M)
-    w.machine.cache_fill(a, span[1] - BLOCK_2M)
-    return 0
-
-
-def _op_adv_dma(node: _Node) -> int:
-    a = _alive(node, "a")
-    w = node.peek()
-    dev = w.machine.config.peripherals[0].dev_id
-    if w.monitor.ledger.dev_owner[dev] != ROS_CTX:
-        raise BadState("device not under ROS")
-    return _ros_dma(node.world, dev, a)
-
-
-def _op_adv_steal_core(node: _Node) -> int:
-    a = _alive(node, "a")
-    w = node.peek()
-    stolen, base = w.monitor.sandboxes[a].boot_core, w.ros.layout.sandbox_base_bytes
-    w.monitor.check_launch(w.ros.propose("w", stolen, base))
-    node.world.ros.launch("w", stolen, base)
-    return 0
-
-
-def default_alphabet() -> List[Tuple[str, Callable]]:
-    ops: List[Tuple[str, Callable]] = []
-    for name in ("a", "b"):
-        ops.append((f"create_{name}", _op_create(name)))
-        ops.append((f"grow_mem_{name}", _op_world(name, lambda w, sb, n: (
-            w.monitor.check_region(sb, w.attach_region(sb, n), "attach").approved),
-            "_request_attach", BLOCK_2M)))
-        ops.append((f"shrink_mem_{name}", _op_world(name, lambda w, sb, n: (
-            w.monitor.check_region(sb, w.detach_region(sb, n), "detach").approved),
-            "_request_detach", BLOCK_2M)))
-        ops.append((f"terminate_{name}", _op_terminate(name)))
-        ops.append((f"dev_request_{name}", _op_world(
-            name, World.check_request_peripheral, "request_peripheral", "wifi")))
-        ops.append((f"dev_release_{name}", _op_world(
-            name, World.check_release_peripheral, "release_peripheral", "wifi")))
-    ops.append(("grow_core_a", _op_world("a", lambda w, sb, cls: (
-        w.monitor.check_transfer_core(w.ros.pick_core(cls), ROS_CTX, sb)),
-        "_request_core_increase", None)))
-    ops.append(("shrink_core_a", _op_world("a", lambda w, sb: bool(
-        w.runtimes[sb].surplus_cores()), "release_surplus_core")))
-    ops.append(("create_a_tampered", _op_create("a", tampered=True)))
-    ops.append(("adv_overlap_attach", _op_adv_overlap))
-    ops.append(("adv_prime_next_frame", _op_adv_prime))
-    ops.append(("adv_victim_touch", _op_adv_victim_touch))
-    ops.append(("adv_probe_a", _op_adv_probe))
-    ops.append(("adv_dma_a", _op_adv_dma))
-    ops.append(("adv_steal_core", _op_adv_steal_core))
-    return ops
+def default_alphabet() -> List[Tuple[str, Callable[[_Node], int]]]:
+    from .scenario import read_directive  # scenario imports this module
+    return [(name, _op(*read_directive(line))) for name, line in ALPHABET]
 
 
 def _state_keys() -> Callable[[_Node], tuple]:
@@ -672,14 +642,3 @@ def explore(world_factory: Callable[[], World] = make_small_world,
                 )
             frontier.append((child, d + 1))
     return result
-
-
-def replay_trace(ops_trace: Tuple[str, ...], mutations=(),
-                 op_alphabet: Optional[List[Tuple[str, Callable]]] = None):
-    """Re-run a counterexample op sequence; returns (violations, leaked)."""
-    ops = dict(default_alphabet() if op_alphabet is None else op_alphabet)
-    node = _Node(make_small_world(mutations), {}, ())
-    leaked_total = 0
-    for op_name in ops_trace:
-        leaked_total += ops[op_name](node) or 0
-    return check_invariants(node.world), leaked_total

@@ -10,7 +10,14 @@ from pathlib import Path
 from . import adversary, bench
 from .errors import BudgetExceeded, ParseError, ValidationError
 from .monitor import MUTATION_FLAGS
-from .scenario import make_random_scenario, parse, run_scenario, serialize
+from .scenario import (
+    explored_scenario,
+    format_directive,
+    make_random_scenario,
+    parse,
+    run_scenario,
+    serialize,
+)
 from .units import MS_NS
 
 
@@ -31,7 +38,7 @@ def main(argv=None) -> int:
                        help="disable one defense (repeatable)")
     p_run.add_argument("--trace-out", help="write the trace (JSON lines)")
     p_run.add_argument("--metrics-out", help="write metrics JSON")
-    p_run.add_argument("--replay", help="replay a trace or counterexample file")
+    p_run.add_argument("--replay", help="re-run a trace's scenario, compare traces")
     p_run.set_defaults(fn=cmd_run)
 
     p_explore = sub.add_parser("explore", help="bounded protocol exploration")
@@ -43,7 +50,7 @@ def main(argv=None) -> int:
     p_explore.add_argument("--mutate", action="append", default=[],
                            choices=sorted(MUTATION_FLAGS))
     p_explore.add_argument("--out", default="counterexamples",
-                           help="directory for counterexample files")
+                           help="directory for counterexample scenario files")
     p_explore.add_argument("--stop-at-first", action="store_true")
     p_explore.set_defaults(fn=cmd_explore)
 
@@ -109,26 +116,21 @@ def cmd_run(args) -> int:
     print(f"records: {len(result.world.engine.records)}  "
           f"violations: {len(result.violations)}  "
           f"attacks blocked/unblocked: {metrics['attacks']['blocked']}"
-          f"/{metrics['attacks']['unblocked']}")
+          f"/{metrics['attacks']['unblocked']}  "
+          f"leaked bytes: {result.world.metrics.leaked_bytes}")
     for v in result.violations[:10]:
         print(f"VIOLATION {v.invariant_id}: {v.detail}")
+    timeline = scenario.timeline
+    for kind, i in result.first_seen.items():
+        where = ("the horizon" if i is None else
+                 f"directive {i + 1}/{len(timeline)}: {format_directive(timeline[i])}")
+        print(f"FIRST {kind} after {where}")
     return result.exit_code
 
 
 def _replay(args) -> int:
-    lines = Path(args.replay).read_text().splitlines()
-    header = json.loads(lines[0])
-    if header.get("kind") == "counterexample":
-        violations, leaked = adversary.replay_trace(
-            tuple(header["ops"]), mutations=tuple(header.get("mutations", ()))
-        )
-        reproduced = bool(violations) or leaked > 0
-        print(f"replayed {len(header['ops'])} ops: "
-              f"violations={[v.invariant_id for v in violations]} leaked={leaked}")
-        return 0 if reproduced else 1
-    scenario = parse(header["scenario"])
-    result = run_scenario(scenario)
     want = Path(args.replay).read_text()
+    result = run_scenario(parse(json.loads(want.splitlines()[0])["scenario"]))
     same = result.trace_text == want
     print(f"replay digest: {result.trace_digest}  "
           f"{'matches' if same else 'DIFFERS from'} recorded trace")
@@ -153,24 +155,11 @@ def cmd_explore(args) -> int:
     if result.violations:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        seen = set()
-        written = 0
-        for finding in result.violations:
-            key = (finding.kind, finding.trace)
-            if key in seen or written >= 20:
-                continue
-            seen.add(key)
-            written += 1
-            path = out / f"counterexample_{written:03d}.jsonl"
-            header = {
-                "schema": "teesim-trace/1",
-                "kind": "counterexample",
-                "mutations": list(mutations),
-                "finding": {"kind": finding.kind, "detail": finding.detail},
-                "ops": list(finding.trace),
-            }
-            path.write_text(json.dumps(header, sort_keys=True) + "\n")
-            print(f"  {finding.kind}: {' -> '.join(finding.trace)}  [{path}]")
+        found = dict.fromkeys((f.kind, f.trace) for f in result.violations)
+        for n, (kind, trace) in enumerate(list(found)[:20], start=1):
+            path = out / f"counterexample_{n:03d}.scn"
+            path.write_text(serialize(explored_scenario(trace, mutations)))
+            print(f"  {kind}: {' -> '.join(trace)}  [{path}]")
     return 1 if result.violations else 0
 
 

@@ -193,9 +193,6 @@ class Engine:
         self.now_ns = t_end_ns
         return dispatched
 
-    def pending(self) -> int:
-        return len(self._queue)
-
     # -- trace ------------------------------------------------------------
 
     def trace(self, actor: str, op: str, args: Optional[dict] = None,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import adversary
-from .adversary import AttackKind, AttackScenario, check_invariants
+from .adversary import AttackKind, check_invariants
 from .engine import CostTable
 from .errors import NoSuchSandbox, ParseError, SimError, ValidationError
 from .hw_model import (
@@ -38,7 +38,7 @@ from .world import World, build_world
 HEADER = "teesim-scenario"
 VERSION = 1
 
-HEADER_KEYS = ("seed", "mode", "horizon", "mutate")
+HEADER_KEYS = ("seed", "mode", "horizon", "mutate", "instant")
 MACHINE_KEYS = ("ram", "io_window")
 PERIPHERAL_KEYS = frozenset(("kind", "mmio"))
 PERIPHERAL_FLAGS = ("dma", "shared_driver", "always_busy")
@@ -117,11 +117,22 @@ DIRECTIVES = {
                  lambda w, sb, core: w._request_core_increase(sb, core)),
     "release_core": (("sb",), {}, _call("release_surplus_core")),
     "terminate": (("sb",), {}, _call("terminate")),
+    # Adversary steps, the same code the catalogue attacks run.
+    "create_tampered": (
+        ("new",), {"app": REQUIRED, "cores": 1, "memory": 512 * MB},
+        lambda w, new, app, cores, memory:
+            adversary.create_tampered(w, app, max_cores=cores, max_memory=memory)),
+    "overlap_attach": (("requester", "victim"), {}, adversary.overlap_attach),
+    "ros_prime": (("sb",), {}, adversary.ros_prime),
+    "victim_touch": (("sb",), {}, adversary.victim_touch),
+    "ros_probe": (("sb",), {}, adversary.ros_probe),
+    "ros_dma": (("sb", "dev"), {}, adversary.ros_dma),
+    "steal_core": (("victim",), {"app": REQUIRED}, adversary.steal_core),
     "attack": (
         ("attack",),
         dict.fromkeys(("victim", "requester", "target", "holder", "dev", "app")),
-        lambda w, attack, **params: adversary.run_attack(w, AttackScenario(
-            attack, tuple((k, v) for k, v in params.items() if v is not None)))),
+        lambda w, attack, **params: adversary.run_attack(
+            w, attack, **{k: v for k, v in params.items() if v is not None})),
 }
 
 
@@ -144,6 +155,7 @@ class Scenario:
     mode: str = "leap"
     horizon_ns: int = 10 * S_NS
     mutations: Tuple[str, ...] = ()
+    instant: bool = False  # every effect applies at once, as in exploration
     cost_overrides: Tuple[Tuple[str, float], ...] = ()
     apps: Tuple[Tuple[str, str], ...] = ()
     timeline: Tuple[Directive, ...] = ()
@@ -160,6 +172,8 @@ def serialize(s: Scenario) -> str:
     lines.append(f"horizon = {format_duration_ns(s.horizon_ns)}")
     if s.mutations:
         lines.append("mutate = " + ",".join(s.mutations))
+    if s.instant:
+        lines.append("instant = true")
     lines.append("")
     lines.append("[machine]")
     m = s.machine
@@ -187,12 +201,13 @@ def serialize(s: Scenario) -> str:
         lines.append(f"app {app_id} {shlex.quote(payload)}")
     lines.append("")
     lines.append("[timeline]")
-    for d in s.timeline:
-        parts = [f"at {format_duration_ns(d.at_ns)} {d.kind}"]
-        for k, v in d.args:
-            parts.append(f"{k}={v}")
-        lines.append(" ".join(parts))
+    lines.extend(map(format_directive, s.timeline))
     return "\n".join(lines) + "\n"
+
+
+def format_directive(d: Directive) -> str:
+    return " ".join([f"at {format_duration_ns(d.at_ns)} {d.kind}"]
+                    + [f"{k}={v}" for k, v in d.args])
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +249,9 @@ def parse(text: str) -> Scenario:
                 for f in mutations:
                     if f not in MUTATION_FLAGS:
                         raise ParseError(f"unknown mutation flag {f!r}", line=lineno)
+            elif key == "instant" and value not in ("true", "false"):
+                raise ParseError(f"instant must be true or false, not {value!r}",
+                                 line=lineno)
         elif section == "machine":
             machine_lines.append((lineno, line))
         elif section == "costs":
@@ -260,6 +278,7 @@ def parse(text: str) -> Scenario:
         mode=header.get("mode", "leap"),
         horizon_ns=parse_duration_ns(header.get("horizon", "10s")),
         mutations=mutations,
+        instant=header.get("instant") == "true",
         cost_overrides=tuple(costs),
         apps=tuple(apps),
         timeline=tuple(timeline),
@@ -378,6 +397,15 @@ def _read(d: Directive, lookup: Callable[[str, str], object]) -> dict:
     return values
 
 
+def read_directive(line: str):
+    """A directive line without its time, read once: its kind, its run, its
+    values with each handle left as its name, and which values are handles."""
+    d = _parse_directive(f"at 0ns {line}", 1)
+    values = _read(d, lambda t, name: name)
+    return (d.kind, DIRECTIVES[d.kind][2], values,
+            tuple(k for k in values if TYPES[k] == HANDLE))
+
+
 def _values(names, defaults: dict, given: Dict[str, str], lookup) -> dict:
     """Each name's value: its token in `given` read by its type, else its
     default, which REQUIRED (or no default) marks as missing."""
@@ -434,11 +462,14 @@ class RunResult:
     violations: List[adversary.ViolationReport]
     trace_text: Optional[str] = None
     trace_digest: Optional[str] = None
+    # Each kind found (an invariant id, or "attack" for an unblocked attack
+    # or a leak) -> the timeline index of the directive after which it was
+    # first seen, or None if first seen at the horizon.
+    first_seen: Dict[str, Optional[int]] = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
-        unblocked = any(not o.blocked for o in self.world.attack_outcomes)
-        return 1 if (self.violations or unblocked) else 0
+        return 1 if self.violations or "attack" in self.first_seen else 0
 
     def metrics(self) -> dict:
         return self.world.metrics.as_dict(self.trace_digest or "")
@@ -453,9 +484,18 @@ def run_scenario(scenario: Scenario, with_trace: bool = True,
         defenses=Defenses.with_mutations(scenario.mutations),
         mode=scenario.mode,
         apps=[(a, p.encode()) for a, p in scenario.apps],
+        instant=scenario.instant,
     )
     handles: Dict[str, int] = {}
-    violations: List[adversary.ViolationReport] = []
+    result = RunResult(scenario, world, handles, [])
+
+    def record_findings(at: Optional[int]):
+        found = check_invariants(world)
+        result.violations.extend(found)
+        for v in found:
+            result.first_seen.setdefault(v.invariant_id, at)
+        if world.metrics.attacks_unblocked or world.metrics.leaked_bytes:
+            result.first_seen.setdefault("attack", at)
 
     def lookup(t: str, name: str):
         if t != HANDLE:
@@ -465,7 +505,7 @@ def run_scenario(scenario: Scenario, with_trace: bool = True,
             raise NoSuchSandbox(name)
         return sb
 
-    def execute(d: Directive):
+    def execute(i: int, d: Directive):
         run = DIRECTIVES[d.kind][2]
         try:
             values = _read(d, lookup)
@@ -477,19 +517,28 @@ def run_scenario(scenario: Scenario, with_trace: bool = True,
             world.engine.trace("system", d.kind, dict(d.args), verdict,
                                type(exc).__name__)
         if check_each_directive:
-            violations.extend(check_invariants(world))
+            record_findings(i)
 
-    for d in scenario.timeline:
-        world.engine.schedule(d.at_ns, lambda d=d: execute(d))
+    for i, d in enumerate(scenario.timeline):
+        world.engine.schedule(d.at_ns, lambda i=i, d=d: execute(i, d))
     world.engine.run_until(scenario.horizon_ns)
-    violations.extend(check_invariants(world))
+    record_findings(None)
 
-    result = RunResult(scenario, world, handles, violations)
     if with_trace:
         header = {"scenario": serialize(scenario), "seed": scenario.seed}
         result.trace_text = world.engine.serialize_trace(header)
         result.trace_digest = hashlib.sha256(result.trace_text.encode()).hexdigest()
     return result
+
+
+def explored_scenario(trace: Tuple[str, ...], mutations=()) -> Scenario:
+    """An explored op sequence as a scenario on the explorer's machine and
+    apps, instant, one directive per op, all at 0ns: exploration keeps no
+    clock."""
+    world, lines = adversary.make_small_world(), dict(adversary.ALPHABET)
+    head = Scenario(world.machine.config, mutations=tuple(mutations), instant=True,
+                    apps=tuple((a, p.decode()) for a, p in world.payloads.items()))
+    return parse(serialize(head) + "".join(f"at 0ns {lines[op]}\n" for op in trace))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ class Metrics:
     max_concurrent: int = 0
     attacks_blocked: int = 0
     attacks_unblocked: int = 0
+    leaked_bytes: int = 0  # read by a probe or DMA from what its reader does not own
 
     def mem_utilization(self) -> float:
         if not self.mem_alloc_integral:
@@ -556,6 +557,7 @@ class World:
             return False, 0
         # A successful foreign translation exposes at least the page around pa.
         leaked = PAGE_4K if self.classify_leak(ctx, pa) else 0
+        self.metrics.leaked_bytes += leaked
         self.engine.trace(f"ctx{ctx}", "raw_probe", {"pa": pa},
                           "ok" if not leaked else "leak")
         return True, leaked
@@ -573,6 +575,7 @@ class World:
             self.engine.trace(f"ctx{ctx}", "cache_probe", {"pa": pa}, "miss")
             return False, 0
         leaked = CACHE_LINE_BYTES if owner != ctx else 0
+        self.metrics.leaked_bytes += leaked
         self.engine.trace(f"ctx{ctx}", "cache_probe", {"pa": pa},
                           "hit" if not leaked else "leak")
         return True, leaked
@@ -584,6 +587,7 @@ class World:
             return 0
         if self.monitor.ledger.owns_range(ctx, target):
             return 0
+        self.metrics.leaked_bytes += target[1] - target[0]
         return target[1] - target[0]
 
     def classify_leak(self, ctx: int, pa: int) -> bool:

@@ -10,11 +10,9 @@ from teesim import bench
 from teesim import scenario as sc
 from teesim.adversary import (
     AttackKind,
-    AttackScenario,
     check_invariants,
     explore,
     make_small_world,
-    replay_trace,
     run_attack,
 )
 from teesim.hw_model import default_config
@@ -78,9 +76,11 @@ def test_criterion_02_bounded_model_check():
             detail += f"; {flag}: NO counterexample"
             continue
         finding = res.violations[0]
-        violations, leaked = replay_trace(finding.trace, mutations=(flag,))
-        replayed = leaked > 0 if finding.kind == "attack" \
-            else finding.kind in {v.invariant_id for v in violations}
+        text = sc.serialize(sc.explored_scenario(finding.trace, (flag,)))
+        replay = sc.run_scenario(sc.parse(text))
+        replayed = replay.exit_code == 1 and (
+            replay.world.metrics.leaked_bytes > 0 if finding.kind == "attack"
+            else finding.kind in {v.invariant_id for v in replay.violations})
         ok = ok and replayed
         detail += f"; {flag}: {finding.kind} in {len(finding.trace)} ops"
     elapsed = time.time() - t0
@@ -94,7 +94,7 @@ def test_criterion_03_attack_catalogue():
         world = build_world(default_config(),
                             instant=True,
                             apps=[("demo", b"secret weights")])
-        out = run_attack(world, AttackScenario(kind))
+        out = run_attack(world, kind)
         good = (out.blocked and out.leaked_bytes == 0
                 and out.mechanism == EXPECTED_MECHANISM[kind]
                 and check_invariants(world) == [])

@@ -5,18 +5,17 @@ from collections import deque
 import pytest
 
 from teesim import adversary
+from teesim import scenario as sc
 from teesim.adversary import (
     AttackKind,
-    AttackScenario,
     _Node,
     check_invariants,
     default_alphabet,
     explore,
     make_small_world,
-    replay_trace,
     run_attack,
 )
-from teesim.errors import BudgetExceeded, OutOfMemory, SimError
+from teesim.errors import BudgetExceeded, OutOfMemory, SimError, ValidationError
 from teesim.hw_model import default_config
 from teesim.monitor import MUTATION_FLAGS, Defenses
 from teesim.world import World, build_world
@@ -45,7 +44,7 @@ EXPECTED_MECHANISM = {
 @pytest.mark.parametrize("kind", list(AttackKind))
 def test_attack_blocked_with_defenses_on(kind):
     w = fresh()
-    out = run_attack(w, AttackScenario(kind))
+    out = run_attack(w, kind)
     assert out.blocked, out.detail
     assert out.leaked_bytes == 0
     assert out.mechanism == EXPECTED_MECHANISM[kind]
@@ -62,7 +61,7 @@ def test_attack_blocked_with_defenses_on(kind):
 ])
 def test_mutation_unblocks_matching_attack(flag, kind):
     w = fresh((flag,))
-    out = run_attack(w, AttackScenario(kind))
+    out = run_attack(w, kind)
     assert not out.blocked
 
 
@@ -148,7 +147,7 @@ CATALOGUE_MATRIX = [
                          CATALOGUE_MATRIX)
 def test_catalogue_matrix(flag, kind, blocked, mechanism, leaked, trace_sha):
     w = fresh((flag,) if flag else ())
-    out = run_attack(w, AttackScenario(AttackKind(kind)))
+    out = run_attack(w, AttackKind(kind))
     assert (out.blocked, out.mechanism, out.leaked_bytes) == \
         (blocked, mechanism, leaked)
     assert hashlib.sha256(w.engine.serialize_trace().encode()).hexdigest() \
@@ -250,29 +249,91 @@ def test_explore_budget_exceeded_carries_partial_stats():
     assert exc.value.partial.states_visited > 100
 
 
-@pytest.mark.parametrize("flag", ["no_verify", "no_sanitize",
-                                  "no_legality_check", "no_smmu"])
+FLAGS = ("no_verify", "no_sanitize", "no_legality_check", "no_smmu")
+
+
+def replay(trace, mutations, with_trace=True):
+    """Run an explored op sequence from its scenario file's text."""
+    text = sc.serialize(sc.explored_scenario(trace, mutations))
+    assert sc.serialize(sc.parse(text)) == text
+    return sc.run_scenario(sc.parse(text), with_trace=with_trace)
+
+
+def leaked(result):
+    return result.world.metrics.leaked_bytes
+
+
+@pytest.mark.parametrize("flag", FLAGS)
 def test_explore_mutation_sensitivity_with_replay(flag):
     res = explore(world_factory=lambda: make_small_world((flag,)),
                   depth=6, stop_at_first=True)
     assert res.violations, f"{flag} produced no counterexample"
     finding = res.violations[0]
-    violations, leaked = replay_trace(finding.trace, mutations=(flag,))
+    result = replay(finding.trace, (flag,))
+    assert result.exit_code == 1
+    assert result.first_seen[finding.kind] == len(finding.trace) - 1
     if finding.kind == "attack":
-        assert leaked > 0
+        assert leaked(result) > 0
     else:
-        assert finding.kind in {v.invariant_id for v in violations}
+        assert finding.kind in {v.invariant_id for v in result.violations}
 
 
 def test_counterexample_replay_is_deterministic():
     res = explore(world_factory=lambda: make_small_world(("no_sanitize",)),
                   depth=6, stop_at_first=True)
     finding = res.violations[0]
-    first = replay_trace(finding.trace, mutations=("no_sanitize",))
-    second = replay_trace(finding.trace, mutations=("no_sanitize",))
-    assert [v.invariant_id for v in first[0]] == \
-        [v.invariant_id for v in second[0]]
-    assert first[1] == second[1]
+    first = replay(finding.trace, ("no_sanitize",))
+    second = replay(finding.trace, ("no_sanitize",))
+    assert [v.invariant_id for v in first.violations] == \
+        [v.invariant_id for v in second.violations]
+    assert leaked(first) == leaked(second)
+    assert first.trace_digest == second.trace_digest
+
+
+def test_mutation_findings_pinned():
+    """Counts and every finding of depth-5 explores, honest and under each
+    mutation flag: op names, order and leak sizes are part of the pin."""
+    digest = hashlib.sha256()
+    for flags in [()] + [(flag,) for flag in FLAGS]:
+        res = explore(world_factory=lambda: make_small_world(flags), depth=5)
+        digest.update(repr((res.states_visited, res.transitions,
+                            [(f.kind, f.detail, f.trace)
+                             for f in res.violations])).encode())
+    assert digest.hexdigest() == \
+        "310c931668de3d851704e335be2352b20608b1f6cf6bab20e3c00460afbbaed4"
+
+
+def test_alphabet_is_directives_on_the_small_machine():
+    names = [name for name, _ in default_alphabet()]
+    assert names == [
+        "create_a", "grow_mem_a", "shrink_mem_a", "terminate_a",
+        "dev_request_a", "dev_release_a",
+        "create_b", "grow_mem_b", "shrink_mem_b", "terminate_b",
+        "dev_request_b", "dev_release_b",
+        "grow_core_a", "shrink_core_a", "create_a_tampered",
+        "adv_overlap_attach", "adv_prime_next_frame", "adv_victim_touch",
+        "adv_probe_a", "adv_dma_a", "adv_steal_core",
+    ]
+    # Every directive line parses and validates in a small-machine scenario.
+    scenario = sc.explored_scenario(tuple(names))
+    assert [d.kind for d in scenario.timeline] == \
+        [line.split()[0] for _, line in adversary.ALPHABET]
+
+
+def test_every_depth5_finding_replays_from_its_scenario_file():
+    """Each distinct finding under each flag, written as a scenario file,
+    round-trips through serialize(parse()) and replays to its kind, first
+    seen after its last directive; a leak leaks bytes."""
+    checked = 0
+    for flag in FLAGS:
+        res = explore(world_factory=lambda: make_small_world((flag,)), depth=5)
+        for kind, trace in dict.fromkeys((f.kind, f.trace) for f in res.violations):
+            result = replay(trace, (flag,), with_trace=False)
+            assert result.first_seen.get(kind) == len(trace) - 1, (flag, trace)
+            if kind == "attack":
+                assert leaked(result) > 0, (flag, trace)
+            checked += 1
+    assert checked == 443
 
 
 def test_failed_steal_core_leaves_world_unchanged():
@@ -295,16 +356,16 @@ def test_failed_double_core_attack_leaves_cma_unchanged():
     w.create_sandbox("w")
     before = list(w.ros.cma.allocations)
     with pytest.raises(OutOfMemory):
-        run_attack(w, AttackScenario(AttackKind.DOUBLE_CORE_ALLOC,
-                                     (("victim", victim),)))
+        run_attack(w, AttackKind.DOUBLE_CORE_ALLOC, victim=victim)
     assert w.ros.cma.allocations == before
 
 
 def test_explore_empty_alphabet_has_no_transitions():
     res = explore(op_alphabet=[], depth=2)
     assert (res.states_visited, res.transitions) == (1, 0)
-    with pytest.raises(KeyError):
-        replay_trace(("create_a",), op_alphabet=[])
+    # An op name is no directive: as a scenario line it does not validate.
+    with pytest.raises(ValidationError):
+        sc.parse(sc.serialize(sc.explored_scenario(())) + "at 0ns create_a\n")
 
 
 def _repr_key(node):

@@ -98,10 +98,13 @@ def test_explore_mutation_writes_counterexample(tmp_path, capsys):
     code = cli.main(["explore", "--mutate", "no_smmu", "--depth", "4",
                      "--stop-at-first", "--out", str(out_dir)])
     assert code == 1
-    files = sorted(out_dir.glob("counterexample_*.jsonl"))
+    files = sorted(out_dir.glob("counterexample_*.scn"))
     assert files
-    # replay through the run subcommand reproduces the finding
-    assert cli.main(["run", "--replay", str(files[0])]) == 0
+    capsys.readouterr()
+    # running the scenario file reproduces the finding: ROS's DMA leaks
+    assert cli.main(["run", str(files[0])]) == 1
+    assert "FIRST attack after directive 2/2: at 0ns ros_dma a= wifi=" \
+        in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["run", "explore"])

@@ -275,3 +275,58 @@ def test_all_directive_kinds_pinned():
                       ("release_dev", "rejected", "BadState"),
                       ("send", "skipped", "NoSuchSandbox"),
                       ("workload", "skipped", "NoSuchSandbox")]
+
+
+ADVERSARY_DIRECTIVES = """teesim-scenario v1
+seed = 11
+horizon = 3s
+mutate = no_smmu
+
+[apps]
+app demo demo-payload
+
+[timeline]
+at 0ms create sb2 app=demo
+at 0ms create sb1 app=demo memory=256M
+at 700ms ros_prime sb1
+at 710ms attach sb1 16M
+at 720ms victim_touch sb1
+at 730ms overlap_attach sb2 sb1
+at 740ms ros_probe sb1
+at 750ms steal_core sb1 app=demo
+at 760ms create_tampered sb3 app=demo
+at 770ms ros_dma sb2 wifi
+at 800ms terminate sb1
+at 900ms victim_touch sb1
+"""
+
+
+def test_adversary_directives_pinned():
+    """Each adversary step directive in a timed run: only the DMA, with the
+    SMMU off, leaks, and a leak fails the run like an unblocked attack."""
+    res = sc.run_scenario(sc.parse(ADVERSARY_DIRECTIVES))
+    assert res.trace_digest == \
+        "f542a26a607a5569914ba803815ce3a69f8be301dab8f3a5190ac385eba3e983"
+    assert res.exit_code == 1
+    assert res.first_seen == {"attack": 9}
+    assert res.world.metrics.leaked_bytes == 4096
+    assert res.violations == [] and res.world.attack_outcomes == []
+    system = [(r["op"], r["verdict"], r["reason"])
+              for r in res.world.engine.records if r["actor"] == "system"]
+    assert system == [("steal_core", "rejected", "ResourceBusy"),
+                      ("create_tampered", "rejected", "IntegrityError"),
+                      ("victim_touch", "rejected", "BadState")]
+
+
+def test_instant_header_key():
+    text = ADVERSARY_DIRECTIVES.replace("mutate = no_smmu\n",
+                                        "mutate = no_smmu\ninstant = true\n")
+    s = sc.parse(text)
+    assert s.instant and sc.serialize(sc.parse(sc.serialize(s))) == sc.serialize(s)
+    assert "instant" not in sc.serialize(sc.parse(ADVERSARY_DIRECTIVES))
+    # Instant: the sandboxes are running at once, and the terminate is done
+    # before the last touch, which finds no sandbox.
+    res = sc.run_scenario(s)
+    assert res.world.engine.records[-1]["reason"] == "NoSuchSandbox"
+    with pytest.raises(ParseError):
+        sc.parse(text.replace("instant = true", "instant = yes"))
