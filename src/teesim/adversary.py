@@ -22,6 +22,7 @@ from .errors import (
 )
 from .hw_model import ROS_CTX, small_config
 from .monitor import Defenses
+from .state import FieldIds, keyed_leaves
 from .units import BLOCK_2M, MB, PAGE_4K
 from .world import World, build_world
 
@@ -446,36 +447,37 @@ def make_small_world(mutations=()) -> World:
 class _Node:
     """One explored state: a world plus the sandbox ids the ops name.
 
-    A child made by `child()` shares its parent's world and clones it the
-    first time an op reads `world`. An op first checks its calls on
-    `peek()`, which reads the shared world and must change nothing, so
-    only a transition that happens costs a clone. The parent's world is
-    never changed after its node enters the frontier, so the deferred
-    clone sees the parent's state.
+    A child made by `child()` refers to its parent node until it is keyed.
+    It clones the parent's world the first time an op reads `world`. An op
+    first checks its calls on `peek()`, which reads the parent's world and
+    must change nothing, so only a transition that happens costs a clone.
+    The child is then keyed against the parent's world and key, and drops
+    the parent, so the frontier keeps no ancestors alive. The parent's
+    world is never changed after its node enters the frontier.
     """
 
-    __slots__ = ("_world", "_parent_world", "handles", "trace")
+    __slots__ = ("_world", "_parent", "key", "handles", "trace")
 
     def __init__(self, world: Optional[World], handles: Dict[str, int],
                  trace: Tuple[str, ...]):
         self._world = world
-        self._parent_world = None
+        self._parent: Optional[_Node] = None
+        self.key: Optional[tuple] = None  # set by the explorer's key function
         self.handles = handles
         self.trace = trace
 
     @property
     def world(self) -> World:
         if self._world is None:
-            self._world = self._parent_world.clone()
-            self._parent_world = None
+            self._world = self._parent.world.clone()
         return self._world
 
     def peek(self) -> World:
-        return self._parent_world if self._world is None else self._world
+        return self._parent.world if self._world is None else self._world
 
     def child(self) -> "_Node":
         node = _Node(None, dict(self.handles), self.trace)
-        node._parent_world = self.world
+        node._parent = self
         return node
 
 
@@ -565,20 +567,35 @@ def default_alphabet() -> List[Tuple[str, Callable[[_Node], int]]]:
     return [(name, _op(*read_directive(line))) for name, line in ALPHABET]
 
 
-def _state_keys() -> Callable[[_Node], tuple]:
+def _state_keys(ids: Optional[dict] = None) -> Callable[[_Node], tuple]:
     """Key function for one exploration, by hash-consing (Filliatre & Conchon,
-    2006): each sub-key value gets an int id in first-seen order, and a key is
-    the ids of `World.canonical()`'s elements (a tuple element as the tuple
-    of its field ids) and of the sorted handles. Ids compare values by ==."""
-    ids = {}
+    2006): each key value gets an int id in first-seen order in `ids`, and a
+    state's key is the ids of its world's keyed fields (`keyed_leaves`, in
+    `World.canonical()` order) and of its sorted handles. Ids compare values
+    by ==.
 
-    def intern(value) -> int:
-        return ids.setdefault(value, len(ids))
+    A child is keyed against its parent node's world and key: a field whose
+    raw value == the parent's keeps the parent's id, and only the others are
+    keyed. The key is stored on the node, which then drops its parent."""
+    ids = {} if ids is None else ids
+    walk: Optional[FieldIds] = None
 
     def key(node: _Node) -> tuple:
-        return (*[intern(tuple(map(intern, part)))
-                  for part in node.world.canonical()],
-                intern(tuple(sorted(node.handles.items()))))
+        nonlocal walk
+        world, parent, handles = node.world, node._parent, node.handles
+        node._parent = None
+        if walk is None:
+            walk = FieldIds(keyed_leaves(world), ids)
+        if parent is None or parent.key is None:
+            fields, handles_id = walk.fresh(world), None
+        else:
+            fields = walk.against(world, parent._world, parent.key)
+            handles_id = parent.key[-1] if handles == parent.handles else None
+        if handles_id is None:
+            items = tuple(sorted(handles.items()))
+            handles_id = ids.setdefault(items, len(ids))
+        node.key = (*fields, handles_id)
+        return node.key
 
     return key
 
@@ -603,6 +620,7 @@ def explore(world_factory: Callable[[], World] = make_small_world,
     if not check_invariants(root.world):
         seen.add(key(root))
     frontier = deque([(root, 0)])
+    del root  # the frontier holds it alone, so its world dies once expanded
     while frontier:
         node, d = frontier.popleft()
         if d >= depth:

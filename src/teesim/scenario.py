@@ -490,10 +490,12 @@ def run_scenario(scenario: Scenario, with_trace: bool = True,
     result = RunResult(scenario, world, handles, [])
 
     def record_findings(at: Optional[int]):
-        found = check_invariants(world)
-        result.violations.extend(found)
-        for v in found:
-            result.first_seen.setdefault(v.invariant_id, at)
+        # A violation that persists is found again at every later check;
+        # each one is recorded once, where it first appears.
+        for v in check_invariants(world):
+            if v not in result.violations:
+                result.violations.append(v)
+                result.first_seen.setdefault(v.invariant_id, at)
         if world.metrics.attacks_unblocked or world.metrics.leaked_bytes:
             result.first_seen.setdefault("attack", at)
 

@@ -332,3 +332,4 @@ class SandboxRuntime:
     )
     clone = STATE.clone
     canonical = STATE.canonical
+    __eq__ = STATE.same  # so World.runtimes compares by value

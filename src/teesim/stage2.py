@@ -187,6 +187,7 @@ class Stage2TableSet:
     )
     clone = STATE.clone
     canonical = STATE.canonical
+    __eq__ = STATE.same  # so Machine.table_sets compares by value
 
     def __repr__(self) -> str:
         return f"Stage2TableSet(ctx={self.context_id}, runs={len(self._runs)})"

@@ -7,10 +7,14 @@ keyed), shared, reset or rewired, as the constructors below describe. A
 clone is a new instance holding the same attribute values, except that each
 field with a copy function gets its own copy; the canonical key is the tuple
 of the keyed fields' keys, in declaration order.
+
+The explorer keys a state field by field: `keyed_leaves` lists every keyed
+field under a world, and `FieldIds` gives each one an interned id, reusing
+the parent state's id wherever the raw value is == the parent's.
 """
 
 from operator import methodcaller
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 
 def clone_values(d: dict) -> dict:
@@ -64,14 +68,24 @@ def clone(obj):
 
 def canonical(obj):
     return ({keys})
+
+def same(obj, other):
+    if type(other) is not type(obj):
+        return NotImplemented
+    return {same}
 """
 
 
 class Schema:
-    """The declared fields of one class, and the clone and canonical
-    functions derived from them; assign both in the class body.
+    """The declared fields of one class, and the clone, canonical and same
+    functions derived from them; assign the first two in the class body.
 
-    Both functions are generated from `_GENERATED`, as dataclass methods
+    `same` compares the keyed fields' raw values with ==, the immutable
+    ones first as they are the cheapest. Equal raw values give equal keys,
+    so a class whose objects are held in a keyed dict assigns it as
+    `__eq__`, and the dict then compares by value instead of by identity.
+
+    The functions are generated from `_GENERATED`, as dataclass methods
     are, so each runs as fast as a hand-written one: a loop over the fields
     would add about a microsecond to every canonical call. They read and
     set attributes one by one, never through `__dict__`, which would turn
@@ -82,7 +96,7 @@ class Schema:
     def __init__(self, after_clone: Optional[Callable] = None, **fields: Field):
         self.fields = fields
         env = {"new": object.__new__, "after_clone": after_clone}
-        copies, keys = [], []
+        copies, keys, scalars, containers = [], [], [], []
         for i, (name, f) in enumerate(fields.items()):
             env[f"copy{i}"], env[f"key{i}"] = f.copy, f.key
             if f.role == "rewired":
@@ -94,9 +108,83 @@ class Schema:
             if f.role == "keyed":
                 keys.append(f"obj.{name}, " if f.key is None
                             else f"key{i}(obj.{name}), ")
+                (scalars if f.copy is None else containers).append(
+                    f"obj.{name} == other.{name}")
         exec(_GENERATED.format(
             copies="\n".join(copies), keys="".join(keys),
+            same=" and ".join(scalars + containers) or "True",
             rewire="    after_clone(other)" if after_clone is not None else "",
         ), env)
         self.clone = env["clone"]
         self.canonical = env["canonical"]
+        self.same = env["same"]
+
+
+def keyed_leaves(obj) -> List[Tuple[str, Field]]:
+    """Every keyed field under obj, as (dotted attribute path, field), in the
+    order `obj.canonical()` nests their keys. A NESTED field is not a leaf:
+    the walk goes on through its value's own schema."""
+    out = []
+    for name, f in type(obj).STATE.fields.items():
+        if f is NESTED:
+            out += [(f"{name}.{path}", g)
+                    for path, g in keyed_leaves(getattr(obj, name))]
+        elif f.role == "keyed":
+            out.append((name, f))
+    return out
+
+
+_FIELD_IDS = """
+def fresh(obj):
+{fresh}
+    return ({ids})
+
+def against(obj, parent, parent_ids):
+{against}
+    return ({ids})
+"""
+
+
+class FieldIds:
+    """The interned ids of an object's keyed leaves, in `ids` (value -> id,
+    assigned in first-seen order), as a tuple in `leaves` order.
+
+    `fresh(obj)` keys every leaf. `against(obj, parent, parent_ids)` keys
+    obj against a parent whose tuple is `parent_ids`: a leaf whose raw value
+    == the parent's keeps the parent's id, and only the others are keyed
+    and interned. Both are generated, like a schema's functions, so a leaf
+    costs no Python call unless its key is computed.
+    """
+
+    def __init__(self, leaves: List[Tuple[str, Field]], ids: dict):
+        env = {"ids": ids, "setdefault": ids.setdefault}
+        fresh, against, names = [], [], {"": ("obj", "parent")}
+
+        def bind(owner: str) -> Tuple[str, str]:
+            """Local names for the object at owner's path in obj and in
+            parent, each read once, outermost first."""
+            if owner not in names:
+                up, _, step = owner.rpartition(".")
+                o_up, p_up = bind(up)
+                o, p = names[owner] = f"o{len(names)}", f"p{len(names)}"
+                fresh.append(f"    {o} = {o_up}.{step}")
+                against.append(f"    {o} = {o_up}.{step}")
+                against.append(f"    {p} = {p_up}.{step}")
+            return names[owner]
+
+        for i, (path, f) in enumerate(leaves):
+            owner, _, attr = path.rpartition(".")
+            o, p = bind(owner)
+            env[f"key{i}"] = f.key
+            value = "v" if f.key is None else f"key{i}(v)"
+            fresh.append(f"    v = {o}.{attr}")
+            fresh.append(f"    i{i} = setdefault({value}, len(ids))")
+            against.append(f"    v = {o}.{attr}")
+            against.append(f"    i{i} = parent_ids[{i}] if v == {p}.{attr} "
+                           f"else setdefault({value}, len(ids))")
+        exec(_FIELD_IDS.format(
+            fresh="\n".join(fresh), against="\n".join(against),
+            ids="".join(f"i{i}, " for i in range(len(leaves))),
+        ), env)
+        self.fresh = env["fresh"]
+        self.against = env["against"]

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 from collections import deque
 
 import pytest
@@ -15,9 +17,16 @@ from teesim.adversary import (
     make_small_world,
     run_attack,
 )
-from teesim.errors import BudgetExceeded, OutOfMemory, SimError, ValidationError
+from teesim.errors import (
+    BadState,
+    BudgetExceeded,
+    OutOfMemory,
+    SimError,
+    ValidationError,
+)
 from teesim.hw_model import default_config
 from teesim.monitor import MUTATION_FLAGS, Defenses
+from teesim.state import NESTED
 from teesim.world import World, build_world
 
 PAYLOAD = b"secret model weights"
@@ -450,6 +459,76 @@ def test_interned_keys_match_repr_keys(monkeypatch):
     assert all(type(i) is int for k in repr_of for i in k)
 
 
+def _canonical_leaves(obj, canonical) -> list:
+    """The keys of obj's keyed fields, read out of its canonical tuple
+    through the STATE schemas: a NESTED field's key is its value's own
+    canonical tuple, read the same way."""
+    out = []
+    keyed = [(name, f) for name, f in type(obj).STATE.fields.items()
+             if f.role == "keyed"]
+    for (name, f), part in zip(keyed, canonical, strict=True):
+        if f is NESTED:
+            out += _canonical_leaves(getattr(obj, name), part)
+        else:
+            out.append(part)
+    return out
+
+
+@pytest.mark.parametrize("mutations,depth",
+                         [((), 8)] + [((flag,), 5) for flag in MUTATION_FLAGS])
+def test_incremental_keys_match_keys_from_canonical(monkeypatch, mutations, depth):
+    """Every key the explorer makes, a child's against its parent's, equals
+    the key interned from scratch from `World.canonical()` and the sorted
+    handles, in the same intern table."""
+    keys = []
+    make_keys = adversary._state_keys
+
+    def checked_keys():
+        ids = {}
+        key = make_keys(ids)
+
+        def checked(node):
+            k = key(node)
+            world = node.world
+            values = _canonical_leaves(world, world.canonical())
+            values.append(tuple(sorted(node.handles.items())))
+            assert k == tuple(ids.setdefault(v, len(ids)) for v in values), \
+                node.trace
+            keys.append(k)
+            return k
+
+        return checked
+
+    monkeypatch.setattr(adversary, "_state_keys", checked_keys)
+    res = explore(world_factory=lambda: make_small_world(mutations), depth=depth)
+    assert bool(res.violations) == bool(mutations)
+    if not mutations:
+        assert (res.states_visited, res.transitions) == (7172, 24604)
+        assert len(keys) == 1 + res.transitions
+    assert len(set(keys)) >= res.states_visited
+
+
+def test_frontier_keeps_no_ancestors():
+    """A keyed child drops its parent, so once the root is expanded and its
+    children keyed, nothing holds the root's world any more."""
+    roots, dead = [], []
+
+    def factory():
+        world = make_small_world()
+        roots.append(weakref.ref(world))
+        return world
+
+    def probe(node):
+        if node.trace and not dead:  # the first child of a depth-1 state
+            gc.collect()
+            dead.append(roots[0]() is None)
+        raise BadState("probe only")
+
+    explore(world_factory=factory,
+            op_alphabet=default_alphabet() + [("probe", probe)], depth=2)
+    assert dead == [True]
+
+
 def test_explore_reports_every_transition_into_a_violating_root():
     def broken_world():
         w = make_small_world(("no_verify",))
@@ -482,11 +561,27 @@ def test_explore_work_counters_at_depth_6(monkeypatch):
 
     monkeypatch.setattr(World, "clone", counted_clone)
     monkeypatch.setattr(adversary, "check_invariants", counted_check)
+    leaves = adversary.keyed_leaves
+    recomputed = 0
+
+    def counted(key):
+        def counted_key(value):
+            nonlocal recomputed
+            recomputed += 1
+            return key(value)
+        return counted_key
+
+    monkeypatch.setattr(adversary, "keyed_leaves", lambda obj: [
+        (path, f._replace(key=counted(f.key))) for path, f in leaves(obj)])
     res = explore(depth=6)
     assert (res.states_visited, res.transitions) == (1147, 3357)
     # Every op checks on the parent's world first: a clone per transition.
     assert calls["clone"] == res.transitions
     assert calls["check"] <= 1147
+    # The root and every transition are keyed, a child against its parent:
+    # a field key is computed only where the raw value changed.
+    keyed = len(leaves(make_small_world())) * (1 + res.transitions)
+    assert (recomputed, keyed - recomputed) == (14162, 36208)
 
 
 @pytest.mark.parametrize("mutations,depth",

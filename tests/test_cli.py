@@ -107,6 +107,21 @@ def test_explore_mutation_writes_counterexample(tmp_path, capsys):
         in capsys.readouterr().out
 
 
+def test_run_reports_a_persisting_violation_once(tmp_path, capsys):
+    """The no_verify counterexample boots one unverified sandbox; the
+    violation persists through every later check but is reported once."""
+    out_dir = tmp_path / "cex"
+    assert cli.main(["explore", "--mutate", "no_verify", "--depth", "6",
+                     "--stop-at-first", "--out", str(out_dir)]) == 1
+    files = sorted(out_dir.glob("counterexample_*.scn"))
+    capsys.readouterr()
+    assert cli.main(["run", str(files[0])]) == 1
+    out = capsys.readouterr().out
+    assert "violations: 1 " in out
+    assert out.count("VIOLATION BOOT-GATE: sandbox 1 booted unverified") == 1
+    assert "FIRST BOOT-GATE after directive 1/1: at 0ns create a= app=w" in out
+
+
 @pytest.mark.parametrize("command", ["run", "explore"])
 def test_unknown_mutation_flag_is_a_usage_error(command, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,11 @@ speed lands on both. Per tree it records:
 * an honest `explore` at each of DEPTHS, RUNS times each: wall seconds,
   states/s and the process's peak RSS;
 * work counters of one explore at the first of DEPTHS: `World.clone` and
-  `World.canonical` calls;
+  `World.canonical` calls, and the field keys the explorer computed and
+  reused (a child's keyed field whose raw value == its parent's reuses the
+  parent's id); both are None for a tree that keys whole states;
+* key cost, RUNS times: microseconds per call of the explorer's state key
+  function (`_state_keys()`) over one explore at the first of DEPTHS;
 * acceptance criterion 01, RUNS times: SCENARIOS random honest scenarios
   (seeds 0 to SCENARIOS - 1), each run as the criterion runs it. It records
   wall seconds, scenarios/s and invariant violations, and the work counters
@@ -63,16 +67,50 @@ print(json.dumps({"states": r.states_visited, "transitions": r.transitions,
 COUNTERS = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-from teesim.adversary import explore
+from teesim import adversary
 from teesim.world import World
-calls = {"clone": 0, "canonical": 0}
-for name in calls:
+calls = {"clone": 0, "canonical": 0, "field_keys_computed": 0}
+for name in ("clone", "canonical"):
     def counted(self, _f=getattr(World, name), _n=name):
         calls[_n] += 1
         return _f(self)
     setattr(World, name, counted)
-r = explore(depth=int(sys.argv[2]))
+leaves = getattr(adversary, "keyed_leaves", None)
+if leaves is not None:
+    def counted_key(key):
+        def counted(value):
+            calls["field_keys_computed"] += 1
+            return key(value)
+        return counted
+    adversary.keyed_leaves = lambda obj: [
+        (path, f._replace(key=counted_key(f.key))) for path, f in leaves(obj)]
+r = adversary.explore(depth=int(sys.argv[2]))
+if leaves is None:
+    calls["field_keys_computed"] = calls["field_keys_reused"] = None
+else:
+    # An honest explore keys the root and every transition.
+    keyed = len(leaves(adversary.make_small_world())) * (1 + r.transitions)
+    calls["field_keys_reused"] = keyed - calls["field_keys_computed"]
 print(json.dumps(dict(calls, states=r.states_visited, transitions=r.transitions)))
+"""
+
+KEY_COST = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from teesim import adversary
+make_keys, spent = adversary._state_keys, [0, 0]
+def timed_keys():
+    key = make_keys()
+    def timed(node):
+        t0 = time.perf_counter_ns()
+        k = key(node)
+        spent[0] += time.perf_counter_ns() - t0
+        spent[1] += 1
+        return k
+    return timed
+adversary._state_keys = timed_keys
+r = adversary.explore(depth=int(sys.argv[2]))
+print(json.dumps({"keys": spent[1], "us_per_key": spent[0] / spent[1] / 1e3}))
 """
 
 CRITERION_01 = """
@@ -187,6 +225,16 @@ def main() -> int:
         counters = last_json([py, "-c", COUNTERS, str(tree / "src"), str(DEPTHS[0])])
         print(label, f"counters depth {DEPTHS[0]}", counters, flush=True)
         result["trees"][label][f"work_counters_depth_{DEPTHS[0]}"] = counters
+    runs = {label: [] for label in trees}
+    for i in range(RUNS):
+        for label in order(i):
+            run = last_json([py, "-c", KEY_COST, str(trees[label] / "src"),
+                             str(DEPTHS[0])])
+            print(label, f"key cost depth {DEPTHS[0]}", run, flush=True)
+            runs[label].append(run)
+    for label, rs in runs.items():
+        result["trees"][label][f"key_cost_depth_{DEPTHS[0]}"] = {
+            "keys": rs[0]["keys"], **summarize(rs, ("us_per_key",))}
     runs = {label: [] for label in trees}
     for i in range(RUNS):
         for label in order(i):
