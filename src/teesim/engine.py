@@ -17,6 +17,10 @@ from .units import KB, MB, MS_NS, US_NS, ns_to_us_str
 
 TRACE_SCHEMA = "teesim-trace/1"
 
+# One encoder for every trace line: json.dumps with options builds a new one
+# per call.
+_TRACE_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def _ms(v: float) -> int:
     return int(round(v * MS_NS))
@@ -233,10 +237,8 @@ class Engine:
         head = {"schema": TRACE_SCHEMA}
         if header:
             head.update(header)
-        lines = [json.dumps(head, sort_keys=True, separators=(",", ":"))]
-        for rec in self.records:
-            lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
+        encode = _TRACE_JSON.encode
+        return "\n".join([encode(head), *map(encode, self.records)]) + "\n"
 
     def trace_digest(self, header: Optional[dict] = None) -> str:
         return hashlib.sha256(self.serialize_trace(header).encode()).hexdigest()

@@ -241,7 +241,7 @@ class World:
             folded = self._quiescent_ticks(rt, now, busy_ns)
             if folded:
                 self._sample_utilization(rt, busy_ns, folded)
-                rt._last_account_ns = now + folded * tick
+                rt.account_to(now + folded * tick)
         self.engine.schedule((folded + 1) * tick, lambda: self._tick(sb))
 
     def _busy_ns(self, rt: SandboxRuntime, now: int) -> int:
@@ -256,15 +256,20 @@ class World:
     def _quiescent_ticks(self, rt: SandboxRuntime, now: int, busy_ns: int) -> int:
         """How many of the ticks after the one at now would repeat it exactly.
 
-        A tick that raised no request, with no work left, past hysteresis and
-        with a full window of samples equal to its own, changes nothing the
-        next tick reads, so the next one repeats it, as long as no other
-        event runs in between. Those ticks are bounded by the engine's next
-        queued event (an event at the same time runs first, so that tick
-        stays real) and by the end of the current run_until. Their only
-        effect is the utilization integrals and the accounting point.
+        A tick that raised no request, past hysteresis and with a full window
+        of samples equal to its own, changes nothing the next tick reads, so
+        the next one repeats it, as long as no other event runs in between
+        and the sandbox keeps running the same chunk. Those ticks are bounded
+        by the engine's next queued event (an event at the same time runs
+        first, so that tick stays real), by the end of the current run_until
+        and, for a busy sandbox, by the end of its chunk at the current rate:
+        the fold stops strictly before the tick at which the chunk runs out,
+        since from then on its working set and used memory may change. The
+        folded ticks' effects are the utilization integrals and the work they
+        would have done, which the caller accounts ahead with `account_to`;
+        work within one chunk is linear in time, so that is exact.
         """
-        if rt.busy() or now < rt.hysteresis_until_ns:
+        if now < rt.hysteresis_until_ns:
             return 0
         tick = sos.USAGE_SAMPLE_NS
         count = (self.engine.end_ns - now) // tick
@@ -276,10 +281,15 @@ class World:
         usage = rt.usage
         if len(usage) != usage.maxlen or usage.count(usage[-1]) != len(usage):
             return 0
-        # Busy time per window is monotone once work is over, so equal at the
-        # next tick means equal at every later one.
+        # Busy time per window is monotone once work is over, and a full
+        # window while the chunk runs, so equal at the next tick means equal
+        # at every later one.
         if self._busy_ns(rt, now + tick) != busy_ns:
             return 0
+        if rt.busy():
+            # A rate of 0 or less does no work, so any bound holds there.
+            step = max(1, rt.rate_mu_ms()) * tick
+            count = min(count, (rt.remaining_scaled - 1) // step)
         return count
 
     def _sample_utilization(self, rt: SandboxRuntime, busy_ns: int,

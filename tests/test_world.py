@@ -209,17 +209,22 @@ def test_quota_safety_over_random_scenarios():
 
 # -- quiescent tick folding ----------------------------------------------------
 
-def _no_workload_scenario(cores: int, horizon_s: int, extra: str = "") -> str:
+def _one_app_scenario(horizon_s: int, timeline: str) -> str:
     return (
         f"{sc.HEADER} v{sc.VERSION}\n"
         "seed = 1\n"
         f"horizon = {horizon_s}s\n"
         "\n[apps]\n"
-        "app idle idle-payload\n"
+        "app a a-payload\n"
         "\n[timeline]\n"
-        f"at 0ms create sb1 app=idle cores={cores} memory=256M core=big\n"
-        + extra
+        + timeline
     )
+
+
+def _no_workload_scenario(cores: int, horizon_s: int, extra: str = "") -> str:
+    return _one_app_scenario(
+        horizon_s,
+        f"at 0ms create sb1 app=a cores={cores} memory=256M core=big\n" + extra)
 
 
 FOLD_CASES = {
@@ -234,6 +239,47 @@ FOLD_CASES = {
     # refused every 1.1 s, and between refusals only the hysteresis window
     # holds it back, so none of its ticks may fold.
     "no_workload_8_cores": _no_workload_scenario(8, 20),
+    # One big core does 100 units per tick and work starts on a tick, so
+    # each query (10,000, 20,000 and 30,000 units) runs out exactly on a
+    # tick, where the used memory grows by 10M: the fold must stop one tick
+    # before it.
+    "cipher_chunk_ends_on_tick": _one_app_scenario(70, (
+        "at 0ms create sb1 app=a cores=1 memory=158M core=big base=158M\n"
+        "at 0ms workload sb1 cipher files=10M,20M,30M queries=1 cache=30M "
+        "scan=1000\n")),
+    # The GPU scales the rate by 3.57 while it is held; folds before and
+    # after the release account at different rates.
+    "inference_gpu_released_mid_run": _one_app_scenario(80, (
+        "at 0ms create sb1 app=a cores=1 memory=256M core=big\n"
+        "at 0ms workload sb1 inference images=100 units=1000\n"
+        "at 600ms request_dev sb1 gpu\n"
+        "at 12s release_dev sb1 gpu\n")),
+    # A GPU factor of 0 stalls the batch while the GPU is held: no work is
+    # done, so the fold needs no chunk bound there.
+    "inference_stalled_by_gpu": _one_app_scenario(40, (
+        "at 0ms create sb1 app=a cores=1 memory=256M core=big\n"
+        "at 0ms workload sb1 inference images=20 units=1000 gpu_speedup=0\n"
+        "at 600ms request_dev sb1 gpu\n"
+        "at 20s release_dev sb1 gpu\n")),
+    # The new workload lands between two ticks of a folded stretch of query
+    # chunks and restarts the work from its own first chunk.
+    "workload_replaced_mid_fold": _one_app_scenario(60, (
+        "at 0ms create sb1 app=a cores=1 memory=256M core=big\n"
+        "at 0ms workload sb1 cipher files=40M queries=4 cache=10M scan=100 "
+        "miss=100\n"
+        "at 10050ms workload sb1 inference images=20 units=1000\n")),
+    # Only the boot core works on a serial batch, so the second core idles
+    # and is given back after 5 s. A lone core reads 1000 permille, so the
+    # increase monitor takes the core again 2 s later: the window never
+    # settles while the batch runs, and the fold starts after it is done.
+    "serial_batch_2_cores": _one_app_scenario(60, (
+        "at 0ms create sb1 app=a cores=2 memory=256M core=big\n"
+        "at 0ms workload sb1 inference images=40 units=1000 serial\n")),
+    # Two cores work the batch; the terminate cuts a folded stretch short.
+    "terminate_mid_fold": _one_app_scenario(60, (
+        "at 0ms create sb1 app=a cores=2 memory=256M core=big\n"
+        "at 0ms workload sb1 inference images=100 units=1000\n"
+        "at 30010ms terminate sb1\n")),
 }
 NOTHING_TO_FOLD = {"no_workload_8_cores"}
 
@@ -304,8 +350,11 @@ def test_folded_ticks_equal_tick_by_tick_on_random_scenarios(monkeypatch):
         assert whole == stepped, seed
 
 
-def test_idle_flexible_mem_query_dispatches_few_events(monkeypatch):
+@pytest.mark.parametrize("name", ["mem_query_flexible", "mem_query_static_30M"])
+def test_busy_mem_query_dispatches_few_events(monkeypatch, name):
+    """A query sandbox folds its busy ticks up to the end of each query
+    (1,457 and 3,179 events when only idle ticks folded)."""
     counts = _counting_run_until(monkeypatch)
-    sc.run_scenario(sc.parse(bench._query_scenario(10, dynamic=True)),
-                    with_trace=False, check_each_directive=False)
-    assert counts and sum(counts) < 2000
+    sc.run_scenario(sc.parse(FOLD_CASES[name]), with_trace=False,
+                    check_each_directive=False)
+    assert counts and sum(counts) < 400

@@ -21,6 +21,9 @@ speed lands on both. Per tree it records:
   wall seconds, scenarios/s and invariant violations, and the work counters
   of the scenario path over that fixed seed range: events dispatched (the
   sum of `Engine.run_until`'s return values) and trace records;
+* the work counter of the cost model, RUNS times: events dispatched (the
+  sum of `Engine.run_until`'s return values) by each suite of
+  `teesim.bench.SUITES`, and their total;
 * parse cost, RUNS times: microseconds per `scenario.parse` over the
   serialized texts of POOL random honest scenarios (seeds 0 to POOL - 1),
   the minimum of PASSES passes, in process time;
@@ -134,6 +137,23 @@ s = time.perf_counter() - t0
 print(json.dumps(dict(n, s=s, scenarios_per_s=int(sys.argv[2]) / s)))
 """
 
+SUITE_EVENTS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from teesim import bench
+from teesim.engine import Engine
+n, suite = {}, [None]
+run_until = Engine.run_until
+def counted(self, t_end_ns):
+    dispatched = run_until(self, t_end_ns)
+    n[suite[0]] += dispatched
+    return dispatched
+Engine.run_until = counted
+for name in bench.SUITES:
+    suite[0], n[name] = name, 0
+    bench.run_suite(name)
+print(json.dumps(dict(n, total=sum(n.values()))))
+"""
 
 PARSE = """
 import json, sys, time
@@ -249,6 +269,16 @@ def main() -> int:
         result["trees"][label]["criterion_01"] = {
             "scenarios": SCENARIOS, **counts,
             **summarize(rs, ("s", "scenarios_per_s"))}
+    runs = {label: [] for label in trees}
+    for i in range(RUNS):
+        for label in order(i):
+            run = last_json([py, "-c", SUITE_EVENTS, str(trees[label] / "src")])
+            print(label, "costmodel suite events", run, flush=True)
+            runs[label].append(run)
+    for label, rs in runs.items():
+        if any(r != rs[0] for r in rs):
+            raise SystemExit(f"{label}: costmodel suite events differ between runs")
+        result["trees"][label]["costmodel_suite_events"] = rs[0]
     runs = {label: [] for label in trees}
     for i in range(RUNS):
         for label in order(i):
