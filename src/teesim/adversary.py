@@ -16,7 +16,9 @@ from .errors import (
     BadState,
     BudgetExceeded,
     IntegrityError,
+    NoAdjacentSpace,
     NotOwner,
+    OutOfMemory,
     ResourceBusy,
     SimError,
 )
@@ -98,17 +100,16 @@ def check_invariants(world: World) -> List[ViolationReport]:
                               f"{p.dev_id} owned by ctx {owner} but mapped in ctx {ctx}"))
 
     # EXCL-CORE
-    for cid, core in mach.cores.items():
+    for cid, ctx in mach.active_ctx.items():
         owner = led.core_owner.get(cid)
         if owner is None:
             found.append(("EXCL-CORE", f"core {cid} has no owner"))
             continue
         if owner == ROS_CTX:
-            if core.active_ctx != ROS_CTX:
-                found.append(("EXCL-CORE", f"core {cid} active ctx {core.active_ctx}"
-                              " but ROS owns it"))
+            if ctx != ROS_CTX:
+                found.append(("EXCL-CORE", f"core {cid} active ctx {ctx} but ROS owns it"))
         else:
-            if core.active_ctx != owner:
+            if ctx != owner:
                 found.append(("EXCL-CORE",
                               f"core {cid} tables do not match owner {owner}"))
             if owner not in mon.sandboxes:
@@ -116,12 +117,10 @@ def check_invariants(world: World) -> List[ViolationReport]:
     if led.core_owner.get(0) != ROS_CTX:
         found.append(("EXCL-CORE", "core 0 not owned by ROS"))
     for sb, rt in world.runtimes.items():
-        if rt.state in ("booting", "running", "terminating"):
-            owned = set(led.cores_of(sb))
-            extra = set(rt.cores) - owned
-            if extra:
-                found.append(("EXCL-CORE",
-                              f"sandbox {sb} believes it holds cores {sorted(extra)}"))
+        extra = set(rt.cores) - set(led.cores_of(sb))
+        if extra:
+            found.append(("EXCL-CORE",
+                          f"sandbox {sb} believes it holds cores {sorted(extra)}"))
 
     # CONTIG: one interval per sandbox, tables agreeing with the ledger.
     for sb in mon.sandboxes:
@@ -227,13 +226,9 @@ def _ensure_sandbox(world: World, **kwargs) -> int:
 # Adversary steps: each is a scenario directive, and the catalogue runs them.
 
 def create_tampered(world: World, app: str, **kwargs) -> int:
-    """Launch app from a tampered staged image; the image is restored
-    whether or not the launch goes through."""
-    world.ros.images[app] = world.ros.tampered_image(app)
-    try:
-        return world.create_sandbox(app, **kwargs)
-    finally:
-        world.ros.stage_image(app, world.payloads[app])
+    """Launch app from a tampered copy of its staged image, which stays as
+    it was."""
+    return world.create_sandbox(app, image=world.ros.tampered_image(app), **kwargs)
 
 
 def _first_frame(world: World, sb: int) -> Tuple[int, int]:
@@ -257,15 +252,20 @@ def overlap_attach(world: World, requester: int, victim: int):
     return verdict, world.probe_read(requester, region[0])[1]
 
 
-def ros_prime(world: World, sb: int) -> bool:
-    """ROS touches the frame past sb's memory, caching its translation and
-    data, if ROS owns it; sb's next attach may take it. Returns whether."""
-    frame = _next_frame(world, sb)
+def _prime(world: World, frame: Tuple[int, int]) -> bool:
+    """ROS touches frame, caching its translation and data, if ROS owns it.
+    Returns whether."""
     if not world.monitor.ledger.owns_range(ROS_CTX, frame):
         return False
     world.probe_translate(ROS_CTX, frame[0])
     world.machine.cache_fill(ROS_CTX, frame[0])
     return True
+
+
+def ros_prime(world: World, sb: int) -> bool:
+    """ROS primes the frame past sb's memory, if ROS owns it; sb's next
+    attach may take it. Returns whether."""
+    return _prime(world, _next_frame(world, sb))
 
 
 def victim_touch(world: World, sb: int) -> None:
@@ -349,17 +349,21 @@ def _attack_io_eavesdrop(world: World, dev="wifi", holder=None, **_) -> tuple:
 
 def _attach_next_granule(world: World, target: Optional[int],
                          ros_primes: bool = False):
-    """Pick a target sandbox with room to grow and ask to attach the granule
-    just past its span. With ros_primes, ROS first primes the granule it is
-    about to hand over, if ROS owns it. Returns (sandbox, region, attached)."""
+    """Pick a target sandbox with room to grow and ask to attach a granule
+    where `World.attach_region` offers one (region None if it offers none).
+    With ros_primes, ROS first primes that region's first frame, if ROS owns
+    it. Returns (sandbox, region, attached)."""
     sb = target or _ensure_sandbox(
         world, max_memory=world.ros.layout.sandbox_base_bytes + 16 * BLOCK_2M
     )
-    span = world.monitor.ledger.sandbox_span(sb)
-    region = (span[1], span[1] + world.ros.layout.mem_granule)
-    if ros_primes:
-        ros_prime(world, sb)
-    return sb, region, world._request_attach(sb, region[1] - region[0])
+    nbytes = world.ros.layout.mem_granule
+    try:
+        region = world.attach_region(sb, nbytes)
+    except (NoAdjacentSpace, OutOfMemory):
+        region = None
+    if ros_primes and region is not None:
+        _prime(world, (region[0], region[0] + BLOCK_2M))
+    return sb, region, world._request_attach(sb, nbytes)
 
 
 def _attack_cache_direct(world: World, target=None, **_) -> tuple:

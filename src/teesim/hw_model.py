@@ -125,22 +125,14 @@ def small_config() -> MachineConfig:
     )
 
 
-@dataclass
-class Core:
-    core_id: int
-    core_class: CoreClass
-    active_ctx: Optional[int] = ROS_CTX
-
-
 class Machine:
     """Single-owner mutable machine state; operations never interleave."""
 
     def __init__(self, config: MachineConfig):
         config.validate()
         self.config = config
-        self.cores: Dict[int, Core] = {
-            cid: Core(cid, cls) for cid, cls in config.cores
-        }
+        self.cores: Dict[int, CoreClass] = dict(config.cores)
+        self.active_ctx: Dict[int, int] = dict.fromkeys(self.cores, ROS_CTX)
         self.table_sets: Dict[int, stage2.Stage2TableSet] = {}
         # Per-core TLB: (ctx, block_base, gran) -> attr.
         self.tlbs: Dict[int, dict] = {cid: {} for cid in self.cores}
@@ -247,13 +239,8 @@ class Machine:
     # -- exploration support ----------------------------------------------
 
     STATE = Schema(
-        config=SHARED,
-        cores=keyed(
-            lambda cores: tuple((c.core_id, c.core_class, c.active_ctx)
-                                for c in cores.values()),
-            copy=lambda cores: {cid: Core(c.core_id, c.core_class, c.active_ctx)
-                                for cid, c in cores.items()},
-        ),
+        config=SHARED, cores=SHARED,
+        active_ctx=DICT,
         table_sets=keyed(
             lambda sets: tuple(ts.canonical() for _, ts in sorted(sets.items())),
             copy=clone_values,

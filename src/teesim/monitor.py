@@ -275,7 +275,7 @@ class Monitor:
         self.sanitize(region, new_owner=sb)
 
         machine.tlb_flush_core(spec.core_id)
-        machine.cores[spec.core_id].active_ctx = sb
+        machine.active_ctx[spec.core_id] = sb
         self.ledger.core_owner[spec.core_id] = sb
         self.ledger.add_ram(sb, region)
         self.ledger.shared_channels[sb] = channel
@@ -430,7 +430,7 @@ class Monitor:
         self.engine.checked(self.check_transfer_core, core_id, from_ctx, to_ctx)
         self._move_core(core_id, from_ctx, to_ctx, optimized)
         direction = "inc" if from_ctx == ROS_CTX else "dec"
-        cls = self.machine.cores[core_id].core_class.value
+        cls = self.machine.cores[core_id].value
         cost = self.engine.costs.core_adjust(cls, direction, optimized)
         actor = f"sb{to_ctx if to_ctx != ROS_CTX else from_ctx}"
         return self.engine.charge(
@@ -441,13 +441,12 @@ class Monitor:
                    optimized: bool) -> None:
         """The effect of a core transfer, unchecked and uncharged."""
         machine = self.machine
-        core = machine.cores[core_id]
         # Departing context's lines are cleaned. The core passes through a
         # busy-wait (optimized) or off (full hotplug) state inside this op;
         # only the cost model charges that path, so no state records it.
         machine.cache_invalidate_owner(from_ctx)
         machine.tlb_flush_core(core_id)
-        core.active_ctx = to_ctx
+        machine.active_ctx[core_id] = to_ctx
         self.ledger.core_owner[core_id] = to_ctx
         self._trace("transfer_core",
                     {"core": core_id, "from": from_ctx, "to": to_ctx,

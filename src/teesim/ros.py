@@ -196,7 +196,7 @@ class RosActor:
         self.layout = default_layout(machine.config)
         self.cma = CmaPool(self.layout.cma_extents)
         self.shared = SharedPool(self.layout.shared_pool, self.layout.channel_bytes)
-        # Encrypted images as staged on disk; adversarial scenarios tamper here.
+        # Encrypted images as staged on disk, at set-up.
         self.images: Dict[str, EncryptedImage] = {}
         self.driver_blobs: Dict[str, bytes] = {}
         self.driver_states: Dict[Tuple[int, str], str] = {
@@ -251,7 +251,7 @@ class RosActor:
         if prefer:
             preferred = [
                 c for c in free
-                if self.machine.cores[c].core_class.value == prefer
+                if self.machine.cores[c].value == prefer
             ]
             if preferred:
                 return min(preferred)
@@ -260,9 +260,10 @@ class RosActor:
     def create_sandbox(self, app_id: str, max_cores: int = 1,
                        max_memory: int = 512 * MB,
                        core_pref: Optional[str] = None,
-                       base_bytes: Optional[int] = None):
-        """Allocate resources, stage the image, and ask the monitor to lock
-        and launch. Returns (sandbox_id, boot_ns)."""
+                       base_bytes: Optional[int] = None,
+                       image: Optional[EncryptedImage] = None):
+        """Allocate resources and ask the monitor to lock and launch the
+        staged image (or image). Returns (sandbox_id, boot_ns)."""
         if app_id not in self.images:
             raise UnknownApp(f"{app_id} has no staged image")
         if len(self.monitor.sandboxes) >= len(self.machine.cores) - 1:
@@ -271,7 +272,7 @@ class RosActor:
             raise TooManySandboxes("all non-ROS cores committed")
         base = base_bytes if base_bytes is not None else self.layout.sandbox_base_bytes
         sb, boot_ns = self.launch(app_id, self.pick_core(core_pref), base,
-                                  max_cores, max_memory)
+                                  max_cores, max_memory, image)
         self._trace("create_sandbox", {"app": app_id, "sandbox": sb})
         return sb, boot_ns
 
@@ -287,11 +288,13 @@ class RosActor:
                           max_memory=max_memory)
 
     def launch(self, app_id: str, core_id: int, base_bytes: int,
-               max_cores: int = 1, max_memory: int = 512 * MB):
+               max_cores: int = 1, max_memory: int = 512 * MB,
+               image: Optional[EncryptedImage] = None):
         """Take a channel and a region and ask the monitor to launch app_id
-        on core_id; nothing stays taken if it refuses. Adversarial callers
-        name a core they do not hold. Returns (sandbox_id, boot_ns)."""
-        spec = self.propose(app_id, core_id, base_bytes, max_cores, max_memory)
+        (image, if given) on core_id; nothing stays taken if it refuses.
+        Adversarial callers name a core they do not hold or a tampered image.
+        Returns (sandbox_id, boot_ns)."""
+        spec = self.propose(app_id, core_id, base_bytes, max_cores, max_memory, image)
         self.alloc_contiguous(spec.region)
         try:
             sb, boot_ns = self.monitor.lock_and_launch(spec)
@@ -375,10 +378,7 @@ class RosActor:
         machine=REWIRED, monitor=REWIRED, engine=REWIRED,
         store=SHARED, layout=SHARED,
         cma=NESTED, shared=NESTED, driver_states=DICT,
-        images=copied("changed only inside create_a_tampered, which restores it",
-                      copy=dict),
-        driver_blobs=copied("set at setup; no exploration op changes it",
-                            copy=dict),
+        images=SHARED, driver_blobs=SHARED,
         gpu_suspended_at=copied("always empty in the single-wifi small world, "
                                 "as in all 7,172 depth-8 states", copy=dict),
     )

@@ -62,6 +62,12 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _factor(text: str) -> float:
+    if not 0 <= float(text) < float("inf"):
+        raise ValueError(f"{text} is not a finite non-negative number")
+    return float(text)
+
+
 # Every argument, positional or key=value, has one type wherever it
 # appears: a name type, or a reader from text (ValueError if malformed).
 TYPES = {
@@ -70,7 +76,7 @@ TYPES = {
     "workload": WORKLOAD, "direction": DIRECTION, "core": CORE,
     "attack": AttackKind, "byte_count": parse_size, "nbytes": parse_size,
     "cores": int, "memory": parse_size, "base": parse_size,
-    "images": _count, "units": _count, "gpu_speedup": float,
+    "images": _count, "units": _count, "gpu_speedup": _factor,
     "files": lambda v: tuple(parse_size(x) for x in v.split(",")),
     "queries": _count, "cache": parse_size, "scan": _count, "miss": _count,
 }
@@ -485,6 +491,7 @@ def run_scenario(scenario: Scenario, with_trace: bool = True,
         mode=scenario.mode,
         apps=[(a, p.encode()) for a, p in scenario.apps],
         instant=scenario.instant,
+        traced=with_trace,
     )
     handles: Dict[str, int] = {}
     result = RunResult(scenario, world, handles, [])

@@ -200,10 +200,7 @@ def s2_translate(machine, core_id: int, ipa: int) -> TranslationResult:
     even if the backing table entry has since been invalidated, which is
     exactly the stale-translation window sanitization closes.
     """
-    core = machine.cores[core_id]
-    ctx = core.active_ctx
-    if ctx is None:
-        return TranslationResult.fault()
+    ctx = machine.active_ctx[core_id]
     hit = machine.tlb_lookup(core_id, ctx, ipa)
     if hit is not None:
         return hit

@@ -141,16 +141,16 @@ class World:
                        max_memory: int = 512 * MB,
                        core_pref: Optional[str] = None,
                        base_bytes: Optional[int] = None,
-                       workload=None) -> int:
+                       workload=None, image=None) -> int:
         sb, boot_ns = self.ros.create_sandbox(
             app_id, max_cores=max_cores, max_memory=max_memory,
-            core_pref=core_pref, base_bytes=base_bytes,
+            core_pref=core_pref, base_bytes=base_bytes, image=image,
         )
         meta = self.monitor.sandboxes[sb]
         rt = SandboxRuntime(
             sb, max_cores=max_cores, max_memory=max_memory,
             boot_core=meta.boot_core,
-            boot_core_class=self.machine.cores[meta.boot_core].core_class.value,
+            boot_core_class=self.machine.cores[meta.boot_core].value,
             base_bytes=meta.base_bytes,
             workload=workload,
             mem_granule=self.ros.layout.mem_granule,
@@ -207,10 +207,9 @@ class World:
             self._repredict(sb)
 
     def _dead(self, sb: int) -> None:
-        rt = self.runtimes.get(sb)
-        if rt is not None and rt.state == "terminating":
-            rt.advance("dead")
-            self.engine.trace(f"sb{sb}", "dead")
+        # A dead sandbox leaves no runtime: `state_of` reads it as dead.
+        self.engine.trace(f"sb{sb}", "dead")
+        del self.runtimes[sb], self._gen[sb]
 
     # -- periodic runtime work ---------------------------------------------------
 
@@ -410,7 +409,7 @@ class World:
             rt.hysteresis_until_ns = now + sos.HYSTERESIS_NS
             return False
         cost = self.monitor.transfer_core(core_id, ROS_CTX, sb)
-        cls = self.machine.cores[core_id].core_class.value
+        cls = self.machine.cores[core_id].value
         rt.hysteresis_until_ns = now + cost + sos.HYSTERESIS_NS
         self.metrics.adjust_count += 1
         self.metrics.adjust_latency_ns += cost
@@ -459,11 +458,11 @@ class World:
         self.check_request_peripheral(sb, dev_id)
         self.engine.charge(f"sb{sb}", "ipi_sb_to_ros",
                            self.engine.costs.ipi_sb_to_ros_ns)
-        queue = self.dev_queues.setdefault(dev_id, [])
-        if self.monitor.ledger.dev_owner[dev_id] == ROS_CTX and not queue:
+        if self.monitor.ledger.dev_owner[dev_id] == ROS_CTX and \
+                dev_id not in self.dev_queues:
             self._grant_device(sb, dev_id)
             return "granted"
-        queue.append(sb)
+        self.dev_queues.setdefault(dev_id, []).append(sb)
         self.engine.trace("ros", "device_request",
                           {"sandbox": sb, "dev": dev_id}, "queued", "DeviceBusy")
         if not self.instant:
@@ -475,6 +474,8 @@ class World:
         queue = self.dev_queues.get(dev_id, [])
         if sb in queue:
             queue.remove(sb)
+            if not queue:
+                del self.dev_queues[dev_id]
             self.engine.trace("ros", "device_request",
                               {"sandbox": sb, "dev": dev_id}, "rejected",
                               "WaitTimeout")
@@ -543,6 +544,8 @@ class World:
                     # The device went straight back to ROS: try the next one.
                     continue
                 break
+        if not queue:
+            self.dev_queues.pop(dev_id, None)
 
     # -- data transfer ------------------------------------------------------------------------
 
@@ -620,13 +623,12 @@ class World:
         machine=NESTED, monitor=NESTED, ros=NESTED,
         runtimes=keyed(
             lambda runtimes: tuple(rt.canonical()
-                                   for _, rt in sorted(runtimes.items())
-                                   if rt.state != "dead"),
+                                   for _, rt in sorted(runtimes.items())),
             copy=clone_values,
         ),
         dev_queues=keyed(
             lambda queues: tuple(sorted((d, tuple(q))
-                                        for d, q in queues.items() if q)),
+                                        for d, q in queues.items())),
             copy=lambda queues: {d: list(q) for d, q in queues.items()},
         ),
         _gen=copied("read only by completion events, which instant mode never "

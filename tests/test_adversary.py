@@ -581,7 +581,7 @@ def test_explore_work_counters_at_depth_6(monkeypatch):
     # The root and every transition are keyed, a child against its parent:
     # a field key is computed only where the raw value changed.
     keyed = len(leaves(make_small_world())) * (1 + res.transitions)
-    assert (recomputed, keyed - recomputed) == (14162, 36208)
+    assert (recomputed, keyed - recomputed) == (13891, 36479)
 
 
 @pytest.mark.parametrize("mutations,depth",
@@ -614,3 +614,44 @@ def test_failed_op_changes_nothing(monkeypatch, mutations, depth):
     res = explore(world_factory=lambda: make_small_world(mutations),
                   op_alphabet=ops, depth=depth)
     assert res.transitions and bool(res.violations) == bool(mutations)
+
+
+def _assert_only_live_state(world, where):
+    """No dead sandbox's runtime or generation, and no drained device queue."""
+    assert all(rt.state != "dead" for rt in world.runtimes.values()), where
+    assert set(world._gen) <= set(world.runtimes), where
+    assert all(world.dev_queues.values()), where
+
+
+@pytest.mark.parametrize("mutations,depth",
+                         [((), 6)] + [((flag,), 5) for flag in MUTATION_FLAGS])
+def test_explored_worlds_hold_only_live_state(mutations, depth):
+    def checked(name, fn):
+        def op(node):
+            leaked = fn(node)
+            _assert_only_live_state(node.world, node.trace + (name,))
+            return leaked
+        return op
+
+    ops = [(name, checked(name, fn)) for name, fn in default_alphabet()]
+    res = explore(world_factory=lambda: make_small_world(mutations),
+                  op_alphabet=ops, depth=depth)
+    assert res.transitions
+
+
+def test_timed_worlds_hold_only_live_state(monkeypatch):
+    """Random honest scenarios, after every directive and at the horizon."""
+    checks = []
+    check = sc.check_invariants
+
+    def checked(world):
+        _assert_only_live_state(world, (seed, len(checks)))
+        checks.append(world.engine.now_ns)
+        return check(world)
+
+    monkeypatch.setattr(sc, "check_invariants", checked)
+    for seed in range(50):
+        scenario = sc.make_random_scenario(seed)
+        checks.clear()
+        sc.run_scenario(scenario, with_trace=False)
+        assert len(checks) == len(scenario.timeline) + 1

@@ -68,6 +68,16 @@ def test_malformed_directive_value_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_negative_gpu_speedup_exit_code(tmp_path, capsys):
+    path = write(tmp_path, "bad.txt", MINIMAL.replace(
+        "at 1500ms terminate sb1",
+        "at 500ms workload sb1 inference images=20 units=1000 gpu_speedup=-1\n"
+        "at 600ms request_dev sb1 gpu"))
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+
+
 def test_compare_reports_seven_vs_three(tmp_path, capsys):
     path = write(tmp_path, "seven.txt", SEVEN)
     assert cli.main(["compare", path]) == 0

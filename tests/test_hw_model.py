@@ -17,9 +17,9 @@ from teesim.units import BLOCK_2M, GB, KB, MB
 def test_default_machine_boots_all_cores_in_ros():
     m = Machine(default_config())
     assert len(m.cores) == 8
-    big = [c for c in m.cores.values() if c.core_class is CoreClass.BIG]
+    big = [c for c, cls in m.cores.items() if cls is CoreClass.BIG]
     assert len(big) == 4
-    assert all(c.active_ctx == hw_model.ROS_CTX for c in m.cores.values())
+    assert m.active_ctx == dict.fromkeys(range(8), hw_model.ROS_CTX)
     assert not m.cache and all(not t for t in m.tlbs.values())
 
 

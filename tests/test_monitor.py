@@ -148,7 +148,7 @@ def test_transfer_core_costs_and_ratio():
     a = w.create_sandbox("demo", max_cores=2, core_pref="big")
     mon = w.monitor
     big_free = [c for c in mon.ledger.cores_of(ROS_CTX)
-                if w.machine.cores[c].core_class.value == "big"][0]
+                if w.machine.cores[c].value == "big"][0]
     mon.transfer_core(big_free, ROS_CTX, a, optimized=True)
     mon.transfer_core(big_free, a, ROS_CTX, optimized=True)
     mon.transfer_core(big_free, ROS_CTX, a, optimized=False)

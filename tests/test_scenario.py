@@ -123,6 +123,9 @@ def test_unknown_device_is_validation_error():
     "workload sb1 inference images=x",
     "create sb2 inference images=-3 app=demo",
     "workload sb1 cipher scan=-5",
+    "workload sb1 inference gpu_speedup=-1",
+    "workload sb1 inference gpu_speedup=inf",
+    "workload sb1 inference gpu_speedup=nan",
     "attack malicious_image_swap app=nope",
     "attack io_eavesdrop dev=floppy",
     "attack dma_bypass target=sb9",
@@ -211,6 +214,28 @@ def test_cache_attack_primes_only_ros_memory():
     assert res.violations == []
     assert res.exit_code == 0
     assert [o.blocked for o in res.world.attack_outcomes] == [True]
+
+
+@pytest.mark.parametrize("mutate, blocked, leaked, exit_code", [
+    ("", True, 0, 0),
+    ("no_sanitize", False, 64, 1),
+])
+def test_cache_attack_uses_the_region_the_attach_takes(mutate, blocked, leaked,
+                                                       exit_code):
+    """Once sb1 is gone sb2 has free memory below it, and the attach takes
+    that region first: the attack primes, touches and probes it, not the
+    granule past sb2's span."""
+    text = MINIMAL.replace("seed = 5", f"seed = 5\nmutate = {mutate}")
+    text = text.replace("at 0ms create sb1 app=demo",
+                        "at 0ms create sb1 app=demo\n"
+                        "at 0ms create sb2 app=demo memory=512M")
+    text = text.replace("at 800ms workload sb1 idle\nat 1500ms terminate sb1",
+                        "at 700ms terminate sb1\n"
+                        "at 1500ms attack cache_direct_attack target=sb2")
+    res = sc.run_scenario(sc.parse(text))
+    assert [o.blocked for o in res.world.attack_outcomes] == [blocked]
+    assert res.world.metrics.leaked_bytes == leaked
+    assert res.exit_code == exit_code
 
 
 def test_unblocked_attack_sets_exit_code():
