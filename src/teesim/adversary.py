@@ -16,9 +16,7 @@ from .errors import (
     BadState,
     BudgetExceeded,
     IntegrityError,
-    NoAdjacentSpace,
     NotOwner,
-    OutOfMemory,
     ResourceBusy,
     SimError,
 )
@@ -350,17 +348,14 @@ def _attack_io_eavesdrop(world: World, dev="wifi", holder=None, **_) -> tuple:
 def _attach_next_granule(world: World, target: Optional[int],
                          ros_primes: bool = False):
     """Pick a target sandbox with room to grow and ask to attach a granule
-    where `World.attach_region` offers one (region None if it offers none).
-    With ros_primes, ROS first primes that region's first frame, if ROS owns
-    it. Returns (sandbox, region, attached)."""
+    where `World.attach_region` offers one (region None if it offers none,
+    and the attach is refused). With ros_primes, ROS first primes that
+    region's first frame, if ROS owns it. Returns (sandbox, region, attached)."""
     sb = target or _ensure_sandbox(
         world, max_memory=world.ros.layout.sandbox_base_bytes + 16 * BLOCK_2M
     )
     nbytes = world.ros.layout.mem_granule
-    try:
-        region = world.attach_region(sb, nbytes)
-    except (NoAdjacentSpace, OutOfMemory):
-        region = None
+    region = world.attach_region(sb, nbytes)
     if ros_primes and region is not None:
         _prime(world, (region[0], region[0] + BLOCK_2M))
     return sb, region, world._request_attach(sb, nbytes)
@@ -395,10 +390,14 @@ def _attack_stale_tlb(world: World, target=None, **_) -> tuple:
     sb, region, attached = _attach_next_granule(world, target)
     if not attached:
         return True, 0, "setup attach rejected"
-    # Sandbox touches the region, caching the translation on its core.
+    # Sandbox touches the granule the detach gives back, caching the
+    # translation on its core. That is the granule just attached, unless
+    # the attach took the region below the sandbox's memory.
+    region = world.detach_region(sb, region[1] - region[0])
     core = world.monitor.ledger.cores_of(sb)[0]
     world.machine.translate(core, region[0])
-    world._request_detach(sb, region[1] - region[0])
+    if not world._request_detach(sb, region[1] - region[0]):
+        return True, 0, "setup detach rejected"
     res = world.machine.translate(core, region[0])
     if not res.hit:
         return True, 0, "translation faulted after detach"
@@ -501,8 +500,8 @@ GUARDS: Dict[str, Callable] = {
         _check_launch(w, app, w.ros.pick_core(core), cores, memory, base),
     "create_tampered": lambda w, app, cores, memory, **_: _check_launch(
         w, app, w.ros.pick_core(), cores, memory, image=w.ros.tampered_image(app)),
-    "attach": lambda w, sb, nbytes:
-        w.monitor.check_region(sb, w.attach_region(sb, nbytes), "attach").approved,
+    "attach": lambda w, sb, nbytes: (region := w.attach_region(sb, nbytes)) \
+        is not None and w.monitor.check_region(sb, region, "attach").approved,
     "detach": lambda w, sb, nbytes:
         w.monitor.check_region(sb, w.detach_region(sb, nbytes), "detach").approved,
     "request_dev": lambda w, sb, dev_id: w.check_request_peripheral(sb, dev_id),

@@ -117,7 +117,8 @@ class MemRequest:
     nbytes: int
 
 
-_STATE_ORDER = ["booting", "running", "terminating", "dead"]
+# Past terminating a runtime leaves the world (`World._dead`).
+_STATE_ORDER = ["booting", "running", "terminating"]
 
 # Why the timing fields are not keyed.
 _CLOCK = ("simulated time; exploration runs in instant mode, where the clock "
@@ -159,8 +160,7 @@ class SandboxRuntime:
 
     def advance(self, new_state: str) -> None:
         cur = _STATE_ORDER.index(self.state)
-        nxt = _STATE_ORDER.index(new_state)
-        if nxt != cur + 1:
+        if _STATE_ORDER[cur + 1:cur + 2] != [new_state]:
             raise BadState(f"sandbox {self.id}: {self.state} -> {new_state}")
         self.state = new_state
 

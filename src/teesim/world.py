@@ -330,9 +330,13 @@ class World:
 
     # -- memory adjustment ----------------------------------------------------------
 
-    def attach_region(self, sb: int, nbytes: int) -> Tuple[int, int]:
-        """The free region next to sb's that `_request_attach` asks for."""
-        return self.ros.cma.find(nbytes, self.monitor.ledger.sandbox_span(sb))
+    def attach_region(self, sb: int, nbytes: int) -> Optional[Tuple[int, int]]:
+        """The free region next to sb's that `_request_attach` asks for, or
+        None if no region of nbytes adjoins it."""
+        try:
+            return self.ros.cma.find(nbytes, self.monitor.ledger.sandbox_span(sb))
+        except (NoAdjacentSpace, OutOfMemory):
+            return None
 
     def detach_region(self, sb: int, nbytes: int) -> Tuple[int, int]:
         """The top nbytes of sb's memory, which `_request_detach` asks for."""
@@ -345,11 +349,10 @@ class World:
             return False
         self.engine.charge(f"sb{sb}", "ipi_sb_to_ros",
                            self.engine.costs.ipi_sb_to_ros_ns)
-        try:
-            region = self.attach_region(sb, nbytes)
-        except (NoAdjacentSpace, OutOfMemory) as exc:
+        region = self.attach_region(sb, nbytes)
+        if region is None:
             self.engine.trace("ros", "attach_request", {"sandbox": sb},
-                              "rejected", type(exc).__name__)
+                              "rejected", "NoAdjacentSpace")
             return False
         self.ros.alloc_contiguous(region, owner=sb)
         verdict = self.monitor.verify_region_legality(sb, region, "attach")

@@ -216,26 +216,43 @@ def test_cache_attack_primes_only_ros_memory():
     assert [o.blocked for o in res.world.attack_outcomes] == [True]
 
 
-@pytest.mark.parametrize("mutate, blocked, leaked, exit_code", [
-    ("", True, 0, 0),
-    ("no_sanitize", False, 64, 1),
+@pytest.mark.parametrize("attack, instant, mutate, blocked, leaked, exit_code", [
+    ("cache_direct_attack", "false", "", True, 0, 0),
+    ("cache_direct_attack", "false", "no_sanitize", False, 64, 1),
+    ("stale_tlb_read", "true", "", True, 0, 0),
+    ("stale_tlb_read", "true", "no_sanitize", False, 4096, 1),
 ])
-def test_cache_attack_uses_the_region_the_attach_takes(mutate, blocked, leaked,
-                                                       exit_code):
+def test_attacks_use_the_region_the_attach_takes(attack, instant, mutate,
+                                                 blocked, leaked, exit_code):
     """Once sb1 is gone sb2 has free memory below it, and the attach takes
-    that region first: the attack primes, touches and probes it, not the
-    granule past sb2's span."""
-    text = MINIMAL.replace("seed = 5", f"seed = 5\nmutate = {mutate}")
+    that region first: the cache attack primes, touches and probes it, and
+    the stale-TLB attack touches the granule the detach then gives back
+    (instant, so that the detach need not wait for the attach)."""
+    text = MINIMAL.replace("seed = 5",
+                           f"seed = 5\nmutate = {mutate}\ninstant = {instant}")
     text = text.replace("at 0ms create sb1 app=demo",
                         "at 0ms create sb1 app=demo\n"
                         "at 0ms create sb2 app=demo memory=512M")
     text = text.replace("at 800ms workload sb1 idle\nat 1500ms terminate sb1",
                         "at 700ms terminate sb1\n"
-                        "at 1500ms attack cache_direct_attack target=sb2")
+                        f"at 1500ms attack {attack} target=sb2")
     res = sc.run_scenario(sc.parse(text))
-    assert [o.blocked for o in res.world.attack_outcomes] == [blocked]
-    assert res.world.metrics.leaked_bytes == leaked
+    assert [(o.blocked, o.leaked_bytes)
+            for o in res.world.attack_outcomes] == [(blocked, leaked)]
     assert res.exit_code == exit_code
+
+
+@pytest.mark.parametrize("mutate", ["", "no_sanitize"])
+def test_stale_tlb_attack_with_attach_pending_is_not_a_leak(mutate):
+    """In timed mode the attack's own attach is still pending, so its detach
+    is refused: the translation that still hits is the sandbox's own."""
+    text = MINIMAL.replace("seed = 5", f"seed = 5\nmutate = {mutate}")
+    text = text.replace("at 800ms workload sb1 idle",
+                        "at 800ms attack stale_tlb_read target=sb1")
+    res = sc.run_scenario(sc.parse(text))
+    assert [(o.blocked, o.leaked_bytes, o.detail)
+            for o in res.world.attack_outcomes] == [(True, 0, "setup detach rejected")]
+    assert res.exit_code == 0
 
 
 def test_unblocked_attack_sets_exit_code():
