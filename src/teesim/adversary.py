@@ -23,7 +23,7 @@ from .errors import (
 from .hw_model import ROS_CTX, small_config
 from .monitor import Defenses
 from .state import FieldIds, keyed_leaves
-from .units import BLOCK_2M, MB, PAGE_4K
+from .units import BLOCK_2M, PAGE_4K
 from .world import World, build_world
 
 
@@ -241,7 +241,7 @@ def _next_frame(world: World, sb: int) -> Tuple[int, int]:
 
 def overlap_attach(world: World, requester: int, victim: int):
     """Ask the monitor to attach the victim's first frame to requester, then
-    read it from requester. Returns (verdict, leaked bytes)."""
+    read it from requester if approved. Returns (verdict, leaked bytes)."""
     region = _first_frame(world, victim)
     verdict = world.monitor.verify_region_legality(requester, region, "attach")
     if not verdict.approved:
@@ -285,16 +285,12 @@ def ros_probe(world: World, sb: int) -> int:
     return leaked
 
 
-def check_ros_dma(world: World, sb: int, dev: str) -> None:
-    """ROS can program only a DMA-capable device that it holds."""
+def ros_dma(world: World, sb: int, dev: str) -> int:
+    """ROS programs dev, a DMA-capable device it holds, to read sb's first
+    page; returns the bytes leaked."""
     if not world.machine.config.peripheral(dev).dma_capable or \
             world.monitor.ledger.dev_owner[dev] != ROS_CTX:
         raise BadState(f"{dev} is not a DMA device under ROS")
-
-
-def ros_dma(world: World, sb: int, dev: str) -> int:
-    """ROS programs dev to read sb's first page; returns the bytes leaked."""
-    check_ros_dma(world, sb, dev)
     base = world.monitor.ledger.sandbox_span(sb)[0]
     return world.dma_access(dev, ROS_CTX, (base, base + PAGE_4K))
 
@@ -451,12 +447,11 @@ class _Node:
     """One explored state: a world plus the sandbox ids the ops name.
 
     A child made by `child()` refers to its parent node until it is keyed.
-    It clones the parent's world the first time an op reads `world`. An op
-    first checks its calls on `peek()`, which reads the parent's world and
-    must change nothing, so only a transition that happens costs a clone.
-    The child is then keyed against the parent's world and key, and drops
-    the parent, so the frontier keeps no ancestors alive. The parent's
-    world is never changed after its node enters the frontier.
+    Its world is the one `child()` was given, or else a clone of the
+    parent's, made the first time an op reads `world`. The child is keyed
+    against the parent's world and key, and then drops the parent, so the
+    frontier keeps no ancestors alive. The parent's world is never changed
+    after its node enters the frontier.
     """
 
     __slots__ = ("_world", "_parent", "key", "handles", "trace")
@@ -475,48 +470,11 @@ class _Node:
             self._world = self._parent.world.clone()
         return self._world
 
-    def peek(self) -> World:
-        return self._parent.world if self._world is None else self._world
-
-    def child(self) -> "_Node":
-        node = _Node(None, dict(self.handles), self.trace)
+    def child(self, world: Optional[World] = None) -> "_Node":
+        node = _Node(world, dict(self.handles), self.trace)
         node._parent = self
         return node
 
-
-def _check_launch(w: World, app: str, core_id: int, cores: int = 1,
-                  memory: int = 512 * MB, base: Optional[int] = None, image=None):
-    if base is None:
-        base = w.ros.layout.sandbox_base_bytes
-    w.monitor.check_launch(w.ros.propose(app, core_id, base, cores, memory, image))
-
-
-# Directive kind -> the pure check of its World call (a SimError or False is
-# a refusal). The explorer runs it on the parent's world, so a refused op
-# costs no clone. The runner never calls it: each World call checks itself
-# and writes its own rejection record.
-GUARDS: Dict[str, Callable] = {
-    "create": lambda w, app, cores, memory, core, base, **_:
-        _check_launch(w, app, w.ros.pick_core(core), cores, memory, base),
-    "create_tampered": lambda w, app, cores, memory, **_: _check_launch(
-        w, app, w.ros.pick_core(), cores, memory, image=w.ros.tampered_image(app)),
-    "attach": lambda w, sb, nbytes: (region := w.attach_region(sb, nbytes)) \
-        is not None and w.monitor.check_region(sb, region, "attach").approved,
-    "detach": lambda w, sb, nbytes:
-        w.monitor.check_region(sb, w.detach_region(sb, nbytes), "detach").approved,
-    "request_dev": lambda w, sb, dev_id: w.check_request_peripheral(sb, dev_id),
-    "release_dev": lambda w, sb, dev_id: w.check_release_peripheral(sb, dev_id),
-    "add_core": lambda w, sb, core:
-        w.monitor.check_transfer_core(w.ros.pick_core(core), ROS_CTX, sb),
-    "release_core": lambda w, sb: bool(w.runtimes[sb].surplus_cores()),
-    "overlap_attach": lambda w, requester, victim: w.monitor.check_region(
-        requester, _first_frame(w, victim), "attach").approved,
-    "ros_prime": lambda w, sb: w.monitor.ledger.owns_range(ROS_CTX, _next_frame(w, sb)),
-    "victim_touch": lambda w, sb: bool(w.monitor.ledger.cores_of(sb)),
-    "ros_dma": check_ros_dma,
-    "steal_core": lambda w, victim, app:
-        _check_launch(w, app, w.monitor.sandboxes[victim].boot_core),
-}
 
 # The exploration alphabet: op name -> its directive over the handles a
 # and b, on the small machine's app w (base memory 4M, two 2M granules of
@@ -537,9 +495,8 @@ ALPHABET: Tuple[Tuple[str, str], ...] = tuple(
 
 def _op(kind: str, run: Callable, values: dict,
         handles: Tuple[str, ...]) -> Callable[[_Node], int]:
-    """The op for one directive: it resolves its handles, runs the guard on
-    the parent's world, then the directive on its own; returns bytes leaked."""
-    guard = GUARDS.get(kind)
+    """The op for one directive: it resolves its handles, then runs the
+    directive on the node's world; returns bytes leaked."""
     new = values.get("new")
     gone = values["sb"] if kind == "terminate" else None  # keys hold live handles
 
@@ -551,8 +508,6 @@ def _op(kind: str, run: Callable, values: dict,
                 raise BadState(f"{values[arg]} not alive")
         if new in node.handles:
             raise BadState(f"{new} already alive")
-        if guard is not None and guard(node.peek(), **args) is False:
-            raise BadState(f"{kind} refused")
         world = node.world
         out = run(world, **args)
         if out is False:
@@ -628,12 +583,17 @@ def explore(world_factory: Callable[[], World] = make_small_world,
         node, d = frontier.popleft()
         if d >= depth:
             continue
+        # A refused op leaves its world as it found it, a copy of the
+        # parent's, so the next op on the same parent runs on that world.
+        spare = None
         for op_name, op_fn in ops:
-            child = node.child()
+            child = node.child(spare)
             try:
                 leaked = op_fn(child)
             except SimError:
+                spare = child._world
                 continue
+            spare = None
             result.transitions += 1
             child.trace = node.trace + (op_name,)
             if not leaked:

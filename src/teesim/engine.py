@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .errors import ConfigError, SimError
+from .errors import ConfigError
 from .units import KB, MB, MS_NS, US_NS, ns_to_us_str
 
 TRACE_SCHEMA = "teesim-trace/1"
@@ -223,15 +223,6 @@ class Engine:
         if self.records is not None:
             self.trace(actor, "cost", {"name": name, "ns": ns, **(detail or {})})
         return ns
-
-    def checked(self, check: Callable, *args):
-        """check(*args), tracing the rejection record a SimError it raises carries."""
-        try:
-            return check(*args)
-        except SimError as exc:
-            if exc.rejection is not None:
-                self.trace(*exc.rejection)
-            raise
 
     def serialize_trace(self, header: Optional[dict] = None) -> str:
         head = {"schema": TRACE_SCHEMA}

@@ -7,13 +7,7 @@ returned as values instead.
 
 
 class SimError(Exception):
-    """Base class for all simulator errors; a refusal may carry its trace record."""
-
-    rejection = None
-
-    def traced(self, actor: str, op: str, args: dict, reason: str) -> "SimError":
-        self.rejection = (actor, op, args, "rejected", reason)
-        return self
+    """Base class for all simulator errors."""
 
 
 class ConfigError(SimError):

@@ -217,27 +217,31 @@ class Monitor:
     # -- launch -----------------------------------------------------------
 
     def check_launch(self, spec: LaunchSpec) -> Tuple[bytes, bool]:
-        """Every precondition of `lock_and_launch`, read-only. Returns the
-        image plaintext and whether it was attested."""
+        """Every precondition of `lock_and_launch`; writes nothing but the
+        rejection record of a refusal. Returns the image plaintext and
+        whether it was attested."""
         if len(self.sandboxes) >= len(self.machine.cores) - 1:
-            raise TooManySandboxes("core budget exhausted").traced(
-                "monitor", "lock_and_launch", {"app": spec.app_id}, "TooManySandboxes")
+            self._trace("lock_and_launch", {"app": spec.app_id}, "rejected",
+                        "TooManySandboxes")
+            raise TooManySandboxes("core budget exhausted")
         if self.mode == "tzasc":
             need = TZASC_REGIONS_PER_SANDBOX * (len(self.sandboxes) + 1) \
                 + TZASC_REGIONS_SECURE_WORLD
             if need > TZASC_REGIONS:
-                raise TooManySandboxes("protected-region budget exhausted").traced(
-                    "monitor", "lock_and_launch", {"app": spec.app_id}, "TzascRegions")
+                self._trace("lock_and_launch", {"app": spec.app_id}, "rejected",
+                            "TzascRegions")
+                raise TooManySandboxes("protected-region budget exhausted")
         if spec.core_id not in self.machine.cores or spec.core_id == 0:
             raise ResourceBusy(f"core {spec.core_id} not assignable")
         if self.defenses.legality_check:
             if self.ledger.core_owner[spec.core_id] != ROS_CTX:
-                raise ResourceBusy(f"core {spec.core_id} occupied").traced(
-                    "monitor", "lock_and_launch", {"core": spec.core_id}, "CoreOccupied")
+                self._trace("lock_and_launch", {"core": spec.core_id}, "rejected",
+                            "CoreOccupied")
+                raise ResourceBusy(f"core {spec.core_id} occupied")
             if self.ledger.ram_overlap_owner(spec.region) is not None:
-                raise ResourceBusy("region overlaps a live sandbox").traced(
-                    "monitor", "lock_and_launch", {"region": list(spec.region)},
-                    "RegionOccupied")
+                self._trace("lock_and_launch", {"region": list(spec.region)},
+                            "rejected", "RegionOccupied")
+                raise ResourceBusy("region overlaps a live sandbox")
         region = spec.region
         if not (is_aligned(region[0], BLOCK_2M) and is_aligned(region[1], BLOCK_2M)):
             raise AlignmentError("sandbox region must be 2MB-aligned")
@@ -247,9 +251,10 @@ class Monitor:
             return self.store.decrypt_unchecked(spec.image), False
         try:
             return self.store.verify_and_decrypt(spec.image), True
-        except IntegrityError as exc:
-            raise exc.traced("monitor", "verify_image", {"app": spec.app_id},
-                             "IntegrityError")
+        except IntegrityError:
+            self._trace("verify_image", {"app": spec.app_id}, "rejected",
+                        "IntegrityError")
+            raise
 
     def lock_and_launch(self, spec: LaunchSpec) -> Tuple[int, int]:
         """Check the request, then lock resources, build tables and boot.
@@ -257,7 +262,7 @@ class Monitor:
         Returns (sandbox_id, boot_cost_ns); a refused request changes
         nothing but the trace.
         """
-        plaintext, attested = self.engine.checked(self.check_launch, spec)
+        plaintext, attested = self.check_launch(spec)
         machine, region = self.machine, spec.region
         ros_set = machine.table_sets[ROS_CTX]
         ros_set.unmap_range(region)
@@ -405,7 +410,8 @@ class Monitor:
     # -- core transfer ------------------------------------------------------
 
     def check_transfer_core(self, core_id: int, from_ctx: int, to_ctx: int) -> None:
-        """Every precondition of `transfer_core`, read-only."""
+        """Every precondition of `transfer_core`; writes nothing but the
+        rejection record of a refusal."""
         if core_id not in self.machine.cores:
             raise NotOwner(f"no core {core_id}")
         if from_ctx == to_ctx or (from_ctx != ROS_CTX and to_ctx != ROS_CTX):
@@ -413,13 +419,14 @@ class Monitor:
         if to_ctx != ROS_CTX and core_id == 0:
             raise ResourceBusy("core 0 is pinned to ROS")
         if self.defenses.legality_check and self.ledger.core_owner[core_id] != from_ctx:
-            raise NotOwner(f"core {core_id} not owned by ctx {from_ctx}").traced(
-                "monitor", "transfer_core", {"core": core_id}, "NotOwner")
+            self._trace("transfer_core", {"core": core_id}, "rejected", "NotOwner")
+            raise NotOwner(f"core {core_id} not owned by ctx {from_ctx}")
         if to_ctx != ROS_CTX:
             meta = self._require_sandbox(to_ctx)
             if len(self.ledger.cores_of(to_ctx)) + 1 > meta.max_cores:
-                raise QuotaExceeded(f"sandbox {to_ctx} core quota reached").traced(
-                    "monitor", "transfer_core", {"core": core_id}, "QuotaExceeded")
+                self._trace("transfer_core", {"core": core_id}, "rejected",
+                            "QuotaExceeded")
+                raise QuotaExceeded(f"sandbox {to_ctx} core quota reached")
         if len(self.ledger.cores_of(from_ctx)) <= 1:
             raise LastCoreError(f"ctx {from_ctx} would lose its last core")
         if from_ctx != ROS_CTX and core_id == self.sandboxes[from_ctx].boot_core:
@@ -427,7 +434,7 @@ class Monitor:
 
     def transfer_core(self, core_id: int, from_ctx: int, to_ctx: int,
                       optimized: bool = True) -> int:
-        self.engine.checked(self.check_transfer_core, core_id, from_ctx, to_ctx)
+        self.check_transfer_core(core_id, from_ctx, to_ctx)
         self._move_core(core_id, from_ctx, to_ctx, optimized)
         direction = "inc" if from_ctx == ROS_CTX else "dec"
         cls = self.machine.cores[core_id].value

@@ -276,17 +276,6 @@ class RosActor:
         self._trace("create_sandbox", {"app": app_id, "sandbox": sb})
         return sb, boot_ns
 
-    def propose(self, app_id: str, core_id: int, base_bytes: int,
-                max_cores: int = 1, max_memory: int = 512 * MB,
-                image: Optional[EncryptedImage] = None) -> LaunchSpec:
-        """The request `launch` would hand the monitor, read-only: the staged
-        image (or image), a free channel and a free region of base_bytes."""
-        channel = self.shared.alloc_channel()
-        return LaunchSpec(app_id=app_id, image=image or self.images[app_id],
-                          core_id=core_id, region=self.cma.find(base_bytes),
-                          channel=channel, max_cores=max_cores,
-                          max_memory=max_memory)
-
     def launch(self, app_id: str, core_id: int, base_bytes: int,
                max_cores: int = 1, max_memory: int = 512 * MB,
                image: Optional[EncryptedImage] = None):
@@ -294,7 +283,11 @@ class RosActor:
         (image, if given) on core_id; nothing stays taken if it refuses.
         Adversarial callers name a core they do not hold or a tampered image.
         Returns (sandbox_id, boot_ns)."""
-        spec = self.propose(app_id, core_id, base_bytes, max_cores, max_memory, image)
+        channel = self.shared.alloc_channel()
+        spec = LaunchSpec(app_id=app_id, image=image or self.images[app_id],
+                          core_id=core_id, region=self.cma.find(base_bytes),
+                          channel=channel, max_cores=max_cores,
+                          max_memory=max_memory)
         self.alloc_contiguous(spec.region)
         try:
             sb, boot_ns = self.monitor.lock_and_launch(spec)

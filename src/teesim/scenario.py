@@ -128,7 +128,8 @@ DIRECTIVES = {
         ("new",), {"app": REQUIRED, "cores": 1, "memory": 512 * MB},
         lambda w, new, app, cores, memory:
             adversary.create_tampered(w, app, max_cores=cores, max_memory=memory)),
-    "overlap_attach": (("requester", "victim"), {}, adversary.overlap_attach),
+    "overlap_attach": (("requester", "victim"), {}, lambda w, requester, victim:
+                       adversary.overlap_attach(w, requester, victim)[0].approved),
     "ros_prime": (("sb",), {}, adversary.ros_prime),
     "victim_touch": (("sb",), {}, adversary.victim_touch),
     "ros_probe": (("sb",), {}, adversary.ros_probe),
@@ -414,13 +415,17 @@ def read_directive(line: str):
 
 def _values(names, defaults: dict, given: Dict[str, str], lookup) -> dict:
     """Each name's value: its token in `given` read by its type, else its
-    default, which REQUIRED (or no default) marks as missing."""
+    default, which REQUIRED (or no default) marks as missing. A reader's
+    ValueError is raised again with the name in front."""
     out = {}
     for name in names:
         token = given.get(name)
         if token is not None:
             t = TYPES[name]
-            out[name] = lookup(t, token) if isinstance(t, str) else t(token)
+            try:
+                out[name] = lookup(t, token) if isinstance(t, str) else t(token)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         elif defaults.get(name, REQUIRED) is REQUIRED:
             raise ValueError(f"missing {name}")
         else:

@@ -449,16 +449,12 @@ class World:
 
     # -- peripherals ----------------------------------------------------------------------
 
-    def check_request_peripheral(self, sb: int, dev_id: str) -> None:
-        """The preconditions of `request_peripheral`, read-only."""
+    def request_peripheral(self, sb: int, dev_id: str) -> str:
+        """Returns 'granted' or 'queued'."""
         rt = self.runtimes[sb]
         rt.require_running()
         if dev_id in rt.devices:
             raise BadState(f"sandbox {sb} already holds {dev_id}")
-
-    def request_peripheral(self, sb: int, dev_id: str) -> str:
-        """Returns 'granted' or 'queued'."""
-        self.check_request_peripheral(sb, dev_id)
         self.engine.charge(f"sb{sb}", "ipi_sb_to_ros",
                            self.engine.costs.ipi_sb_to_ros_ns)
         if self.monitor.ledger.dev_owner[dev_id] == ROS_CTX and \
@@ -515,15 +511,10 @@ class World:
 
         self._later(cost, apply)
 
-    def check_release_peripheral(self, sb: int, dev_id: str) -> None:
-        """The precondition of `release_peripheral`, read-only."""
-        if dev_id not in self.runtimes[sb].devices and \
-                self.monitor.ledger.dev_owner[dev_id] != sb:
-            raise BadState(f"sandbox {sb} does not hold {dev_id}")
-
     def release_peripheral(self, sb: int, dev_id: str) -> None:
-        self.check_release_peripheral(sb, dev_id)
         rt = self.runtimes[sb]
+        if dev_id not in rt.devices and self.monitor.ledger.dev_owner[dev_id] != sb:
+            raise BadState(f"sandbox {sb} does not hold {dev_id}")
         self.engine.charge(f"sb{sb}", "ipi_sb_to_ros",
                            self.engine.costs.ipi_sb_to_ros_ns)
         rt.account_to(self.engine.now_ns)

@@ -17,6 +17,7 @@ from teesim.adversary import (
     make_small_world,
     run_attack,
 )
+from teesim.engine import Engine
 from teesim.errors import (
     BadState,
     BudgetExceeded,
@@ -26,8 +27,8 @@ from teesim.errors import (
 )
 from teesim.hw_model import default_config
 from teesim.monitor import MUTATION_FLAGS, Defenses
-from teesim.state import NESTED
-from teesim.world import World, build_world
+from teesim.state import NESTED, REWIRED, SHARED
+from teesim.world import Metrics, World, build_world
 
 PAYLOAD = b"secret model weights"
 
@@ -547,7 +548,7 @@ def test_explore_reports_every_transition_into_a_violating_root():
 
 
 def test_explore_work_counters_at_depth_6(monkeypatch):
-    calls = {"clone": 0, "check": 0}
+    calls = {"clone": 0, "check": 0, "op": 0}
     clone, check = World.clone, adversary.check_invariants
 
     def counted_clone(self):
@@ -573,10 +574,20 @@ def test_explore_work_counters_at_depth_6(monkeypatch):
 
     monkeypatch.setattr(adversary, "keyed_leaves", lambda obj: [
         (path, f._replace(key=counted(f.key))) for path, f in leaves(obj)])
-    res = explore(depth=6)
+    def counted_op(fn):
+        def op(node):
+            calls["op"] += 1
+            return fn(node)
+        return op
+
+    ops = [(name, counted_op(fn)) for name, fn in default_alphabet()]
+    res = explore(op_alphabet=ops, depth=6)
     assert (res.states_visited, res.transitions) == (1147, 3357)
-    # Every op checks on the parent's world first: a clone per transition.
-    assert calls["clone"] == res.transitions
+    # A refused op's world goes to the next op on the same parent, so each
+    # expanded state wastes at most the one clone its last refused op made.
+    expanded = calls["op"] // len(ops)
+    assert res.transitions <= calls["clone"] <= res.transitions + expanded
+    assert calls["clone"] == 3773
     assert calls["check"] <= 1147
     # The root and every transition are keyed, a child against its parent:
     # a field key is computed only where the raw value changed.
@@ -584,29 +595,60 @@ def test_explore_work_counters_at_depth_6(monkeypatch):
     assert (recomputed, keyed - recomputed) == (13891, 36479)
 
 
+def _fields(value, path: str, out: dict) -> dict:
+    """Every field under value, deep, by path into out, except those a
+    `STATE` schema declares SHARED or REWIRED: a stateful object by its
+    schema, the engine and the metrics by their attributes, a dict or a list
+    by its keys in order and then by item, a set as a frozenset. Any other
+    value must be hashable, as an immutable one is, and is kept as it is."""
+    schema = getattr(type(value), "STATE", None)
+    if schema is not None:
+        for name, f in schema.fields.items():
+            if f not in (SHARED, REWIRED):
+                _fields(getattr(value, name), f"{path}.{name}", out)
+    elif isinstance(value, (Engine, Metrics)):
+        _fields(vars(value), path, out)
+    elif isinstance(value, (list, deque)):
+        _fields(dict(enumerate(value)), path, out)
+    elif isinstance(value, dict):
+        out[f"{path} keys"] = list(value)
+        for k, v in value.items():
+            _fields(v, f"{path}[{k!r}]", out)
+    elif isinstance(value, set):
+        out[path] = frozenset(value)
+    else:
+        hash(value)
+        out[path] = value
+    return out
+
+
 @pytest.mark.parametrize("mutations,depth",
                          [((), 7)] + [((flag,), 5) for flag in MUTATION_FLAGS])
-def test_failed_op_changes_nothing(monkeypatch, mutations, depth):
-    """Every op from every explored state: one that raises leaves the
-    parent's world and the handles as they were, and made no clone."""
-    clones = []
-    clone = World.clone
-    monkeypatch.setattr(World, "clone",
-                        lambda self: clones.append(1) or clone(self))
-
-    def state(world, node):
-        return (world.canonical(), sorted(node.handles.items()),
-                sorted(world.monitor._approvals), world.monitor._next_sandbox)
+def test_failed_op_changes_nothing(mutations, depth):
+    """Every op from every explored state: one that is refused leaves the
+    world it ran on and the handles as they were, in every field but
+    SHARED and REWIRED ones, reset ones and the engine's clock included."""
+    exceptions = []
 
     def checked(name, fn):
         def op(node):
-            parent, made = node.peek(), len(clones)
-            before = state(parent, node)
+            world = node.world  # the parent's clone, or a refused op's world
+            before = _fields(world, "world", {}), dict(node.handles)
             try:
                 return fn(node)
             except SimError:
-                assert state(parent, node) == before, name
-                assert len(clones) == made, name
+                after = _fields(world, "world", {}), node.handles
+                changed = {p for p, v in before[0].items() if after[0][p] != v}
+                # The one exception: a refused add_core (no free core) holds
+                # off the runtime's next core request, as a granted one does.
+                # Only the timed CPU monitor reads it; instant mode never runs
+                # that monitor.
+                if name == "grow_core_a" and changed:
+                    sb = node.handles["a"]
+                    assert changed == {f"world.runtimes[{sb}].hysteresis_until_ns"}
+                    exceptions.append(node.trace)
+                    changed = set()
+                assert (changed, after[1]) == (set(), before[1]), (name, node.trace)
                 raise
         return op
 
@@ -614,6 +656,7 @@ def test_failed_op_changes_nothing(monkeypatch, mutations, depth):
     res = explore(world_factory=lambda: make_small_world(mutations),
                   op_alphabet=ops, depth=depth)
     assert res.transitions and bool(res.violations) == bool(mutations)
+    assert exceptions or mutations  # the honest world meets the exception
 
 
 def _assert_only_live_state(world, where):

@@ -3,8 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teesim.engine import CostTable, Engine
-from teesim.errors import ConfigError
+from teesim.errors import ConfigError, NotOwner
+from teesim.hw_model import ROS_CTX, default_config
 from teesim.units import KB, MB, MS_NS
+from teesim.world import build_world
 
 
 def test_same_time_dispatches_in_insertion_order():
@@ -124,19 +126,16 @@ def test_trace_time_reported_in_exact_microseconds():
 
 
 @pytest.mark.parametrize("traced", [True, False])
-def test_checked_traces_a_refusal_only_into_a_sink(traced):
-    """A check's refusal reaches the trace through `checked`, unless the
-    engine keeps no records; charges return their cost either way."""
-    eng = Engine(traced=traced)
-
-    def refuse():
-        raise ConfigError("no").traced("monitor", "op", {"k": 1}, "Why")
-
-    with pytest.raises(ConfigError):
-        eng.checked(refuse)
-    assert eng.checked(lambda x: x + 1, 1) == 2
+def test_refusal_traces_only_into_a_sink(traced):
+    """A refused call writes its rejection record where it raises, unless
+    the engine keeps no records; charges return their cost either way."""
+    world = build_world(default_config(), instant=True, traced=traced)
+    eng = world.engine
+    with pytest.raises(NotOwner):
+        world.monitor.transfer_core(1, 5, ROS_CTX)
     assert eng.charge("x", "boot", 7) == 7
-    want = [("monitor", "op", "rejected", "Why", 1), ("x", "cost", "ok", None, 2)]
+    want = [("monitor", "transfer_core", "rejected", "NotOwner", 1),
+            ("x", "cost", "ok", None, 2)]
     assert [(r["actor"], r["op"], r["verdict"], r.get("reason"), r["seq"])
             for r in eng.records or []] == (want if traced else [])
     assert eng.records is None or traced

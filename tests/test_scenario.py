@@ -136,6 +136,13 @@ def test_malformed_directive_value_is_validation_error(directive):
         sc.parse(MINIMAL + f"at 2s {directive}\n")
 
 
+def test_malformed_value_error_names_its_argument():
+    with pytest.raises(ValidationError) as err:
+        sc.parse(MINIMAL + "at 2s workload sb1 inference images=20 gpu_speedup=-1\n")
+    assert str(err.value) == ("bad workload argument: gpu_speedup: "
+                              "-1 is not a finite non-negative number")
+
+
 def test_teardown_returns_device_grant_still_in_flight():
     """Terminate lands after the monitor gave sb1 the GPU but before the
     grant reached its runtime, so teardown returns a device that
