@@ -252,11 +252,22 @@ class SandboxRuntime:
         rate = self.rate_mu_ms()
         if rate == 0:
             return None
+        return -(-self._scaled_before(self.workload.chunks()) // rate)
+
+    def working_set_left_scaled(self) -> int:
+        """Scaled work left before the working set changes: the rest of the
+        run of chunks over the current chunk's working set (busy only)."""
+        w = self.workload
+        end, ws = self._chunk + 1, w.working_set_bytes(self._chunk)
+        while end < w.chunks() and w.working_set_bytes(end) == ws:
+            end += 1
+        return self._scaled_before(end)
+
+    def _scaled_before(self, end: int) -> int:
+        """Scaled work left before chunk end starts, at the current cache."""
         w, cache = self.workload, self._cache_bytes()
-        remaining = self.remaining_scaled + sum(
-            max(0, w.chunk_scaled(i, cache))
-            for i in range(self._chunk + 1, w.chunks()))
-        return -(-remaining // rate)
+        return self.remaining_scaled + sum(
+            max(0, w.chunk_scaled(i, cache)) for i in range(self._chunk + 1, end))
 
     # -- usage sampling and monitors ----------------------------------------
 
@@ -277,8 +288,12 @@ class SandboxRuntime:
     def monitor_cpu(self, now_ns: int) -> Optional[AdjustRequest]:
         if self.state != "running" or now_ns < self.hysteresis_until_ns:
             return None
-        if len(self.usage) >= INCREASE_WINDOW_SAMPLES and len(self.cores) < self.max_cores:
-            recent = list(self.usage)[-INCREASE_WINDOW_SAMPLES:]
+        return self.cpu_request(self.usage)
+
+    def cpu_request(self, usage) -> Optional[AdjustRequest]:
+        """The CPU monitor's request on a window of samples, hysteresis aside."""
+        if len(usage) >= INCREASE_WINDOW_SAMPLES and len(self.cores) < self.max_cores:
+            recent = list(usage)[-INCREASE_WINDOW_SAMPLES:]
             avg = sum(a for a, _ in recent) // INCREASE_WINDOW_SAMPLES
             if avg > INCREASE_THRESHOLD_PERMILLE:
                 return AdjustRequest(
@@ -287,7 +302,7 @@ class SandboxRuntime:
         for cid in self.surplus_cores():
             # Only samples taken while the core was owned count toward its
             # idle window.
-            vals = [pc[cid] for _, pc in self.usage if cid in pc]
+            vals = [pc[cid] for _, pc in usage if cid in pc]
             if len(vals) >= RELEASE_WINDOW_SAMPLES and \
                     sum(vals) // len(vals) < RELEASE_THRESHOLD_PERMILLE:
                 return AdjustRequest("release_core", core_id=cid)

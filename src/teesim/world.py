@@ -8,6 +8,7 @@ instant mode (used by exploration) everything applies synchronously and the
 clock is ignored.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -241,6 +242,7 @@ class World:
             if folded:
                 self._sample_utilization(rt, busy_ns, folded)
                 rt.account_to(now + folded * tick)
+                rt.usage.extend([rt.usage[-1]] * min(folded, rt.usage.maxlen))
         self.engine.schedule((folded + 1) * tick, lambda: self._tick(sb))
 
     def _busy_ns(self, rt: SandboxRuntime, now: int) -> int:
@@ -255,21 +257,21 @@ class World:
     def _quiescent_ticks(self, rt: SandboxRuntime, now: int, busy_ns: int) -> int:
         """How many of the ticks after the one at now would repeat it exactly.
 
-        A tick that raised no request, past hysteresis and with a full window
-        of samples equal to its own, changes nothing the next tick reads, so
-        the next one repeats it, as long as no other event runs in between
-        and the sandbox keeps running the same chunk. Those ticks are bounded
-        by the engine's next queued event (an event at the same time runs
-        first, so that tick stays real), by the end of the current run_until
-        and, for a busy sandbox, by the end of its chunk at the current rate:
-        the fold stops strictly before the tick at which the chunk runs out,
-        since from then on its working set and used memory may change. The
-        folded ticks' effects are the utilization integrals and the work they
-        would have done, which the caller accounts ahead with `account_to`;
-        work within one chunk is linear in time, so that is exact.
+        A tick that raised no request leaves everything the next tick reads
+        unchanged but the clock and the usage window, to which each later
+        tick appends this tick's sample. So the next ticks repeat it as long
+        as no other event runs in between, the CPU monitor raises nothing on
+        the growing window once hysteresis is over (found by looking ahead
+        on a copy), and a busy sandbox keeps its working set. The fold stops
+        before the engine's next queued event (an event at the same time
+        runs first, so that tick stays real), at the end of the current
+        run_until, one tick before the CPU monitor's first request and, for
+        a busy sandbox, strictly before the tick at which the run of chunks
+        over its working set runs out at the current rate. The caller adds
+        the folded ticks' samples and utilization integrals and accounts
+        their work with `account_to`: at a fixed rate and cache that work is
+        linear in time, across chunk ends too, so that is exact.
         """
-        if now < rt.hysteresis_until_ns:
-            return 0
         tick = sos.USAGE_SAMPLE_NS
         count = (self.engine.end_ns - now) // tick
         next_ns = self.engine.next_event_ns
@@ -277,18 +279,26 @@ class World:
             count = min(count, (next_ns - now - 1) // tick)
         if count <= 0:
             return 0
-        usage = rt.usage
-        if len(usage) != usage.maxlen or usage.count(usage[-1]) != len(usage):
-            return 0
         # Busy time per window is monotone once work is over, and a full
-        # window while the chunk runs, so equal at the next tick means equal
+        # window while the work runs, so equal at the next tick means equal
         # at every later one.
         if self._busy_ns(rt, now + tick) != busy_ns:
             return 0
         if rt.busy():
             # A rate of 0 or less does no work, so any bound holds there.
             step = max(1, rt.rate_mu_ms()) * tick
-            count = min(count, (rt.remaining_scaled - 1) // step)
+            count = min(count, (rt.working_set_left_scaled() - 1) // step)
+        # Once the window is full of this sample and hysteresis is over,
+        # every later tick asks the monitor the same question.
+        window = deque(rt.usage, maxlen=rt.usage.maxlen)
+        for j in range(1, count + 1):
+            window.append(rt.usage[-1])
+            if now + j * tick < rt.hysteresis_until_ns:
+                continue
+            if rt.cpu_request(window) is not None:
+                return j - 1
+            if window.count(rt.usage[-1]) == window.maxlen:
+                break
         return count
 
     def _sample_utilization(self, rt: SandboxRuntime, busy_ns: int,

@@ -237,7 +237,7 @@ FOLD_CASES = {
         3, 12, "at 10032ms terminate sb1\n"),
     # Wants more cores than the machine has: once it holds all seven it is
     # refused every 1.1 s, and between refusals only the hysteresis window
-    # holds it back, so none of its ticks may fold.
+    # holds it back, so the fold must stop one tick before each refusal.
     "no_workload_8_cores": _no_workload_scenario(8, 20),
     # One big core does 100 units per tick and work starts on a tick, so
     # each query (10,000, 20,000 and 30,000 units) runs out exactly on a
@@ -275,13 +275,32 @@ FOLD_CASES = {
     "serial_batch_2_cores": _one_app_scenario(60, (
         "at 0ms create sb1 app=a cores=2 memory=256M core=big\n"
         "at 0ms workload sb1 inference images=40 units=1000 serial\n")),
+    # One big core does 100 units per tick, each query (2,000 units on
+    # 20M, 4,000 on 40M) ends on a tick, and the cache holds 30M. The fold
+    # runs across query ends and across the 20M -> 20M file boundary, but
+    # must stop one tick before the 40M file, where the used memory grows.
+    "cipher_same_working_set_across_files": _one_app_scenario(50, (
+        "at 0ms create sb1 app=a cores=1 memory=158M core=big base=158M\n"
+        "at 0ms workload sb1 cipher files=20M,20M,40M queries=5 cache=30M "
+        "scan=100 miss=0\n")),
+    # The batch takes the second core after 20 samples, runs about 1 s on
+    # both and leaves them idle: the surplus core is given back at its 50th
+    # sample, while the window still holds busy samples, and the fold must
+    # stop one tick before that release.
+    "short_batch_releases_core_while_window_fills": _one_app_scenario(20, (
+        "at 0ms create sb1 app=a cores=2 memory=256M core=big\n"
+        "at 0ms workload sb1 inference images=40 units=100\n")),
+    # Two busy cores' worth of work: the increase fires at the 20th sample,
+    # before the window is full, and the fold must stop one tick before it.
+    "busy_batch_takes_core_at_20_samples": _one_app_scenario(30, (
+        "at 0ms create sb1 app=a cores=2 memory=256M core=big\n"
+        "at 0ms workload sb1 inference images=40 units=1000\n")),
     # Two cores work the batch; the terminate cuts a folded stretch short.
     "terminate_mid_fold": _one_app_scenario(60, (
         "at 0ms create sb1 app=a cores=2 memory=256M core=big\n"
         "at 0ms workload sb1 inference images=100 units=1000\n"
         "at 30010ms terminate sb1\n")),
 }
-NOTHING_TO_FOLD = {"no_workload_8_cores"}
 
 
 def _counting_run_until(monkeypatch, step_ns=None):
@@ -337,10 +356,7 @@ def test_folded_ticks_equal_tick_by_tick(monkeypatch, name):
     whole, stepped, whole_events, stepped_events = _whole_and_stepped(
         monkeypatch, sc.parse(FOLD_CASES[name]))
     assert whole == stepped
-    if name in NOTHING_TO_FOLD:
-        assert whole_events == stepped_events
-    else:
-        assert whole_events < stepped_events
+    assert whole_events < stepped_events
 
 
 def test_folded_ticks_equal_tick_by_tick_on_random_scenarios(monkeypatch):
@@ -352,9 +368,20 @@ def test_folded_ticks_equal_tick_by_tick_on_random_scenarios(monkeypatch):
 
 @pytest.mark.parametrize("name", ["mem_query_flexible", "mem_query_static_30M"])
 def test_busy_mem_query_dispatches_few_events(monkeypatch, name):
-    """A query sandbox folds its busy ticks up to the end of each query
-    (1,457 and 3,179 events when only idle ticks folded)."""
+    """A query sandbox folds its busy ticks across query ends, up to the
+    end of each file, and while its usage window fills (1,457 and 3,179
+    events when only idle ticks folded; 341 and 317 when busy ticks stopped
+    at each query end and every fold waited for a full window)."""
     counts = _counting_run_until(monkeypatch)
     sc.run_scenario(sc.parse(FOLD_CASES[name]), with_trace=False,
                     check_each_directive=False)
-    assert counts and sum(counts) < 400
+    assert counts and sum(counts) < 100
+
+
+def test_dl_batch_suite_dispatches_few_events(monkeypatch):
+    """Inference batches fold while the usage window fills and through the
+    hysteresis after each core transfer (1,539 events when the fold waited
+    for a full, uniform window past hysteresis)."""
+    counts = _counting_run_until(monkeypatch)
+    bench.run_suite("dl_batch")
+    assert sum(counts) < 400
