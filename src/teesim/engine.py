@@ -177,6 +177,11 @@ class Engine:
         heapq.heappush(self._queue, (self.now_ns + delay_ns, self._seq, fn))
         return self._seq
 
+    def cancel(self, seq: Optional[int]) -> None:
+        """Drop the queued event that `schedule` numbered seq, if any."""
+        self._queue[:] = [event for event in self._queue if event[1] != seq]
+        heapq.heapify(self._queue)
+
     @property
     def next_event_ns(self) -> Optional[int]:
         """Time of the earliest queued event, or None when the queue is empty."""

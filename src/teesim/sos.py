@@ -2,17 +2,19 @@
 and the requests they raise.
 
 Every workload is a sequence of chunks (`Workload`). The runtime keeps one
-cursor, the chunk it runs and the work that chunk has left, and never asks
-which kind of workload it runs.
+cursor, the chunk it runs and the work that chunk has left, moves it with
+prefix sums of the chunk costs, and never asks which kind of workload it runs.
 
 Work is tracked in an integer fixed-point unit (milli-units times
 nanoseconds) so that total work done equals rate times time exactly under
 any ownership schedule.
 """
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from itertools import accumulate, groupby
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import BadState
 from .state import DICT, KEYED, SET, SHARED, Schema, copied
@@ -54,12 +56,12 @@ class Workload:
         return 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Idle(Workload):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class InferenceBatch(Workload):
     """One chunk: the whole batch."""
 
@@ -75,7 +77,7 @@ class InferenceBatch(Workload):
         return self.images * self.units_per_image * WORK_SCALE
 
 
-@dataclass
+@dataclass(frozen=True)
 class CipherQuery(Workload):
     """Query workload over encrypted files, one chunk per query: the part of
     a file that fits in the owned cache memory scans cheap, the rest pays a
@@ -117,6 +119,30 @@ class MemRequest:
     nbytes: int
 
 
+class UsageSums:
+    """What the CPU monitor reads from a usage window, which `append` slides
+    on: the last INCREASE_WINDOW_SAMPLES aggregates' total and, per given
+    core, the count and total of the samples taken while it was owned."""
+
+    def __init__(self, usage: deque, cores: List[int]):
+        self.window = usage
+        self.recent = sum([a for a, _ in list(usage)[-INCREASE_WINDOW_SAMPLES:]])
+        self.owned, self.total = {}, {}
+        for c in cores:
+            vals = [pc[c] for _, pc in usage if c in pc]
+            self.owned[c], self.total[c] = len(vals), sum(vals)
+
+    def append(self, sample: Tuple[int, Dict[int, int]]) -> None:
+        w, (agg, new) = self.window, sample
+        old = w[0][1] if len(w) == w.maxlen else {}
+        self.recent += agg - (w[-INCREASE_WINDOW_SAMPLES][0]
+                              if len(w) >= INCREASE_WINDOW_SAMPLES else 0)
+        for cid in self.owned:
+            self.owned[cid] += (cid in new) - (cid in old)
+            self.total[cid] += new.get(cid, 0) - old.get(cid, 0)
+        w.append(sample)
+
+
 # Past terminating a runtime leaves the world (`World._dead`).
 _STATE_ORDER = ["booting", "running", "terminating"]
 
@@ -145,15 +171,14 @@ class SandboxRuntime:
         # Progress: the chunk being run and the scaled work it has left.
         self._chunk = 0
         self.remaining_scaled = 0
+        self._prefix: tuple = (None,)  # built by _sums
         self._attached_bytes = 0
         self.mem_pending = False
         # Accounting.
         self.work_started_ns: Optional[int] = None
         self.work_finished_ns: Optional[int] = None
         self._last_account_ns: Optional[int] = None
-        self.usage: Deque[Tuple[int, Dict[int, int]]] = deque(
-            maxlen=RELEASE_WINDOW_SAMPLES
-        )
+        self.usage = deque(maxlen=RELEASE_WINDOW_SAMPLES)  # (agg, {core: permille})
         self.hysteresis_until_ns = 0
 
     # -- state machine -----------------------------------------------------
@@ -192,15 +217,24 @@ class SandboxRuntime:
         self.work_started_ns = now_ns
         self.work_finished_ns = None
         self._last_account_ns = now_ns
-        self._start_chunk(0)
+        self._seek(0)
 
-    def _start_chunk(self, i: int) -> None:
-        # A chunk that costs nothing at the current cache size is no work.
+    def _sums(self) -> tuple:
+        """(workload, cache bytes, prefix sums of the chunk costs at that
+        cache, where each run of chunks over one working set ends)."""
         w, cache = self.workload, self._cache_bytes()
-        while i < w.chunks() and w.chunk_scaled(i, cache) <= 0:
-            i += 1
-        self._chunk = i
-        self.remaining_scaled = w.chunk_scaled(i, cache) if i < w.chunks() else 0
+        if self._prefix[0] is not w or self._prefix[1] != cache:
+            costs = (max(0, w.chunk_scaled(i, cache)) for i in range(w.chunks()))
+            runs = groupby(map(w.working_set_bytes, range(w.chunks())))
+            self._prefix = (w, cache, tuple(accumulate(costs, initial=0)),
+                            tuple(accumulate(len(list(run)) for _, run in runs)))
+        return self._prefix
+
+    def _seek(self, pos: int) -> None:
+        """Run from pos scaled units in: a chunk that costs nothing is no work."""
+        sums = self._sums()[2]
+        self._chunk = i = bisect_right(sums, pos) - 1
+        self.remaining_scaled = sums[i + 1] - pos if i + 1 < len(sums) else 0
 
     def _cache_bytes(self) -> int:
         return (self.workload.cache_base_bytes or 0) + self._attached_bytes
@@ -223,15 +257,15 @@ class SandboxRuntime:
         if dt_ns < 0:
             raise BadState("negative step")
         budget = self.rate_mu_ms() * dt_ns
-        done = 0
-        while budget > 0 and self.busy():
-            take = min(budget, self.remaining_scaled)
-            self.remaining_scaled -= take
-            done += take
-            budget -= take
-            if self.remaining_scaled == 0:
-                self._start_chunk(self._chunk + 1)
-        return done
+        if budget <= 0 or not self.busy():
+            return 0
+        if budget < self.remaining_scaled:
+            self.remaining_scaled -= budget
+            return budget
+        sums = self._sums()[2]
+        pos = sums[self._chunk + 1] - self.remaining_scaled
+        self._seek(pos + budget)
+        return min(budget, sums[-1] - pos)
 
     def account_to(self, now_ns: int) -> None:
         """Fold elapsed time into the workload; call before any rate change."""
@@ -257,17 +291,13 @@ class SandboxRuntime:
     def working_set_left_scaled(self) -> int:
         """Scaled work left before the working set changes: the rest of the
         run of chunks over the current chunk's working set (busy only)."""
-        w = self.workload
-        end, ws = self._chunk + 1, w.working_set_bytes(self._chunk)
-        while end < w.chunks() and w.working_set_bytes(end) == ws:
-            end += 1
-        return self._scaled_before(end)
+        ends = self._sums()[3]
+        return self._scaled_before(ends[bisect_right(ends, self._chunk)])
 
     def _scaled_before(self, end: int) -> int:
         """Scaled work left before chunk end starts, at the current cache."""
-        w, cache = self.workload, self._cache_bytes()
-        return self.remaining_scaled + sum(
-            max(0, w.chunk_scaled(i, cache)) for i in range(self._chunk + 1, end))
+        sums = self._sums()[2]
+        return self.remaining_scaled + sums[end] - sums[self._chunk + 1]
 
     # -- usage sampling and monitors ----------------------------------------
 
@@ -285,28 +315,49 @@ class SandboxRuntime:
         release may give back."""
         return sorted(c for c in self.cores if c != self.boot_core)
 
-    def monitor_cpu(self, now_ns: int) -> Optional[AdjustRequest]:
-        if self.state != "running" or now_ns < self.hysteresis_until_ns:
-            return None
-        return self.cpu_request(self.usage)
+    def _cores_fixed(self) -> bool:
+        """The CPU monitor can neither grow nor release a core."""
+        return len(self.cores) >= self.max_cores and not self.surplus_cores()
 
-    def cpu_request(self, usage) -> Optional[AdjustRequest]:
-        """The CPU monitor's request on a window of samples, hysteresis aside."""
-        if len(usage) >= INCREASE_WINDOW_SAMPLES and len(self.cores) < self.max_cores:
-            recent = list(usage)[-INCREASE_WINDOW_SAMPLES:]
-            avg = sum(a for a, _ in recent) // INCREASE_WINDOW_SAMPLES
-            if avg > INCREASE_THRESHOLD_PERMILLE:
-                return AdjustRequest(
-                    "increase_core", core_class=self.cores[self.boot_core]
-                )
-        for cid in self.surplus_cores():
-            # Only samples taken while the core was owned count toward its
-            # idle window.
-            vals = [pc[cid] for _, pc in usage if cid in pc]
-            if len(vals) >= RELEASE_WINDOW_SAMPLES and \
-                    sum(vals) // len(vals) < RELEASE_THRESHOLD_PERMILLE:
+    def monitor_cpu(self, now_ns: int) -> Optional[AdjustRequest]:
+        # Every request needs at least INCREASE_WINDOW_SAMPLES samples.
+        if self.state != "running" or now_ns < self.hysteresis_until_ns \
+                or len(self.usage) < INCREASE_WINDOW_SAMPLES or self._cores_fixed():
+            return None
+        return self.cpu_request(UsageSums(self.usage, self.surplus_cores()))
+
+    def cpu_request(self, sums: UsageSums) -> Optional[AdjustRequest]:
+        """The CPU monitor's request on a window's sums, hysteresis aside."""
+        if len(sums.window) >= INCREASE_WINDOW_SAMPLES and len(self.cores) < self.max_cores \
+                and sums.recent // INCREASE_WINDOW_SAMPLES > INCREASE_THRESHOLD_PERMILLE:
+            return AdjustRequest("increase_core", core_class=self.cores[self.boot_core])
+        for cid, n in sums.owned.items():
+            if n >= RELEASE_WINDOW_SAMPLES and \
+                    sums.total[cid] // n < RELEASE_THRESHOLD_PERMILLE:
                 return AdjustRequest("release_core", core_id=cid)
         return None
+
+    def ticks_before_request(self, now_ns: int, count: int) -> int:
+        """How many of the count ticks after now_ns, each appending the
+        window's last sample, pass before the first one at or past the
+        hysteresis end that raises a CPU request. Once the window is full of
+        that sample, every later tick asks the same question."""
+        if self._cores_fixed():
+            return count
+        sample, sums = self.usage[-1], UsageSums(
+            deque(self.usage, maxlen=RELEASE_WINDOW_SAMPLES), self.surplus_cores())
+        run = next((k for k, s in enumerate(reversed(self.usage)) if s != sample),
+                   len(self.usage))  # the samples already equal to it
+        for j in range(1, count + 1):
+            if run + j <= RELEASE_WINDOW_SAMPLES:  # else it is full of sample
+                sums.append(sample)
+            if now_ns + j * USAGE_SAMPLE_NS < self.hysteresis_until_ns:
+                continue
+            if self.cpu_request(sums) is not None:
+                return j - 1
+            if run + j >= RELEASE_WINDOW_SAMPLES:
+                break
+        return count
 
     def monitor_memory(self, requested_bytes: int) -> Optional[MemRequest]:
         """Attach when the demanded bytes outgrow the owned dynamic memory,
@@ -337,13 +388,13 @@ class SandboxRuntime:
         workload=SHARED,  # parameters only; progress is in the fields below
         cores=DICT, devices=SET,
         _chunk=KEYED, remaining_scaled=KEYED,
+        _prefix=copied("derived from workload and _attached_bytes"),
         _attached_bytes=KEYED,
         gpu_owned=copied("follows from devices: true iff one of them is a GPU"),
         mem_pending=copied("set and cleared inside one op in instant mode"),
         work_started_ns=copied(_CLOCK), work_finished_ns=copied(_CLOCK),
         _last_account_ns=copied(_CLOCK), hysteresis_until_ns=copied(_CLOCK),
-        usage=copied(_CLOCK,
-                     copy=lambda usage: deque(usage, maxlen=RELEASE_WINDOW_SAMPLES)),
+        usage=copied(_CLOCK, copy=lambda usage: deque(usage, maxlen=usage.maxlen)),
     )
     clone = STATE.clone
     canonical = STATE.canonical

@@ -8,7 +8,6 @@ instant mode (used by exploration) everything applies synchronously and the
 clock is ignored.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -107,7 +106,7 @@ class World:
         self.metrics = Metrics()
         self.dev_queues: Dict[str, List[int]] = {}
         self.attack_outcomes: List = []
-        self._gen: Dict[int, int] = {}
+        self._completions: Dict[int, int] = {}
 
     # -- setup -------------------------------------------------------------
 
@@ -131,10 +130,6 @@ class World:
             fn()
         else:
             self.engine.schedule(delay_ns, fn)
-
-    def _bump_gen(self, sb: int) -> int:
-        self._gen[sb] = self._gen.get(sb, 0) + 1
-        return self._gen[sb]
 
     # -- sandbox lifecycle -----------------------------------------------------
 
@@ -196,7 +191,7 @@ class World:
         rt.cores.clear()
         rt.devices.clear()
         rt.gpu_owned = False
-        self._bump_gen(sb)
+        self.engine.cancel(self._completions.pop(sb, None))
         self._later(cost, lambda: self._dead(sb))
 
     def set_workload(self, sb: int, workload) -> None:
@@ -210,7 +205,7 @@ class World:
     def _dead(self, sb: int) -> None:
         # A dead sandbox leaves no runtime: `state_of` reads it as dead.
         self.engine.trace(f"sb{sb}", "dead")
-        del self.runtimes[sb], self._gen[sb]
+        del self.runtimes[sb]
 
     # -- periodic runtime work ---------------------------------------------------
 
@@ -261,16 +256,16 @@ class World:
         unchanged but the clock and the usage window, to which each later
         tick appends this tick's sample. So the next ticks repeat it as long
         as no other event runs in between, the CPU monitor raises nothing on
-        the growing window once hysteresis is over (found by looking ahead
-        on a copy), and a busy sandbox keeps its working set. The fold stops
-        before the engine's next queued event (an event at the same time
-        runs first, so that tick stays real), at the end of the current
-        run_until, one tick before the CPU monitor's first request and, for
-        a busy sandbox, strictly before the tick at which the run of chunks
-        over its working set runs out at the current rate. The caller adds
-        the folded ticks' samples and utilization integrals and accounts
-        their work with `account_to`: at a fixed rate and cache that work is
-        linear in time, across chunk ends too, so that is exact.
+        the growing window once hysteresis is over (`ticks_before_request`),
+        and a busy sandbox keeps its working set. The fold stops before the
+        engine's next queued event (an event at the same time runs first, so
+        that tick stays real), at the end of the current run_until, one tick
+        before the CPU monitor's first request and, for a busy sandbox,
+        strictly before the tick at which the run of chunks over its working
+        set runs out at the current rate. The caller adds the folded ticks'
+        samples and utilization integrals and accounts their work with
+        `account_to`: at a fixed rate and cache that work is linear in time,
+        across chunk ends too, so that is exact.
         """
         tick = sos.USAGE_SAMPLE_NS
         count = (self.engine.end_ns - now) // tick
@@ -288,18 +283,7 @@ class World:
             # A rate of 0 or less does no work, so any bound holds there.
             step = max(1, rt.rate_mu_ms()) * tick
             count = min(count, (rt.working_set_left_scaled() - 1) // step)
-        # Once the window is full of this sample and hysteresis is over,
-        # every later tick asks the monitor the same question.
-        window = deque(rt.usage, maxlen=rt.usage.maxlen)
-        for j in range(1, count + 1):
-            window.append(rt.usage[-1])
-            if now + j * tick < rt.hysteresis_until_ns:
-                continue
-            if rt.cpu_request(window) is not None:
-                return j - 1
-            if window.count(rt.usage[-1]) == window.maxlen:
-                break
-        return count
+        return rt.ticks_before_request(now, count)
 
     def _sample_utilization(self, rt: SandboxRuntime, busy_ns: int,
                             ticks: int = 1) -> None:
@@ -319,12 +303,12 @@ class World:
         eta = rt.finish_eta_ns()
         if eta is None:
             return
-        gen = self._bump_gen(sb)
-        self.engine.schedule(eta, lambda: self._completion(sb, gen))
+        self.engine.cancel(self._completions.pop(sb, None))
+        self._completions[sb] = self.engine.schedule(
+            eta, lambda: self._completion(sb))
 
-    def _completion(self, sb: int, gen: int) -> None:
-        if self._gen.get(sb) != gen:
-            return
+    def _completion(self, sb: int) -> None:
+        del self._completions[sb]
         rt = self.runtimes.get(sb)
         if rt is None or rt.state != "running":
             return
@@ -635,8 +619,8 @@ class World:
                                         for d, q in queues.items())),
             copy=lambda queues: {d: list(q) for d, q in queues.items()},
         ),
-        _gen=copied("read only by completion events, which instant mode never "
-                    "queues", copy=dict),
+        _completions=copied("each sandbox's queued completion event, by its "
+                            "engine number; instant mode queues none", copy=dict),
         after_clone=_rewire,
     )
     clone = STATE.clone

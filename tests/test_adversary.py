@@ -660,9 +660,9 @@ def test_failed_op_changes_nothing(mutations, depth):
 
 
 def _assert_only_live_state(world, where):
-    """No dead sandbox's runtime or generation, and no drained device queue."""
+    """No dead sandbox's runtime or completion, and no drained device queue."""
     assert all(rt.state != "dead" for rt in world.runtimes.values()), where
-    assert set(world._gen) <= set(world.runtimes), where
+    assert set(world._completions) <= set(world.runtimes), where
     assert all(world.dev_queues.values()), where
 
 

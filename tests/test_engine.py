@@ -27,6 +27,21 @@ def test_time_order_wins_over_insertion():
     assert out == ["early", "late"]
 
 
+def test_cancelled_event_neither_runs_nor_bounds_the_queue():
+    eng = Engine()
+    out = []
+    eng.schedule(5, lambda: out.append("a"))
+    first = eng.schedule(2, lambda: out.append("cancelled"))
+    eng.schedule(3, lambda: out.append("b"))
+    eng.cancel(first)
+    assert eng.next_event_ns == 3
+    # An event may cancel a later one while the queue is being run.
+    late = eng.schedule(7, lambda: out.append("cancelled too"))
+    eng.schedule(6, lambda: eng.cancel(late))
+    assert eng.run_until(10) == 3
+    assert out == ["b", "a"] and eng.next_event_ns is None
+
+
 def test_negative_delay_rejected():
     eng = Engine()
     with pytest.raises(ValueError):

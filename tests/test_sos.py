@@ -1,6 +1,9 @@
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teesim.errors import BadState
 from teesim.sos import (
@@ -12,6 +15,7 @@ from teesim.sos import (
     Idle,
     InferenceBatch,
     SandboxRuntime,
+    UsageSums,
     WORK_SCALE,
 )
 from teesim.units import MB, MS_NS, S_NS
@@ -196,3 +200,181 @@ def test_restarted_cipher_runs_from_its_first_query():
     rt.start_work(10 * S_NS)
     assert rt.busy() and rt.working_set_bytes() == 10 * MB
     assert rt.finish_eta_ns() == 200 * MS_NS + 1400 * MS_NS
+
+
+class SteppedRuntime(SandboxRuntime):
+    """The oracle for prefix-sum accounting: a runtime that starts every
+    chunk it crosses, one at a time, and sums or scans the chunks ahead on
+    every estimate."""
+
+    def start_work(self, now_ns):
+        self.work_started_ns = now_ns
+        self.work_finished_ns = None
+        self._last_account_ns = now_ns
+        self._start_chunk(0)
+
+    def _start_chunk(self, i):
+        w, cache = self.workload, self._cache_bytes()
+        while i < w.chunks() and w.chunk_scaled(i, cache) <= 0:
+            i += 1
+        self._chunk = i
+        self.remaining_scaled = w.chunk_scaled(i, cache) if i < w.chunks() else 0
+
+    def step_workload(self, dt_ns):
+        self.require_running()
+        budget, done = self.rate_mu_ms() * dt_ns, 0
+        while budget > 0 and self.busy():
+            take = min(budget, self.remaining_scaled)
+            self.remaining_scaled -= take
+            done += take
+            budget -= take
+            if self.remaining_scaled == 0:
+                self._start_chunk(self._chunk + 1)
+        return done
+
+    def working_set_left_scaled(self):
+        w = self.workload
+        end, ws = self._chunk + 1, w.working_set_bytes(self._chunk)
+        while end < w.chunks() and w.working_set_bytes(end) == ws:
+            end += 1
+        return self._scaled_before(end)
+
+    def _scaled_before(self, end):
+        w, cache = self.workload, self._cache_bytes()
+        return self.remaining_scaled + sum(
+            max(0, w.chunk_scaled(i, cache)) for i in range(self._chunk + 1, end))
+
+
+def _runtime(cls, workload, cores):
+    rt = cls(1, max_cores=4, max_memory=512 * MB, boot_core=4,
+             boot_core_class=cores[0], base_bytes=128 * MB, workload=workload)
+    rt.advance("running")
+    rt.cores.update(enumerate(cores[1:], start=5))
+    rt.start_work(0)
+    return rt
+
+
+def _progress(rt):
+    return (rt._chunk, rt.remaining_scaled, rt.work_finished_ns, rt.busy(),
+            rt.finish_eta_ns(), rt.working_set_left_scaled() if rt.busy() else None)
+
+
+# Sizes in whole and odd MB, 0 included: a zero-size file, a zero query
+# count and zero unit costs make chunks that cost nothing, and so does a
+# scan cost of 0 for a file that fits the cache.
+_WORKLOADS = st.one_of(
+    st.builds(CipherQuery,
+              file_sizes=st.lists(st.sampled_from([0, 1, 3, 10, 17, 32]).map(
+                  lambda mb: mb * MB), min_size=1, max_size=5).map(tuple),
+              queries_per_file=st.integers(0, 4),
+              cache_base_bytes=st.sampled_from([0, 10 * MB]),
+              scan_units_per_mb=st.sampled_from([0, 1, 10]),
+              miss_units_per_mb=st.sampled_from([0, 5, 50])),
+    st.builds(InferenceBatch, images=st.integers(0, 4),
+              units_per_image=st.sampled_from([0, 1, 250, 1000]),
+              parallelizable=st.booleans()),
+)
+
+
+@given(workload=_WORKLOADS,
+       cores=st.sampled_from([("big",), ("little",), ("big", "little", "big")]),
+       steps=st.lists(st.tuples(st.integers(0, 1500).map(lambda ms: ms * MS_NS),
+                                st.integers(0, 3), st.booleans()), max_size=12))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_prefix_accounting_matches_a_chunk_stepper(workload, cores, steps):
+    """Accounting by prefix sums does the work, and leaves the cursor, the
+    finish time and every estimate, where stepping chunk by chunk does,
+    while the cache grows and shrinks between steps. A step either accounts
+    up to a time or steps the workload directly."""
+    rt, oracle = _runtime(SandboxRuntime, workload, cores), \
+        _runtime(SteppedRuntime, workload, cores)
+    assert _progress(rt) == _progress(oracle)
+    now = 0
+    for dt, granules, direct in steps:
+        now += dt
+        if direct:
+            assert rt.step_workload(dt) == oracle.step_workload(dt)
+        else:
+            rt.account_to(now)
+            oracle.account_to(now)
+        for r in (rt, oracle):
+            r._attached_bytes = granules * 16 * MB
+        assert _progress(rt) == _progress(oracle), now
+
+
+def _copy_and_reask(rt, usage, now_ns, count):
+    """The look-ahead the running sums replaced: append the last sample to a
+    copy of the window once per tick and ask the whole rule again."""
+
+    def request(window):
+        if len(window) >= INCREASE_WINDOW_SAMPLES and len(rt.cores) < rt.max_cores:
+            recent = list(window)[-INCREASE_WINDOW_SAMPLES:]
+            if sum(a for a, _ in recent) // INCREASE_WINDOW_SAMPLES > 990:
+                return "increase_core"
+        for cid in rt.surplus_cores():
+            vals = [pc[cid] for _, pc in window if cid in pc]
+            if len(vals) >= RELEASE_WINDOW_SAMPLES and sum(vals) // len(vals) < 400:
+                return "release_core"
+        return None
+
+    window, asked = deque(usage, maxlen=RELEASE_WINDOW_SAMPLES), 0
+    for j in range(1, count + 1):
+        window.append(usage[-1])
+        if now_ns + j * USAGE_SAMPLE_NS < rt.hysteresis_until_ns:
+            continue
+        asked += 1
+        if request(window) is not None:
+            return j - 1, asked
+        if window.count(usage[-1]) == window.maxlen:
+            break
+    return count, asked
+
+
+# A few samples, so that windows hold runs of equal ones; each names the
+# surplus cores owned when it was taken.
+_SAMPLES = st.builds(
+    lambda agg, owned, permille: (agg, {4: agg, **{c: permille for c in owned}}),
+    st.sampled_from([0, 399, 990, 991, 1000]),
+    st.one_of(st.just({5, 6}), st.sets(st.sampled_from([5, 6]))),
+    st.sampled_from([0, 399, 400, 1000]))
+
+
+@given(window=st.lists(_SAMPLES, max_size=RELEASE_WINDOW_SAMPLES),
+       appended=st.lists(_SAMPLES, max_size=60))
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_usage_sums_slide_like_sums_counted_afresh(window, appended):
+    """After each append the running sums equal the sums counted afresh
+    over the samples the window then holds."""
+    sums = UsageSums(deque(window, maxlen=RELEASE_WINDOW_SAMPLES), [4, 5, 6])
+    for k, sample in enumerate(appended, start=1):
+        sums.append(sample)
+        held = (window + appended[:k])[-RELEASE_WINDOW_SAMPLES:]
+        assert list(sums.window) == held
+        assert (sums.recent, sums.owned, sums.total) == (
+            sum(a for a, _ in held[-INCREASE_WINDOW_SAMPLES:]),
+            {c: sum(c in pc for _, pc in held) for c in (4, 5, 6)},
+            {c: sum(pc.get(c, 0) for _, pc in held) for c in (4, 5, 6)})
+
+
+@given(samples=st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=70),
+       palette=st.lists(_SAMPLES, min_size=3, max_size=3),
+       surplus=st.sets(st.sampled_from([5, 6])), max_cores=st.integers(1, 4),
+       hysteresis_ms=st.integers(-1000, 3000), count=st.integers(0, 90))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_lookahead_sums_match_copy_and_reask(samples, palette, surplus, max_cores,
+                                             hysteresis_ms, count):
+    """Sliding the monitor's sums gives the copy-and-re-ask loop's answer and
+    asks the monitor no more often: it stops as soon as the window is full
+    of the repeated sample."""
+    rt = _runtime(SandboxRuntime, Idle(), ("big",))
+    rt.max_cores = max_cores
+    rt.cores.update({c: "big" for c in surplus})
+    rt.usage.extend(palette[i] for i in samples)
+    now = 10 * S_NS
+    rt.hysteresis_until_ns = now + hysteresis_ms * MS_NS
+    asked = []
+    request = rt.cpu_request
+    rt.cpu_request = lambda sums: asked.append(1) or request(sums)
+    want, want_asked = _copy_and_reask(rt, rt.usage, now, count)
+    assert rt.ticks_before_request(now, count) == want
+    assert len(asked) <= want_asked

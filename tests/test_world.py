@@ -150,6 +150,21 @@ def test_every_finished_workload_is_reported():
     assert res.world.metrics.completion_ns == {res.handles["sb1"]: 571_428_572}
 
 
+def test_superseded_completion_leaves_the_queue():
+    """A new estimate retires the sandbox's queued completion event, so the
+    engine never dispatches it and the next tick fold is not bounded by it."""
+    w = timed_world()
+    sb = w.create_sandbox("demo", core_pref="big",
+                          workload=InferenceBatch(images=10, units_per_image=1000))
+    w.engine.run_until(600 * MS_NS)
+    first = w._completions[sb]
+    w.set_workload(sb, InferenceBatch(images=2, units_per_image=1000))
+    queued = {seq for _, seq, _ in w.engine._queue}
+    assert first not in queued and w._completions[sb] in queued
+    w.engine.run_until(5 * S_NS)
+    assert w.metrics.completion_ns == {sb: 2 * S_NS} and w._completions == {}
+
+
 def test_terminate_mid_adjustment_is_atomic():
     w = timed_world()
     sb = w.create_sandbox("demo")

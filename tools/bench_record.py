@@ -22,9 +22,13 @@ speed lands on both. Per tree it records:
   of the scenario path over that fixed seed range: events dispatched (the
   sum of `Engine.run_until`'s return values) and trace records, counted in
   a second, traced and untimed pass, since the criterion keeps no trace;
-* the work counter of the cost model, RUNS times: events dispatched (the
+* the work counters of the cost model, RUNS times: events dispatched (the
   sum of `Engine.run_until`'s return values) by each suite of
-  `teesim.bench.SUITES`, and their total;
+  `teesim.bench.SUITES`, and their total; and over one pass of all suites,
+  chunk costs computed (`chunk_scaled` calls of every workload class in
+  `teesim.sos`), the CPU monitor's questions asked by the tick fold's
+  look-ahead (`cpu_request` calls inside `World._quiescent_ticks`) and
+  completion events dispatched (`World._completion` calls);
 * parse cost, RUNS times: microseconds per `scenario.parse` over the
   serialized texts of POOL random honest scenarios (seeds 0 to POOL - 1),
   the minimum of PASSES passes, in process time;
@@ -144,19 +148,42 @@ print(json.dumps(dict(n, s=s, scenarios_per_s=int(sys.argv[2]) / s)))
 SUITE_EVENTS = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-from teesim import bench
+from teesim import bench, sos
 from teesim.engine import Engine
+from teesim.world import World
 n, suite = {}, [None]
+work = {"chunk_costs": 0, "lookahead_cpu_requests": 0, "completions": 0}
 run_until = Engine.run_until
 def counted(self, t_end_ns):
     dispatched = run_until(self, t_end_ns)
     n[suite[0]] += dispatched
     return dispatched
 Engine.run_until = counted
+def count(owner, name, key, when=lambda: True):
+    fn = getattr(owner, name)
+    def counting(*args):
+        work[key] += when()
+        return fn(*args)
+    setattr(owner, name, counting)
+for cls in vars(sos).values():
+    if isinstance(cls, type) and issubclass(cls, sos.Workload) \\
+            and "chunk_scaled" in vars(cls):
+        count(cls, "chunk_scaled", "chunk_costs")
+inside = [False]
+quiescent = World._quiescent_ticks
+def looking_ahead(self, *args):
+    inside[0] = True
+    try:
+        return quiescent(self, *args)
+    finally:
+        inside[0] = False
+World._quiescent_ticks = looking_ahead
+count(sos.SandboxRuntime, "cpu_request", "lookahead_cpu_requests", lambda: inside[0])
+count(World, "_completion", "completions")
 for name in bench.SUITES:
     suite[0], n[name] = name, 0
     bench.run_suite(name)
-print(json.dumps(dict(n, total=sum(n.values()))))
+print(json.dumps({"events": dict(n, total=sum(n.values())), "work": work}))
 """
 
 PARSE = """
@@ -282,7 +309,8 @@ def main() -> int:
     for label, rs in runs.items():
         if any(r != rs[0] for r in rs):
             raise SystemExit(f"{label}: costmodel suite events differ between runs")
-        result["trees"][label]["costmodel_suite_events"] = rs[0]
+        result["trees"][label]["costmodel_suite_events"] = rs[0]["events"]
+        result["trees"][label]["costmodel_work_counters"] = rs[0]["work"]
     runs = {label: [] for label in trees}
     for i in range(RUNS):
         for label in order(i):
