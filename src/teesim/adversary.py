@@ -19,6 +19,7 @@ from .errors import (
     NotOwner,
     ResourceBusy,
     SimError,
+    TooManySandboxes,
 )
 from .hw_model import ROS_CTX, small_config
 from .monitor import Defenses
@@ -195,9 +196,14 @@ def _dev_at(config, pa):
 
 def run_attack(world: World, kind: AttackKind, **params) -> AttackOutcome:
     """Run one catalogue attack on the sandboxes, device or app its params
-    name (an attack ignores the ones it does not use, creates the others)."""
+    name (an attack ignores the ones it does not use, creates the others).
+    An attack that finds no room to create a sandbox is blocked at setup."""
     step, mechanism = _ATTACKS[kind]
-    blocked, leaked, detail = step(world, **params)
+    try:
+        blocked, leaked, detail = step(world, **params)
+    except TooManySandboxes as exc:
+        blocked, leaked, mechanism = True, 0, "setup"
+        detail = f"setup refused: TooManySandboxes ({exc})"
     outcome = AttackOutcome(kind, blocked,
                             mechanism if blocked else "none", leaked, detail)
     viol = check_invariants(world)
@@ -443,37 +449,15 @@ def make_small_world(mutations=()) -> World:
     )
 
 
+@dataclass(slots=True)
 class _Node:
-    """One explored state: a world plus the sandbox ids the ops name.
+    """One explored state: a world plus the sandbox ids the ops name. The
+    world is never changed after its node enters the frontier."""
 
-    A child made by `child()` refers to its parent node until it is keyed.
-    Its world is the one `child()` was given, or else a clone of the
-    parent's, made the first time an op reads `world`. The child is keyed
-    against the parent's world and key, and then drops the parent, so the
-    frontier keeps no ancestors alive. The parent's world is never changed
-    after its node enters the frontier.
-    """
-
-    __slots__ = ("_world", "_parent", "key", "handles", "trace")
-
-    def __init__(self, world: Optional[World], handles: Dict[str, int],
-                 trace: Tuple[str, ...]):
-        self._world = world
-        self._parent: Optional[_Node] = None
-        self.key: Optional[tuple] = None  # set by the explorer's key function
-        self.handles = handles
-        self.trace = trace
-
-    @property
-    def world(self) -> World:
-        if self._world is None:
-            self._world = self._parent.world.clone()
-        return self._world
-
-    def child(self, world: Optional[World] = None) -> "_Node":
-        node = _Node(world, dict(self.handles), self.trace)
-        node._parent = self
-        return node
+    world: World
+    handles: Dict[str, int]
+    trace: Tuple[str, ...]
+    key: Optional[tuple] = None  # set by the explorer's key function
 
 
 # The exploration alphabet: op name -> its directive over the handles a
@@ -525,7 +509,7 @@ def default_alphabet() -> List[Tuple[str, Callable[[_Node], int]]]:
     return [(name, _op(*read_directive(line))) for name, line in ALPHABET]
 
 
-def _state_keys(ids: Optional[dict] = None) -> Callable[[_Node], tuple]:
+def _state_keys(ids: Optional[dict] = None) -> Callable[..., tuple]:
     """Key function for one exploration, by hash-consing (Filliatre & Conchon,
     2006): each key value gets an int id in first-seen order in `ids`, and a
     state's key is the ids of its world's keyed fields (`keyed_leaves`, in
@@ -534,20 +518,19 @@ def _state_keys(ids: Optional[dict] = None) -> Callable[[_Node], tuple]:
 
     A child is keyed against its parent node's world and key: a field whose
     raw value == the parent's keeps the parent's id, and only the others are
-    keyed. The key is stored on the node, which then drops its parent."""
+    keyed. The key is stored on the node."""
     ids = {} if ids is None else ids
     walk: Optional[FieldIds] = None
 
-    def key(node: _Node) -> tuple:
+    def key(node: _Node, parent: Optional[_Node] = None) -> tuple:
         nonlocal walk
-        world, parent, handles = node.world, node._parent, node.handles
-        node._parent = None
+        world, handles = node.world, node.handles
         if walk is None:
             walk = FieldIds(keyed_leaves(world), ids)
         if parent is None or parent.key is None:
             fields, handles_id = walk.fresh(world), None
         else:
-            fields = walk.against(world, parent._world, parent.key)
+            fields = walk.against(world, parent.world, parent.key)
             handles_id = parent.key[-1] if handles == parent.handles else None
         if handles_id is None:
             items = tuple(sorted(handles.items()))
@@ -587,17 +570,18 @@ def explore(world_factory: Callable[[], World] = make_small_world,
         # parent's, so the next op on the same parent runs on that world.
         spare = None
         for op_name, op_fn in ops:
-            child = node.child(spare)
+            world = node.world.clone() if spare is None else spare
+            child = _Node(world, dict(node.handles), node.trace)
             try:
                 leaked = op_fn(child)
             except SimError:
-                spare = child._world
+                spare = world
                 continue
             spare = None
             result.transitions += 1
             child.trace = node.trace + (op_name,)
             if not leaked:
-                state = key(child)
+                state = key(child, node)
                 if state in seen:
                     continue
             violations = check_invariants(child.world)

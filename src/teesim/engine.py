@@ -6,13 +6,11 @@ over (time, sequence number); identical inputs always produce a
 byte-identical trace.
 """
 
-import hashlib
 import heapq
 import json
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
-from .errors import ConfigError
 from .units import KB, MB, MS_NS, US_NS, ns_to_us_str
 
 TRACE_SCHEMA = "teesim-trace/1"
@@ -81,27 +79,6 @@ class CostTable:
         (("bluetooth", "unmap", "ros"), _ms(33)),
         (("bluetooth", "unmap", "sandbox"), _ms(29)),
     )
-    render_period_ns: int = _ms(16)
-
-    def __post_init__(self):
-        for name, value in self.named_costs():
-            if value < 0:
-                raise ConfigError(f"negative cost {name}")
-
-    def named_costs(self):
-        yield "boot", self.boot_ns
-        yield "shutdown", self.shutdown_ns
-        yield "ipi_ros_to_sb", self.ipi_ros_to_sb_ns
-        yield "ipi_sb_to_ros", self.ipi_sb_to_ros_ns
-        for nbytes, ns in self.copy_anchors:
-            yield f"copy@{nbytes}", ns
-        for (cls, direction, opt), ns in self.core_adjust_ns:
-            yield f"core_{direction}_{cls}_{'opt' if opt else 'noopt'}", ns
-        yield "mem_inc", self.mem_adjust_inc_ns
-        yield "mem_dec", self.mem_adjust_dec_ns
-        for (kind, op, side), ns in self.periph_ns:
-            yield f"periph_{op}_{kind}_{side}", ns
-        yield "render_period", self.render_period_ns
 
     def core_adjust(self, core_class: str, direction: str, optimized: bool) -> int:
         table = dict(self.core_adjust_ns)
@@ -132,32 +109,13 @@ class CostTable:
                     break
         return total
 
-    def with_overrides(self, overrides: Dict[str, float]) -> "CostTable":
-        """Override scalar costs by name; values are in the unit the name
-        implies (boot_ms, ipi_ros_to_sb_us, ...)."""
-        kwargs = {}
-        scalar = {
-            "boot_ms": ("boot_ns", MS_NS),
-            "shutdown_ms": ("shutdown_ns", MS_NS),
-            "ipi_ros_to_sb_us": ("ipi_ros_to_sb_ns", US_NS),
-            "ipi_sb_to_ros_us": ("ipi_sb_to_ros_ns", US_NS),
-            "mem_inc_ms": ("mem_adjust_inc_ns", MS_NS),
-            "mem_dec_ms": ("mem_adjust_dec_ns", MS_NS),
-            "render_period_ms": ("render_period_ns", MS_NS),
-        }
-        for key, value in overrides.items():
-            if key not in scalar:
-                raise ConfigError(f"unknown cost override {key!r}")
-            fieldname, mult = scalar[key]
-            kwargs[fieldname] = int(round(value * mult))
-        return replace(self, **kwargs)
-
 
 class Engine:
     """Single-threaded event queue plus the structured trace."""
 
-    def __init__(self, costs: Optional[CostTable] = None, traced: bool = True):
-        self.costs = costs or CostTable()
+    costs = CostTable()  # the one cost table every engine charges from
+
+    def __init__(self, traced: bool = True):
         self.now_ns = 0
         # End of the current (or last) run_until; no event after it runs
         # before the caller asks again.
@@ -235,6 +193,3 @@ class Engine:
             head.update(header)
         encode = _TRACE_JSON.encode
         return "\n".join([encode(head), *map(encode, self.records)]) + "\n"
-
-    def trace_digest(self, header: Optional[dict] = None) -> str:
-        return hashlib.sha256(self.serialize_trace(header).encode()).hexdigest()

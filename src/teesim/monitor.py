@@ -216,11 +216,14 @@ class Monitor:
 
     # -- launch -----------------------------------------------------------
 
-    def check_launch(self, spec: LaunchSpec) -> Tuple[bytes, bool]:
-        """Every precondition of `lock_and_launch`; writes nothing but the
-        rejection record of a refusal. Returns the image plaintext and
-        whether it was attested."""
-        if len(self.sandboxes) >= len(self.machine.cores) - 1:
+    def lock_and_launch(self, spec: LaunchSpec) -> Tuple[int, int]:
+        """Check the request, then lock resources, build tables and boot.
+
+        Returns (sandbox_id, boot_cost_ns); a refused request changes
+        nothing but the trace.
+        """
+        machine, region = self.machine, spec.region
+        if len(self.sandboxes) >= len(machine.cores) - 1:
             self._trace("lock_and_launch", {"app": spec.app_id}, "rejected",
                         "TooManySandboxes")
             raise TooManySandboxes("core budget exhausted")
@@ -231,39 +234,29 @@ class Monitor:
                 self._trace("lock_and_launch", {"app": spec.app_id}, "rejected",
                             "TzascRegions")
                 raise TooManySandboxes("protected-region budget exhausted")
-        if spec.core_id not in self.machine.cores or spec.core_id == 0:
+        if spec.core_id not in machine.cores or spec.core_id == 0:
             raise ResourceBusy(f"core {spec.core_id} not assignable")
         if self.defenses.legality_check:
             if self.ledger.core_owner[spec.core_id] != ROS_CTX:
                 self._trace("lock_and_launch", {"core": spec.core_id}, "rejected",
                             "CoreOccupied")
                 raise ResourceBusy(f"core {spec.core_id} occupied")
-            if self.ledger.ram_overlap_owner(spec.region) is not None:
-                self._trace("lock_and_launch", {"region": list(spec.region)},
+            if self.ledger.ram_overlap_owner(region) is not None:
+                self._trace("lock_and_launch", {"region": list(region)},
                             "rejected", "RegionOccupied")
                 raise ResourceBusy("region overlaps a live sandbox")
-        region = spec.region
         if not (is_aligned(region[0], BLOCK_2M) and is_aligned(region[1], BLOCK_2M)):
             raise AlignmentError("sandbox region must be 2MB-aligned")
         if region[1] - region[0] > spec.max_memory:
             raise QuotaExceeded("base region exceeds memory limit")
-        if not self.defenses.verify:
-            return self.store.decrypt_unchecked(spec.image), False
+        attested = self.defenses.verify
         try:
-            return self.store.verify_and_decrypt(spec.image), True
+            plaintext = (self.store.verify_and_decrypt if attested
+                         else self.store.decrypt_unchecked)(spec.image)
         except IntegrityError:
             self._trace("verify_image", {"app": spec.app_id}, "rejected",
                         "IntegrityError")
             raise
-
-    def lock_and_launch(self, spec: LaunchSpec) -> Tuple[int, int]:
-        """Check the request, then lock resources, build tables and boot.
-
-        Returns (sandbox_id, boot_cost_ns); a refused request changes
-        nothing but the trace.
-        """
-        plaintext, attested = self.check_launch(spec)
-        machine, region = self.machine, spec.region
         ros_set = machine.table_sets[ROS_CTX]
         ros_set.unmap_range(region)
         self._trace("verify_image", {"app": spec.app_id},
@@ -409,9 +402,8 @@ class Monitor:
 
     # -- core transfer ------------------------------------------------------
 
-    def check_transfer_core(self, core_id: int, from_ctx: int, to_ctx: int) -> None:
-        """Every precondition of `transfer_core`; writes nothing but the
-        rejection record of a refusal."""
+    def transfer_core(self, core_id: int, from_ctx: int, to_ctx: int,
+                      optimized: bool = True) -> int:
         if core_id not in self.machine.cores:
             raise NotOwner(f"no core {core_id}")
         if from_ctx == to_ctx or (from_ctx != ROS_CTX and to_ctx != ROS_CTX):
@@ -431,10 +423,6 @@ class Monitor:
             raise LastCoreError(f"ctx {from_ctx} would lose its last core")
         if from_ctx != ROS_CTX and core_id == self.sandboxes[from_ctx].boot_core:
             raise LastCoreError("booting core is never adjusted")
-
-    def transfer_core(self, core_id: int, from_ctx: int, to_ctx: int,
-                      optimized: bool = True) -> int:
-        self.check_transfer_core(core_id, from_ctx, to_ctx)
         self._move_core(core_id, from_ctx, to_ctx, optimized)
         direction = "inc" if from_ctx == ROS_CTX else "dec"
         cls = self.machine.cores[core_id].value

@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import adversary
 from .adversary import AttackKind, check_invariants
-from .engine import CostTable
 from .errors import NoSuchSandbox, ParseError, SimError, ValidationError
 from .hw_model import (
     CoreClass,
@@ -163,7 +162,6 @@ class Scenario:
     horizon_ns: int = 10 * S_NS
     mutations: Tuple[str, ...] = ()
     instant: bool = False  # every effect applies at once, as in exploration
-    cost_overrides: Tuple[Tuple[str, float], ...] = ()
     apps: Tuple[Tuple[str, str], ...] = ()
     timeline: Tuple[Directive, ...] = ()
 
@@ -197,11 +195,6 @@ def serialize(s: Scenario) -> str:
             f"mmio={format_size(p.mmio_range[0])}:{format_size(p.mmio_range[1])}"
             + ("".join(" " + f for f in flags))
         )
-    if s.cost_overrides:
-        lines.append("")
-        lines.append("[costs]")
-        for name, value in s.cost_overrides:
-            lines.append(f"{name} = {value:g}")
     lines.append("")
     lines.append("[apps]")
     for app_id, payload in s.apps:
@@ -225,7 +218,6 @@ def parse(text: str) -> Scenario:
     header: Dict[str, str] = {}
     mutations: Tuple[str, ...] = ()
     machine_lines: List[Tuple[int, str]] = []
-    costs: List[Tuple[str, float]] = []
     apps: List[Tuple[str, str]] = []
     timeline: List[Directive] = []
 
@@ -243,7 +235,7 @@ def parse(text: str) -> Scenario:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1]
-            if section not in ("machine", "costs", "apps", "timeline"):
+            if section not in ("machine", "apps", "timeline"):
                 raise ParseError(f"unknown section [{section}]", line=lineno, col=1)
             continue
         if section is None:
@@ -261,12 +253,6 @@ def parse(text: str) -> Scenario:
                                  line=lineno)
         elif section == "machine":
             machine_lines.append((lineno, line))
-        elif section == "costs":
-            key, value = _split_kv(line, lineno)
-            try:
-                costs.append((key, float(value)))
-            except ValueError:
-                raise ParseError(f"bad cost value {value!r}", line=lineno) from None
         elif section == "apps":
             try:
                 tokens = shlex.split(line)
@@ -286,7 +272,6 @@ def parse(text: str) -> Scenario:
         horizon_ns=parse_duration_ns(header.get("horizon", "10s")),
         mutations=mutations,
         instant=header.get("instant") == "true",
-        cost_overrides=tuple(costs),
         apps=tuple(apps),
         timeline=tuple(timeline),
     )
@@ -488,10 +473,8 @@ class RunResult:
 
 def run_scenario(scenario: Scenario, with_trace: bool = True,
                  check_each_directive: bool = True) -> RunResult:
-    costs = CostTable().with_overrides(dict(scenario.cost_overrides))
     world = build_world(
         scenario.machine,
-        costs=costs,
         defenses=Defenses.with_mutations(scenario.mutations),
         mode=scenario.mode,
         apps=[(a, p.encode()) for a, p in scenario.apps],

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import sos
-from .engine import CostTable, Engine
+from .engine import Engine
 from .errors import (
     BadState,
     IntegrityError,
@@ -90,11 +90,10 @@ def _rewire(world: "World") -> None:
 
 class World:
     def __init__(self, config: MachineConfig,
-                 costs: Optional[CostTable] = None,
                  defenses: Optional[Defenses] = None,
                  mode: str = "leap", instant: bool = False, traced: bool = True):
         self.instant = instant
-        self.engine = Engine(costs, traced)
+        self.engine = Engine(traced)
         self.machine = Machine(config)
         self.store = KeyStore()
         self.monitor = Monitor(self.machine, self.store, self.engine,
@@ -605,7 +604,7 @@ class World:
 
     STATE = Schema(
         instant=SHARED, store=SHARED, payloads=SHARED,
-        engine=reset(lambda eng: Engine(eng.costs, eng.records is not None)),
+        engine=reset(lambda eng: Engine(eng.records is not None)),
         metrics=reset(lambda _: Metrics()),
         attack_outcomes=reset(lambda _: []),
         machine=NESTED, monitor=NESTED, ros=NESTED,
@@ -627,11 +626,10 @@ class World:
     canonical = STATE.canonical
 
 
-def build_world(config: MachineConfig, costs: Optional[CostTable] = None,
-                defenses: Optional[Defenses] = None, mode: str = "leap",
-                instant: bool = False, traced: bool = True,
+def build_world(config: MachineConfig, defenses: Optional[Defenses] = None,
+                mode: str = "leap", instant: bool = False, traced: bool = True,
                 apps: Optional[List[Tuple[str, bytes]]] = None) -> World:
-    world = World(config, costs, defenses, mode, instant, traced)
+    world = World(config, defenses, mode, instant, traced)
     world.register_default_drivers()
     for app_id, payload in apps or []:
         world.register_app(app_id, payload)

@@ -370,6 +370,26 @@ def test_failed_double_core_attack_leaves_cma_unchanged():
     assert w.ros.cma.allocations == before
 
 
+def test_attack_without_room_for_its_sandbox_is_blocked_at_setup():
+    """Seven sandboxes take every non-ROS core of the default machine, so
+    the attack's own create is refused: the attack still gets an outcome,
+    blocked at setup, and its trace record."""
+    text = ("teesim-scenario v1\n\n[apps]\napp demo payload\n\n[timeline]\n"
+            + "".join(f"at 0ms create sb{i} app=demo\n" for i in range(1, 8))
+            + "at 1s attack cache_direct_attack\n")
+    res = sc.run_scenario(sc.parse(text))
+    assert res.exit_code == 0
+    [out] = res.world.attack_outcomes
+    assert (out.kind, out.blocked, out.mechanism, out.leaked_bytes) == \
+        (AttackKind.CACHE_DIRECT_ATTACK, True, "setup", 0)
+    assert "TooManySandboxes" in out.detail
+    assert res.world.metrics.attacks_blocked == 1
+    assert [(r["actor"], r["op"], r["verdict"], r.get("reason"))
+            for r in res.world.engine.records[-2:]] == [
+        ("ros", "create_sandbox", "rejected", "TooManySandboxes"),
+        ("adversary", "attack_cache_direct_attack", "blocked", "setup")]
+
+
 def test_explore_empty_alphabet_has_no_transitions():
     res = explore(op_alphabet=[], depth=2)
     assert (res.states_visited, res.transitions) == (1, 0)
@@ -443,8 +463,8 @@ def test_interned_keys_match_repr_keys(monkeypatch):
     def recording_keys():
         key = make_keys()
 
-        def recorded(node):
-            k, r = key(node), _repr_key(node)
+        def recorded(node, parent=None):
+            k, r = key(node, parent), _repr_key(node)
             calls.append(k)
             assert interned_of.setdefault(r, k) == k
             assert repr_of.setdefault(k, r) == r
@@ -488,8 +508,8 @@ def test_incremental_keys_match_keys_from_canonical(monkeypatch, mutations, dept
         ids = {}
         key = make_keys(ids)
 
-        def checked(node):
-            k = key(node)
+        def checked(node, parent=None):
+            k = key(node, parent)
             world = node.world
             values = _canonical_leaves(world, world.canonical())
             values.append(tuple(sorted(node.handles.items())))
@@ -510,8 +530,8 @@ def test_incremental_keys_match_keys_from_canonical(monkeypatch, mutations, dept
 
 
 def test_frontier_keeps_no_ancestors():
-    """A keyed child drops its parent, so once the root is expanded and its
-    children keyed, nothing holds the root's world any more."""
+    """A child holds no reference to its parent, so once the root is
+    expanded, nothing holds the root's world any more."""
     roots, dead = [], []
 
     def factory():

@@ -64,6 +64,7 @@ WIFI = "peripheral wifi kind=wifi mmio=3584M:3585M"
     ("colour = blue", 4),
     ("mutate = no_such_flag", 4),
     ("[defenses]\nsanitize = off", 4),
+    ("[costs]\nboot_ms = 100", 4),
     ("[machine]\nram = 3584M\npreset = small", 6),
     (f"[machine]\n{WIFI} dam colour=red", 5),
     (f"[machine]\n{WIFI} dam", 5),

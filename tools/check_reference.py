@@ -13,8 +13,10 @@ It imports `teesim` from the checkout's `src/` and reads the checkout's
   newlines must equal the pin (as `perfbench/run.py` computes it);
 * every `costmodel_suites` result, compared in its JSON form.
 
-Prints one line per pin and exits 1 if any differs. Standard library only;
-about 20 s on a 2-core x86_64 host.
+Prints one line per pin and exits 1 if any differs; the last line also
+gives the line count of `src/teesim/*.py` (as `wc -l` counts it) against
+the design aim's gate in ROADMAP.md. Standard library only; about 20 s on a
+2-core x86_64 host.
 """
 
 import hashlib
@@ -22,6 +24,9 @@ import json
 import sys
 import time
 from pathlib import Path
+
+# ROADMAP item 10: the most lines src/teesim may have at its re-anchor.
+LINE_GATE = 4705
 
 
 def _json(value):
@@ -66,8 +71,11 @@ def main(tree: str) -> int:
     for name, want in sorted(ref["costmodel_suites"]["results"].items()):
         report(f"suite {name}", _json(bench.run_suite(name)), want)
 
+    lines = sum(p.read_bytes().count(b"\n")
+                for p in (root / "src" / "teesim").glob("*.py"))
     print(f"{'all pins hold' if not failed else f'{failed} pins differ'} "
-          f"({time.perf_counter() - t0:.1f} s)")
+          f"({time.perf_counter() - t0:.1f} s); "
+          f"src/teesim {lines} lines, gate {LINE_GATE}")
     return 1 if failed else 0
 
 
