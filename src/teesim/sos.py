@@ -3,7 +3,7 @@ and the requests they raise.
 
 Every workload is a sequence of chunks (`Workload`). The runtime keeps one
 cursor, the chunk it runs and the work that chunk has left, moves it with
-prefix sums of the chunk costs, and never asks which kind of workload it runs.
+one price per run of equal chunks, and never asks which workload it runs.
 
 Work is tracked in an integer fixed-point unit (milli-units times
 nanoseconds) so that total work done equals rate times time exactly under
@@ -40,7 +40,8 @@ MEM_GRANULE = 16 * MB
 
 class Workload:
     """Chunks run one after another; a chunk's scaled cost is fixed when it
-    starts, from the cache memory owned then. This base has no chunks."""
+    starts, from the cache memory owned then. At one cache size, every chunk
+    of a run of chunks over one working set costs the same. No chunks here."""
 
     parallelizable = True   # False: only the boot core works on it
     gpu_speedup_pct = 100   # rate factor while a GPU is owned
@@ -79,9 +80,9 @@ class InferenceBatch(Workload):
 
 @dataclass(frozen=True)
 class CipherQuery(Workload):
-    """Query workload over encrypted files, one chunk per query: the part of
-    a file that fits in the owned cache memory scans cheap, the rest pays a
-    decrypt penalty."""
+    """Query workload over encrypted files, one chunk per query, priced by
+    its file's size alone: the part of a file that fits in the owned cache
+    memory scans cheap, the rest pays a decrypt penalty."""
 
     file_sizes: Tuple[int, ...]
     queries_per_file: int = 10
@@ -220,21 +221,29 @@ class SandboxRuntime:
         self._seek(0)
 
     def _sums(self) -> tuple:
-        """(workload, cache bytes, prefix sums of the chunk costs at that
-        cache, where each run of chunks over one working set ends)."""
+        """(workload, cache bytes, the first chunk of each run of chunks over
+        one working set and then the chunk count, and at that cache each
+        run's cost per chunk and the scaled work before it, then 0 and the
+        total). Only the costs depend on the cache."""
         w, cache = self.workload, self._cache_bytes()
-        if self._prefix[0] is not w or self._prefix[1] != cache:
-            costs = (max(0, w.chunk_scaled(i, cache)) for i in range(w.chunks()))
+        if self._prefix[0] is not w:
             runs = groupby(map(w.working_set_bytes, range(w.chunks())))
-            self._prefix = (w, cache, tuple(accumulate(costs, initial=0)),
-                            tuple(accumulate(len(list(run)) for _, run in runs)))
+            self._prefix = (w, None, tuple(accumulate(
+                (len(list(run)) for _, run in runs), initial=0)))
+        if self._prefix[1] != cache:
+            starts = self._prefix[2]
+            costs = tuple(max(0, w.chunk_scaled(i, cache)) for i in starts[:-1]) + (0,)
+            self._prefix = (w, cache, starts, costs, tuple(accumulate(
+                (c * (b - a) for c, a, b in zip(costs, starts, starts[1:])), initial=0)))
         return self._prefix
 
     def _seek(self, pos: int) -> None:
         """Run from pos scaled units in: a chunk that costs nothing is no work."""
-        sums = self._sums()[2]
-        self._chunk = i = bisect_right(sums, pos) - 1
-        self.remaining_scaled = sums[i + 1] - pos if i + 1 < len(sums) else 0
+        _, _, starts, costs, before = self._sums()
+        pos = min(pos, before[-1])
+        r = bisect_right(before, pos) - 1
+        k, into = divmod(pos - before[r], costs[r] or 1)
+        self._chunk, self.remaining_scaled = starts[r] + k, costs[r] - into
 
     def _cache_bytes(self) -> int:
         return (self.workload.cache_base_bytes or 0) + self._attached_bytes
@@ -262,10 +271,9 @@ class SandboxRuntime:
         if budget < self.remaining_scaled:
             self.remaining_scaled -= budget
             return budget
-        sums = self._sums()[2]
-        pos = sums[self._chunk + 1] - self.remaining_scaled
-        self._seek(pos + budget)
-        return min(budget, sums[-1] - pos)
+        left = self._scaled_left()[1]
+        self._seek(self._sums()[4][-1] - left + budget)
+        return min(budget, left)
 
     def account_to(self, now_ns: int) -> None:
         """Fold elapsed time into the workload; call before any rate change."""
@@ -286,18 +294,20 @@ class SandboxRuntime:
         rate = self.rate_mu_ms()
         if rate == 0:
             return None
-        return -(-self._scaled_before(self.workload.chunks()) // rate)
+        return -(-self._scaled_left()[1] // rate)
 
     def working_set_left_scaled(self) -> int:
         """Scaled work left before the working set changes: the rest of the
         run of chunks over the current chunk's working set (busy only)."""
-        ends = self._sums()[3]
-        return self._scaled_before(ends[bisect_right(ends, self._chunk)])
+        return self._scaled_left()[0]
 
-    def _scaled_before(self, end: int) -> int:
-        """Scaled work left before chunk end starts, at the current cache."""
-        sums = self._sums()[2]
-        return self.remaining_scaled + sums[end] - sums[self._chunk + 1]
+    def _scaled_left(self) -> Tuple[int, int]:
+        """Scaled work left in the current chunk's run and in the whole
+        workload, at the current cache (busy only)."""
+        _, _, starts, costs, before = self._sums()
+        r = bisect_right(starts, self._chunk)
+        run = self.remaining_scaled + costs[r - 1] * (starts[r] - self._chunk - 1)
+        return run, run + before[-1] - before[r]
 
     # -- usage sampling and monitors ----------------------------------------
 

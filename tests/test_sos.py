@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -203,7 +204,7 @@ def test_restarted_cipher_runs_from_its_first_query():
 
 
 class SteppedRuntime(SandboxRuntime):
-    """The oracle for prefix-sum accounting: a runtime that starts every
+    """The oracle for the runtime's accounting: a runtime that starts every
     chunk it crosses, one at a time, and sums or scans the chunks ahead on
     every estimate."""
 
@@ -238,6 +239,9 @@ class SteppedRuntime(SandboxRuntime):
         while end < w.chunks() and w.working_set_bytes(end) == ws:
             end += 1
         return self._scaled_before(end)
+
+    def _scaled_left(self):
+        return self.working_set_left_scaled(), self._scaled_before(self.workload.chunks())
 
     def _scaled_before(self, end):
         w, cache = self.workload, self._cache_bytes()
@@ -276,19 +280,15 @@ _WORKLOADS = st.one_of(
 )
 
 
-@given(workload=_WORKLOADS,
-       cores=st.sampled_from([("big",), ("little",), ("big", "little", "big")]),
-       steps=st.lists(st.tuples(st.integers(0, 1500).map(lambda ms: ms * MS_NS),
-                                st.integers(0, 3), st.booleans()), max_size=12))
-@settings(derandomize=True, max_examples=300, deadline=None)
-def test_prefix_accounting_matches_a_chunk_stepper(workload, cores, steps):
-    """Accounting by prefix sums does the work, and leaves the cursor, the
-    finish time and every estimate, where stepping chunk by chunk does,
-    while the cache grows and shrinks between steps. A step either accounts
-    up to a time or steps the workload directly."""
+def _compare_with_stepper(workload, cores, steps):
+    """Run the runtime and the chunk stepper through the same steps, each
+    (dt, attached granules, direct): account up to a time, or step the
+    workload directly, then move the cache. Their progress must match at
+    the start and after every step; returns the runtime's progress."""
     rt, oracle = _runtime(SandboxRuntime, workload, cores), \
         _runtime(SteppedRuntime, workload, cores)
-    assert _progress(rt) == _progress(oracle)
+    seen = [_progress(rt)]
+    assert seen[-1] == _progress(oracle)
     now = 0
     for dt, granules, direct in steps:
         now += dt
@@ -299,7 +299,57 @@ def test_prefix_accounting_matches_a_chunk_stepper(workload, cores, steps):
             oracle.account_to(now)
         for r in (rt, oracle):
             r._attached_bytes = granules * 16 * MB
-        assert _progress(rt) == _progress(oracle), now
+        seen.append(_progress(rt))
+        assert seen[-1] == _progress(oracle), now
+    return seen
+
+
+@given(workload=_WORKLOADS,
+       cores=st.sampled_from([("big",), ("little",), ("big", "little", "big")]),
+       steps=st.lists(st.tuples(st.integers(0, 1500).map(lambda ms: ms * MS_NS),
+                                st.integers(0, 3), st.booleans()), max_size=12))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_prefix_accounting_matches_a_chunk_stepper(workload, cores, steps):
+    """Accounting by the price of each run of chunks does the work, and
+    leaves the cursor, the finish time and every estimate, where stepping
+    chunk by chunk does, while the cache grows and shrinks between steps."""
+    _compare_with_stepper(workload, cores, steps)
+
+
+def test_stepper_agrees_across_a_run_that_costs_nothing():
+    """A step that ends where the first file's queries end lands past the
+    empty file's, on the first query of the third file (700 units: 200 to
+    scan 20 MB, 500 for the 10 MB the cache misses)."""
+    seen = _compare_with_stepper(
+        CipherQuery(file_sizes=(10 * MB, 0, 20 * MB)), ("big",),
+        [(250 * MS_NS, 0, False), (750 * MS_NS, 0, False), (1 * MS_NS, 0, True),
+         (699 * MS_NS, 0, False), (3 * S_NS, 0, True), (10 * S_NS, 0, False)])
+    assert seen[2][:2] == (20, 700 * WORK_SCALE)
+    assert not seen[-1][3]
+
+
+def test_stepper_agrees_when_the_cache_moves_inside_a_run():
+    """The cache grows and shrinks while a query of the first file runs: the
+    query keeps the cost it started with, the rest of the run takes the new
+    one (700 units per query at a 10 MB cache, 200 at 26 MB)."""
+    seen = _compare_with_stepper(
+        CipherQuery(file_sizes=(20 * MB, 40 * MB)), ("big",),
+        [(2450 * MS_NS, 1, False), (400 * MS_NS, 0, False), (100 * MS_NS, 1, True),
+         (3 * S_NS, 2, False), (60 * S_NS, 0, False)])
+    assert seen[1][:2] == (3, 350 * WORK_SCALE)
+    assert seen[2][:2] == (4, 150 * WORK_SCALE)
+    assert not seen[-1][3]
+
+
+@given(workload=_WORKLOADS)
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_chunks_of_a_run_cost_the_same(workload):
+    """The runtime prices one chunk of each run of chunks over one working
+    set and charges that price for all of them, so every chunk of such a
+    run must cost the same at any one cache size."""
+    for cache in (0, 1 * MB - 1, 3 * MB, 10 * MB, 17 * MB + 1, 64 * MB):
+        for _, run in groupby(range(workload.chunks()), workload.working_set_bytes):
+            assert len({workload.chunk_scaled(i, cache) for i in run}) == 1, cache
 
 
 def _copy_and_reask(rt, usage, now_ns, count):

@@ -1,6 +1,6 @@
 import pytest
 
-from teesim import bench
+from teesim import bench, sos
 from teesim import scenario as sc
 from teesim.engine import Engine
 from teesim.errors import BadState
@@ -400,3 +400,20 @@ def test_dl_batch_suite_dispatches_few_events(monkeypatch):
     counts = _counting_run_until(monkeypatch)
     bench.run_suite("dl_batch")
     assert sum(counts) < 400
+
+
+def test_suites_price_each_run_of_chunks_once(monkeypatch):
+    """A pass over the suites computes each run of chunks over one working
+    set once per cache size, 145 chunk costs (3,265 when every rebuild
+    priced every chunk), counted as `tools/bench_record.py` counts them."""
+    calls = []
+    for cls in vars(sos).values():
+        if isinstance(cls, type) and issubclass(cls, sos.Workload) \
+                and "chunk_scaled" in vars(cls):
+            def counting(self, i, cache_bytes, _price=cls.chunk_scaled):
+                calls.append(i)
+                return _price(self, i, cache_bytes)
+            monkeypatch.setattr(cls, "chunk_scaled", counting)
+    for name in bench.SUITES:
+        bench.run_suite(name)
+    assert 0 < len(calls) <= 200

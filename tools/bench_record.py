@@ -109,9 +109,9 @@ from teesim import adversary
 make_keys, spent = adversary._state_keys, [0, 0]
 def timed_keys():
     key = make_keys()
-    def timed(node):
+    def timed(*args):  # a node, and its parent when it has one
         t0 = time.perf_counter_ns()
-        k = key(node)
+        k = key(*args)
         spent[0] += time.perf_counter_ns() - t0
         spent[1] += 1
         return k
