@@ -154,7 +154,7 @@ def check_invariants(world: World) -> List[ViolationReport]:
                                   f"core {cid} holds stale TLB entry ctx {ctx} "
                                   f"[{base:#x}, {base + gran:#x})"))
             else:
-                dev = _dev_at(mach.config, base)
+                dev = mach.config.device_at(base)
                 if dev is not None and led.dev_owner[dev] != ctx:
                     found.append(("SANITY",
                                   f"core {cid} stale device TLB entry ctx {ctx} {dev}"))
@@ -181,13 +181,6 @@ def _merge(intervals):
         else:
             out.append((s, e))
     return out
-
-
-def _dev_at(config, pa):
-    for p in config.peripherals:
-        if p.mmio_range[0] <= pa < p.mmio_range[1]:
-            return p.dev_id
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ pre-allocations on completion time and utilization.
 
 from typing import Dict, List
 
+from .engine import COSTS_NS
 from .errors import UnknownSuite
 from .hw_model import ROS_CTX, default_config
 from .scenario import HEADER, VERSION, parse, run_scenario
@@ -35,15 +36,12 @@ def run_cpu_adjust() -> dict:
                 core, sb, ROS_CTX, optimized=optimized)
 
     rows = {}
-    table = world.engine.costs
     for cls in ("big", "little"):
         for direction in ("inc", "dec"):
             noopt = measured[f"core_{direction}_{cls}_noopt"]
             opt = measured[f"core_{direction}_{cls}_opt"]
-            expected = (
-                table.core_adjust(cls, direction, False)
-                / table.core_adjust(cls, direction, True)
-            )
+            expected = (COSTS_NS[f"core_{direction}_{cls}_noopt"]
+                        / COSTS_NS[f"core_{direction}_{cls}_opt"])
             rows[f"{cls}_{direction}"] = {
                 "noopt_ms": noopt / MS_NS,
                 "opt_ms": opt / MS_NS,

@@ -8,7 +8,6 @@ byte-identical trace.
 
 import heapq
 import json
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from .units import KB, MB, MS_NS, US_NS, ns_to_us_str
@@ -28,92 +27,60 @@ def _us(v: float) -> int:
     return int(round(v * US_NS))
 
 
-@dataclass(frozen=True)
-class CostTable:
-    """Cost parameters, all integer nanoseconds.
+# The profiled costs of the modeled platform in integer nanoseconds, keyed by
+# the name a cost record carries. Core adjustment is per core class, without
+# and with the busy-wait optimization; peripheral map/unmap is per device kind
+# and the side doing the driver work. Kind "other" has no profiled row, so
+# its rows are the cheapest profiled map and unmap.
+COSTS_NS = {
+    "boot": _ms(532), "shutdown": _ms(629),
+    "ipi_ros_to_sb": _us(23.89), "ipi_sb_to_ros": _us(53.12),
+    "mem_inc": _ms(54), "mem_dec": _ms(56),
+    "core_inc_little_noopt": _ms(137), "core_inc_little_opt": _ms(55),
+    "core_inc_big_noopt": _ms(199), "core_inc_big_opt": _ms(79),
+    "core_dec_little_noopt": _ms(72), "core_dec_little_opt": _ms(42),
+    "core_dec_big_noopt": _ms(92), "core_dec_big_opt": _ms(62),
+    "periph_map_gpu_ros": _ms(55), "periph_map_gpu_sandbox": _ms(121),
+    "periph_map_wifi_ros": _ms(193), "periph_map_wifi_sandbox": _ms(188),
+    "periph_map_bluetooth_ros": _ms(117), "periph_map_bluetooth_sandbox": _ms(125),
+    "periph_map_other_ros": _ms(55), "periph_map_other_sandbox": _ms(55),
+    "periph_unmap_gpu_ros": _ms(35), "periph_unmap_gpu_sandbox": _ms(23),
+    "periph_unmap_wifi_ros": _ms(43), "periph_unmap_wifi_sandbox": _ms(37),
+    "periph_unmap_bluetooth_ros": _ms(33), "periph_unmap_bluetooth_sandbox": _ms(29),
+    "periph_unmap_other_ros": _ms(23), "periph_unmap_other_sandbox": _ms(23),
+}
 
-    Defaults are the profiled values of the modeled platform: boot/shutdown,
-    IPI latencies per direction, shared-memory copy anchors, core and memory
-    adjustment costs (with and without the busy-wait optimization), and
-    peripheral map/unmap costs per device and side.
-    """
+# (bytes, ns) anchors of the shared-memory copy; costs between anchors
+# interpolate linearly.
+COPY_ANCHORS = (
+    (64 * KB, _ms(16.58)),
+    (256 * KB, _ms(17.69)),
+    (1024 * KB, _ms(22.46)),
+    (4 * MB, _ms(39.46)),
+    (16 * MB, _ms(110.65)),
+    (64 * MB, _ms(323.42)),
+)
 
-    boot_ns: int = _ms(532)
-    shutdown_ns: int = _ms(629)
-    ipi_ros_to_sb_ns: int = _us(23.89)
-    ipi_sb_to_ros_ns: int = _us(53.12)
-    # (bytes, ns) anchors; costs between anchors interpolate linearly.
-    copy_anchors: Tuple[Tuple[int, int], ...] = (
-        (64 * KB, _ms(16.58)),
-        (256 * KB, _ms(17.69)),
-        (1024 * KB, _ms(22.46)),
-        (4 * MB, _ms(39.46)),
-        (16 * MB, _ms(110.65)),
-        (64 * MB, _ms(323.42)),
-    )
-    # (core_class, direction, optimized) -> ns
-    core_adjust_ns: Tuple[Tuple[Tuple[str, str, bool], int], ...] = (
-        (("little", "inc", False), _ms(137)),
-        (("little", "inc", True), _ms(55)),
-        (("big", "inc", False), _ms(199)),
-        (("big", "inc", True), _ms(79)),
-        (("little", "dec", False), _ms(72)),
-        (("little", "dec", True), _ms(42)),
-        (("big", "dec", False), _ms(92)),
-        (("big", "dec", True), _ms(62)),
-    )
-    mem_adjust_inc_ns: int = _ms(54)
-    mem_adjust_dec_ns: int = _ms(56)
-    # (dev_kind, op, side) -> ns; side is where the driver work happens.
-    periph_ns: Tuple[Tuple[Tuple[str, str, str], int], ...] = (
-        (("gpu", "map", "ros"), _ms(55)),
-        (("gpu", "map", "sandbox"), _ms(121)),
-        (("wifi", "map", "ros"), _ms(193)),
-        (("wifi", "map", "sandbox"), _ms(188)),
-        (("bluetooth", "map", "ros"), _ms(117)),
-        (("bluetooth", "map", "sandbox"), _ms(125)),
-        (("gpu", "unmap", "ros"), _ms(35)),
-        (("gpu", "unmap", "sandbox"), _ms(23)),
-        (("wifi", "unmap", "ros"), _ms(43)),
-        (("wifi", "unmap", "sandbox"), _ms(37)),
-        (("bluetooth", "unmap", "ros"), _ms(33)),
-        (("bluetooth", "unmap", "sandbox"), _ms(29)),
-    )
 
-    def core_adjust(self, core_class: str, direction: str, optimized: bool) -> int:
-        table = dict(self.core_adjust_ns)
-        return table[(core_class, direction, optimized)]
-
-    def periph(self, kind: str, op: str, side: str) -> int:
-        table = dict(self.periph_ns)
-        try:
-            return table[(kind, op, side)]
-        except KeyError:
-            # Devices without a profiled row (kind "other") borrow the
-            # cheapest profiled row so the model stays closed.
-            return min(ns for (k, o, s), ns in self.periph_ns if o == op)
-
-    def copy_cost_ns(self, nbytes: int) -> int:
-        """Piecewise-linear interpolation over the copy anchors, through the
-        origin; sizes beyond the last anchor copy in full-anchor chunks."""
-        if nbytes <= 0:
-            return 0
-        anchors = ((0, 0),) + self.copy_anchors
-        last_bytes, last_ns = anchors[-1]
-        chunks, rem = divmod(nbytes, last_bytes)
-        total = chunks * last_ns
-        if rem:
-            for (b0, n0), (b1, n1) in zip(anchors, anchors[1:]):
-                if rem <= b1:
-                    total += n0 + (n1 - n0) * (rem - b0) // (b1 - b0)
-                    break
-        return total
+def copy_cost_ns(nbytes: int) -> int:
+    """Piecewise-linear interpolation over the copy anchors, through the
+    origin; sizes beyond the last anchor copy in full-anchor chunks."""
+    if nbytes <= 0:
+        return 0
+    anchors = ((0, 0),) + COPY_ANCHORS
+    last_bytes, last_ns = anchors[-1]
+    chunks, rem = divmod(nbytes, last_bytes)
+    total = chunks * last_ns
+    if rem:
+        for (b0, n0), (b1, n1) in zip(anchors, anchors[1:]):
+            if rem <= b1:
+                total += n0 + (n1 - n0) * (rem - b0) // (b1 - b0)
+                break
+    return total
 
 
 class Engine:
     """Single-threaded event queue plus the structured trace."""
-
-    costs = CostTable()  # the one cost table every engine charges from
 
     def __init__(self, traced: bool = True):
         self.now_ns = 0
@@ -121,18 +88,19 @@ class Engine:
         # before the caller asks again.
         self.end_ns = 0
         self._seq = 0
-        # (time_ns, seq, fn); seq is unique, so fn is never compared.
-        self._queue: List[Tuple[int, int, Callable]] = []
+        # (time_ns, seq, fn, args); seq is unique, so fn is never compared.
+        self._queue: List[Tuple[int, int, Callable, tuple]] = []
         # The record sink; None keeps no records.
         self.records: Optional[List[dict]] = [] if traced else None
 
     # -- scheduling -------------------------------------------------------
 
-    def schedule(self, delay_ns: int, fn: Callable) -> int:
+    def schedule(self, delay_ns: int, fn: Callable, *args) -> int:
+        """Queue fn(*args) delay_ns from now; returns the event's number."""
         if delay_ns < 0:
             raise ValueError("negative delay")
         self._seq += 1
-        heapq.heappush(self._queue, (self.now_ns + delay_ns, self._seq, fn))
+        heapq.heappush(self._queue, (self.now_ns + delay_ns, self._seq, fn, args))
         return self._seq
 
     def cancel(self, seq: Optional[int]) -> None:
@@ -152,10 +120,10 @@ class Engine:
         queue = self._queue
         dispatched = 0
         while queue and queue[0][0] <= t_end_ns:
-            time_ns, _, fn = heapq.heappop(queue)
+            time_ns, _, fn, args = heapq.heappop(queue)
             assert time_ns >= self.now_ns
             self.now_ns = time_ns
-            fn()
+            fn(*args)
             dispatched += 1
         self.now_ns = t_end_ns
         return dispatched
@@ -180,9 +148,12 @@ class Engine:
             rec["reason"] = reason
         self.records.append(rec)
 
-    def charge(self, actor: str, name: str, ns: int, detail: Optional[dict] = None) -> int:
-        """Record a named cost; returns the duration for the caller to fold
-        into its completion time."""
+    def charge(self, actor: str, name: str, ns: Optional[int] = None,
+               detail: Optional[dict] = None) -> int:
+        """Record a named cost, by default its `COSTS_NS` row; returns the
+        duration for the caller to fold into its completion time."""
+        if ns is None:
+            ns = COSTS_NS[name]
         if self.records is not None:
             self.trace(actor, "cost", {"name": name, "ns": ns, **(detail or {})})
         return ns

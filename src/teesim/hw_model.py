@@ -77,6 +77,13 @@ class MachineConfig:
                 return p
         raise ConfigError(f"unknown peripheral {dev_id!r}")
 
+    def device_at(self, pa: int) -> Optional[str]:
+        """The peripheral whose MMIO range holds pa, if any."""
+        for p in self.peripherals:
+            if p.mmio_range[0] <= pa < p.mmio_range[1]:
+                return p.dev_id
+        return None
+
 
 def default_config() -> MachineConfig:
     """The 8-core big.LITTLE platform: 4GB address space, RAM below 3.5GB,

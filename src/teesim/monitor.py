@@ -287,7 +287,7 @@ class Monitor:
             booted_digest=digest64(plaintext),
             attested=attested,
         )
-        boot_ns = self.engine.charge(f"sb{sb}", "boot", self.engine.costs.boot_ns)
+        boot_ns = self.engine.charge(f"sb{sb}", "boot")
         self._trace("lock_and_launch",
                     {"sandbox": sb, "core": spec.core_id,
                      "region": list(region)})
@@ -352,9 +352,7 @@ class Monitor:
         self.machine.table_sets[sb].map_range(region, stage2.Attr.NORMAL)
         self.ledger.add_ram(sb, region)
         self._trace("attach_memory", {"sandbox": sb, "region": list(region)})
-        return self.engine.charge(
-            f"sb{sb}", "mem_inc", self.engine.costs.mem_adjust_inc_ns
-        )
+        return self.engine.charge(f"sb{sb}", "mem_inc")
 
     def detach_memory(self, sb: int, region: Tuple[int, int]) -> int:
         self._consume_approval(sb, region, "detach")
@@ -363,9 +361,7 @@ class Monitor:
         self.machine.table_sets[ROS_CTX].map_range(region, stage2.Attr.NORMAL)
         self.ledger.remove_ram(sb, region)
         self._trace("detach_memory", {"sandbox": sb, "region": list(region)})
-        return self.engine.charge(
-            f"sb{sb}", "mem_dec", self.engine.costs.mem_adjust_dec_ns
-        )
+        return self.engine.charge(f"sb{sb}", "mem_dec")
 
     def _consume_approval(self, sb: int, region, op: str) -> None:
         key = (sb, region, op)
@@ -426,11 +422,9 @@ class Monitor:
         self._move_core(core_id, from_ctx, to_ctx, optimized)
         direction = "inc" if from_ctx == ROS_CTX else "dec"
         cls = self.machine.cores[core_id].value
-        cost = self.engine.costs.core_adjust(cls, direction, optimized)
         actor = f"sb{to_ctx if to_ctx != ROS_CTX else from_ctx}"
         return self.engine.charge(
-            actor, f"core_{direction}_{cls}_{'opt' if optimized else 'noopt'}", cost
-        )
+            actor, f"core_{direction}_{cls}_{'opt' if optimized else 'noopt'}")
 
     def _move_core(self, core_id: int, from_ctx: int, to_ctx: int,
                    optimized: bool) -> None:
@@ -466,15 +460,8 @@ class Monitor:
         from_side = "ros" if from_ctx == ROS_CTX else "sandbox"
         to_side = "ros" if to_ctx == ROS_CTX else "sandbox"
         actor = f"sb{to_ctx if to_ctx != ROS_CTX else from_ctx}"
-        total = self.engine.charge(
-            actor, f"periph_unmap_{kind}_{from_side}",
-            self.engine.costs.periph(kind, "unmap", from_side),
-        )
-        total += self.engine.charge(
-            actor, f"periph_map_{kind}_{to_side}",
-            self.engine.costs.periph(kind, "map", to_side),
-        )
-        return total
+        return (self.engine.charge(actor, f"periph_unmap_{kind}_{from_side}")
+                + self.engine.charge(actor, f"periph_map_{kind}_{to_side}"))
 
     def _move_device(self, dev_id: str, from_ctx: int, to_ctx: int) -> None:
         """The effect of a peripheral switch, unchecked and uncharged."""
@@ -531,8 +518,7 @@ class Monitor:
         self.machine.cache_invalidate_owner(sb)
         self.sandboxes.pop(sb)
         self._approvals = {key for key in self._approvals if key[0] != sb}
-        cost = self.engine.charge(f"sb{sb}", "shutdown",
-                                  self.engine.costs.shutdown_ns)
+        cost = self.engine.charge(f"sb{sb}", "shutdown")
         self._trace("teardown", {"sandbox": sb, "devices": returned_devs})
         return cost, returned_devs
 

@@ -19,6 +19,7 @@ from .errors import (
     UnknownApp,
     UnsupportedDevice,
 )
+from .engine import copy_cost_ns
 from .hw_model import ROS_CTX, DevKind, MachineConfig
 from .monitor import LaunchSpec, Monitor
 from .secure_world import EncryptedImage, KeyStore, digest64
@@ -88,13 +89,9 @@ class CmaPool:
             if pos < ext_end:
                 yield (pos, ext_end)
 
-    def alloc(self, nbytes: int, adjacent_to: Optional[Tuple[int, int]] = None,
-              owner: Optional[int] = None) -> Tuple[int, int]:
-        return self.take(self.find(nbytes, adjacent_to), owner)
-
     def find(self, nbytes: int,
              adjacent_to: Optional[Tuple[int, int]] = None) -> Tuple[int, int]:
-        """The range `alloc` would take, read-only."""
+        """The free range of nbytes for `take`, read-only."""
         if nbytes <= 0 or nbytes % BLOCK_2M:
             raise OutOfMemory(f"allocation must be a positive 2MB multiple, got {nbytes}")
         if adjacent_to is not None:
@@ -312,17 +309,13 @@ class RosActor:
         if byte_count < 0:
             raise BadState("negative byte count")
         if direction == "to_sandbox":
-            ipi_name, ipi_ns = "ipi_ros_to_sb", self.engine.costs.ipi_ros_to_sb_ns
-            actor = "ros"
+            ipi_name, actor = "ipi_ros_to_sb", "ros"
         else:
-            ipi_name, ipi_ns = "ipi_sb_to_ros", self.engine.costs.ipi_sb_to_ros_ns
-            actor = f"sb{sb}"
-        total = self.engine.charge(actor, ipi_name, ipi_ns)
+            ipi_name, actor = "ipi_sb_to_ros", f"sb{sb}"
+        total = self.engine.charge(actor, ipi_name)
         if byte_count:
-            total += self.engine.charge(
-                actor, "copy", self.engine.costs.copy_cost_ns(byte_count),
-                {"bytes": byte_count},
-            )
+            total += self.engine.charge(actor, "copy", copy_cost_ns(byte_count),
+                                        {"bytes": byte_count})
         self._trace("send_data", {"sandbox": sb, "bytes": byte_count,
                                   "direction": direction})
         return total

@@ -470,6 +470,39 @@ class RunResult:
     def metrics(self) -> dict:
         return self.world.metrics.as_dict(self.trace_digest or "")
 
+    def _record_findings(self, at: Optional[int]) -> None:
+        # A violation that persists is found again at every later check;
+        # each one is recorded once, where it first appears.
+        for v in check_invariants(self.world):
+            if v not in self.violations:
+                self.violations.append(v)
+                self.first_seen.setdefault(v.invariant_id, at)
+        if self.world.metrics.attacks_unblocked or self.world.metrics.leaked_bytes:
+            self.first_seen.setdefault("attack", at)
+
+    def _lookup(self, t: str, name: str):
+        if t != HANDLE:
+            return name
+        sb = self.handles.get(name)
+        if sb is None or self.world.state_of(sb) == "dead":
+            raise NoSuchSandbox(name)
+        return sb
+
+    def _execute(self, i: int, d: Directive, check: bool) -> None:
+        """The event of timeline directive i; check records its findings."""
+        world = self.world
+        try:
+            values = _read(d, self._lookup)
+            out = DIRECTIVES[d.kind][2](world, **values)
+            if "new" in values:
+                self.handles[values["new"]] = out
+        except SimError as exc:
+            verdict = "skipped" if isinstance(exc, NoSuchSandbox) else "rejected"
+            world.engine.trace("system", d.kind, dict(d.args), verdict,
+                               type(exc).__name__)
+        if check:
+            self._record_findings(i)
+
 
 def run_scenario(scenario: Scenario, with_trace: bool = True,
                  check_each_directive: bool = True) -> RunResult:
@@ -481,45 +514,11 @@ def run_scenario(scenario: Scenario, with_trace: bool = True,
         instant=scenario.instant,
         traced=with_trace,
     )
-    handles: Dict[str, int] = {}
-    result = RunResult(scenario, world, handles, [])
-
-    def record_findings(at: Optional[int]):
-        # A violation that persists is found again at every later check;
-        # each one is recorded once, where it first appears.
-        for v in check_invariants(world):
-            if v not in result.violations:
-                result.violations.append(v)
-                result.first_seen.setdefault(v.invariant_id, at)
-        if world.metrics.attacks_unblocked or world.metrics.leaked_bytes:
-            result.first_seen.setdefault("attack", at)
-
-    def lookup(t: str, name: str):
-        if t != HANDLE:
-            return name
-        sb = handles.get(name)
-        if sb is None or world.state_of(sb) == "dead":
-            raise NoSuchSandbox(name)
-        return sb
-
-    def execute(i: int, d: Directive):
-        run = DIRECTIVES[d.kind][2]
-        try:
-            values = _read(d, lookup)
-            out = run(world, **values)
-            if "new" in values:
-                handles[values["new"]] = out
-        except SimError as exc:
-            verdict = "skipped" if isinstance(exc, NoSuchSandbox) else "rejected"
-            world.engine.trace("system", d.kind, dict(d.args), verdict,
-                               type(exc).__name__)
-        if check_each_directive:
-            record_findings(i)
-
+    result = RunResult(scenario, world, {}, [])
     for i, d in enumerate(scenario.timeline):
-        world.engine.schedule(d.at_ns, lambda i=i, d=d: execute(i, d))
+        world.engine.schedule(d.at_ns, result._execute, i, d, check_each_directive)
     world.engine.run_until(scenario.horizon_ns)
-    record_findings(None)
+    result._record_findings(None)
 
     if with_trace:
         header = {"scenario": serialize(scenario), "seed": scenario.seed}

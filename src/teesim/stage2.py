@@ -85,13 +85,6 @@ class Stage2TableSet:
             return True
         return i + 1 < len(self._runs) and self._runs[i + 1][0] < end
 
-    def block_count(self, attr: Optional[Attr] = None) -> int:
-        total = 0
-        for start, end, a in self._runs:
-            if attr is None or a is attr:
-                total += (end - start) // granularity_of(a)
-        return total
-
     # -- mutation --------------------------------------------------------
 
     def map_range(self, rng: Tuple[int, int], attr: Attr) -> int:

@@ -124,11 +124,11 @@ class World:
         rt = self.runtimes.get(sb)
         return rt.state if rt else "dead"
 
-    def _later(self, delay_ns: int, fn) -> None:
+    def _later(self, delay_ns: int, fn, *args) -> None:
         if self.instant:
-            fn()
+            fn(*args)
         else:
-            self.engine.schedule(delay_ns, fn)
+            self.engine.schedule(delay_ns, fn, *args)
 
     # -- sandbox lifecycle -----------------------------------------------------
 
@@ -154,7 +154,7 @@ class World:
         self.metrics.max_concurrent = max(
             self.metrics.max_concurrent, len(self.monitor.sandboxes)
         )
-        self._later(boot_ns, lambda: self._boot_done(sb))
+        self._later(boot_ns, self._boot_done, sb)
         return sb
 
     def _boot_done(self, sb: int) -> None:
@@ -165,7 +165,7 @@ class World:
         rt.start_work(self.engine.now_ns)
         self.engine.trace(f"sb{sb}", "running")
         if not self.instant:
-            self.engine.schedule(sos.USAGE_SAMPLE_NS, lambda: self._tick(sb))
+            self.engine.schedule(sos.USAGE_SAMPLE_NS, self._tick, sb)
             self._repredict(sb)
 
     def terminate(self, sb: int) -> None:
@@ -177,8 +177,7 @@ class World:
             self.release_peripheral(sb, dev)
         rt.account_to(self.engine.now_ns)
         rt.advance("terminating")
-        self.engine.charge(f"sb{sb}", "ipi_sb_to_ros",
-                           self.engine.costs.ipi_sb_to_ros_ns)
+        self.engine.charge(f"sb{sb}", "ipi_sb_to_ros")
         cost, returned = self.monitor.teardown(sb, state_of=self.state_of)
         for dev in returned:
             # Forced returns during teardown leave the ROS driver unloaded.
@@ -191,7 +190,7 @@ class World:
         rt.devices.clear()
         rt.gpu_owned = False
         self.engine.cancel(self._completions.pop(sb, None))
-        self._later(cost, lambda: self._dead(sb))
+        self._later(cost, self._dead, sb)
 
     def set_workload(self, sb: int, workload) -> None:
         """Replace the sandbox's workload; a running sandbox starts it now."""
@@ -237,7 +236,7 @@ class World:
                 self._sample_utilization(rt, busy_ns, folded)
                 rt.account_to(now + folded * tick)
                 rt.usage.extend([rt.usage[-1]] * min(folded, rt.usage.maxlen))
-        self.engine.schedule((folded + 1) * tick, lambda: self._tick(sb))
+        self.engine.schedule((folded + 1) * tick, self._tick, sb)
 
     def _busy_ns(self, rt: SandboxRuntime, now: int) -> int:
         """Busy time of rt in the tick window that ends at now."""
@@ -303,8 +302,7 @@ class World:
         if eta is None:
             return
         self.engine.cancel(self._completions.pop(sb, None))
-        self._completions[sb] = self.engine.schedule(
-            eta, lambda: self._completion(sb))
+        self._completions[sb] = self.engine.schedule(eta, self._completion, sb)
 
     def _completion(self, sb: int) -> None:
         del self._completions[sb]
@@ -340,8 +338,7 @@ class World:
         rt = self.runtimes[sb]
         if rt.mem_pending:
             return False
-        self.engine.charge(f"sb{sb}", "ipi_sb_to_ros",
-                           self.engine.costs.ipi_sb_to_ros_ns)
+        self.engine.charge(f"sb{sb}", "ipi_sb_to_ros")
         region = self.attach_region(sb, nbytes)
         if region is None:
             self.engine.trace("ros", "attach_request", {"sandbox": sb},
@@ -356,28 +353,26 @@ class World:
         self.metrics.adjust_count += 1
         self.metrics.adjust_latency_ns += cost
         rt.mem_pending = True
-
-        def apply():
-            r = self.runtimes.get(sb)
-            if r is None:
-                return
-            r.mem_pending = False
-            if r.state not in ("booting", "running"):
-                return
-            r.account_to(self.engine.now_ns)
-            r._attached_bytes += nbytes
-            self._repredict(sb)
-
-        self._later(cost, apply)
+        self._later(cost, self._memory_arrived, sb, nbytes)
         return True
+
+    def _memory_arrived(self, sb: int, nbytes: int) -> None:
+        rt = self.runtimes.get(sb)
+        if rt is None:
+            return
+        rt.mem_pending = False
+        if rt.state not in ("booting", "running"):
+            return
+        rt.account_to(self.engine.now_ns)
+        rt._attached_bytes += nbytes
+        self._repredict(sb)
 
     def _request_detach(self, sb: int, nbytes: int) -> bool:
         rt = self.runtimes[sb]
         if rt.mem_pending:
             return False
         region = self.detach_region(sb, nbytes)
-        self.engine.charge(f"sb{sb}", "ipi_sb_to_ros",
-                           self.engine.costs.ipi_sb_to_ros_ns)
+        self.engine.charge(f"sb{sb}", "ipi_sb_to_ros")
         verdict = self.monitor.verify_region_legality(sb, region, "detach")
         if not verdict.approved:
             return False
@@ -395,8 +390,7 @@ class World:
     def _request_core_increase(self, sb: int, core_class: Optional[str]) -> bool:
         rt = self.runtimes[sb]
         now = self.engine.now_ns
-        self.engine.charge(f"sb{sb}", "ipi_sb_to_ros",
-                           self.engine.costs.ipi_sb_to_ros_ns)
+        self.engine.charge(f"sb{sb}", "ipi_sb_to_ros")
         try:
             core_id = self.ros.pick_core(prefer=core_class)
         except ResourceBusy:
@@ -409,23 +403,21 @@ class World:
         rt.hysteresis_until_ns = now + cost + sos.HYSTERESIS_NS
         self.metrics.adjust_count += 1
         self.metrics.adjust_latency_ns += cost
-
-        def apply():
-            r = self.runtimes.get(sb)
-            if r is None or r.state != "running":
-                return
-            r.account_to(self.engine.now_ns)
-            r.cores[core_id] = cls
-            self._repredict(sb)
-
-        self._later(cost, apply)
+        self._later(cost, self._core_arrived, sb, core_id, cls)
         return True
+
+    def _core_arrived(self, sb: int, core_id: int, cls: str) -> None:
+        rt = self.runtimes.get(sb)
+        if rt is None or rt.state != "running":
+            return
+        rt.account_to(self.engine.now_ns)
+        rt.cores[core_id] = cls
+        self._repredict(sb)
 
     def _request_core_release(self, sb: int, core_id: int) -> bool:
         rt = self.runtimes[sb]
         now = self.engine.now_ns
-        self.engine.charge(f"sb{sb}", "ipi_sb_to_ros",
-                           self.engine.costs.ipi_sb_to_ros_ns)
+        self.engine.charge(f"sb{sb}", "ipi_sb_to_ros")
         rt.account_to(now)
         cost = self.monitor.transfer_core(core_id, sb, ROS_CTX)
         rt.cores.pop(core_id, None)
@@ -448,8 +440,7 @@ class World:
         rt.require_running()
         if dev_id in rt.devices:
             raise BadState(f"sandbox {sb} already holds {dev_id}")
-        self.engine.charge(f"sb{sb}", "ipi_sb_to_ros",
-                           self.engine.costs.ipi_sb_to_ros_ns)
+        self.engine.charge(f"sb{sb}", "ipi_sb_to_ros")
         if self.monitor.ledger.dev_owner[dev_id] == ROS_CTX and \
                 dev_id not in self.dev_queues:
             self._grant_device(sb, dev_id)
@@ -458,8 +449,8 @@ class World:
         self.engine.trace("ros", "device_request",
                           {"sandbox": sb, "dev": dev_id}, "queued", "DeviceBusy")
         if not self.instant:
-            self.engine.schedule(DEVICE_WAIT_TIMEOUT_NS,
-                                 lambda: self._queue_timeout(sb, dev_id))
+            self.engine.schedule(DEVICE_WAIT_TIMEOUT_NS, self._queue_timeout,
+                                 sb, dev_id)
         return "queued"
 
     def _queue_timeout(self, sb: int, dev_id: str) -> None:
@@ -488,28 +479,24 @@ class World:
             raise IntegrityError(f"driver for {dev_id} failed verification")
         self.ros.driver_states[(sb, dev_id)] = DRIVER_LOADED
         self.engine.trace(f"sb{sb}", "driver_install", {"dev": dev_id})
-        self.engine.charge("ros", "ipi_ros_to_sb",
-                           self.engine.costs.ipi_ros_to_sb_ns)
-        desc = self.machine.config.peripheral(dev_id)
+        self.engine.charge("ros", "ipi_ros_to_sb")
+        self._later(cost, self._device_arrived, sb, dev_id)
 
-        def apply():
-            r = self.runtimes.get(sb)
-            if r is None or r.state != "running":
-                return
-            r.account_to(self.engine.now_ns)
-            r.devices.add(dev_id)
-            if desc.kind is DevKind.GPU:
-                r.gpu_owned = True
-            self._repredict(sb)
-
-        self._later(cost, apply)
+    def _device_arrived(self, sb: int, dev_id: str) -> None:
+        rt = self.runtimes.get(sb)
+        if rt is None or rt.state != "running":
+            return
+        rt.account_to(self.engine.now_ns)
+        rt.devices.add(dev_id)
+        if self.machine.config.peripheral(dev_id).kind is DevKind.GPU:
+            rt.gpu_owned = True
+        self._repredict(sb)
 
     def release_peripheral(self, sb: int, dev_id: str) -> None:
         rt = self.runtimes[sb]
         if dev_id not in rt.devices and self.monitor.ledger.dev_owner[dev_id] != sb:
             raise BadState(f"sandbox {sb} does not hold {dev_id}")
-        self.engine.charge(f"sb{sb}", "ipi_sb_to_ros",
-                           self.engine.costs.ipi_sb_to_ros_ns)
+        self.engine.charge(f"sb{sb}", "ipi_sb_to_ros")
         rt.account_to(self.engine.now_ns)
         rt.devices.discard(dev_id)
         desc = self.machine.config.peripheral(dev_id)
@@ -591,14 +578,10 @@ class World:
         return target[1] - target[0]
 
     def classify_leak(self, ctx: int, pa: int) -> bool:
-        kind = self.machine.classify(pa)
-        if kind == "ram":
+        if self.machine.classify(pa) == "ram":
             return not self.monitor.ledger.owns_range(ctx, (pa, pa + 1))
-        if kind == "mmio":
-            for p in self.machine.config.peripherals:
-                if p.mmio_range[0] <= pa < p.mmio_range[1]:
-                    return self.monitor.ledger.dev_owner[p.dev_id] != ctx
-        return False
+        dev = self.machine.config.device_at(pa)
+        return dev is not None and self.monitor.ledger.dev_owner[dev] != ctx
 
     # -- cloning -------------------------------------------------------------------------------
 

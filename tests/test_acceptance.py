@@ -15,6 +15,7 @@ from teesim.adversary import (
     make_small_world,
     run_attack,
 )
+from teesim.engine import COPY_ANCHORS
 from teesim.hw_model import default_config
 from teesim.stage2 import Attr, Stage2TableSet
 from teesim.units import GB, KB, MB, MS_NS
@@ -211,7 +212,6 @@ def test_criterion_10_cost_fidelity():
             "at 2400ms release_dev sb1 bluetooth\n"
             "at 3000ms terminate sb1\n")
     res = sc.run_scenario(sc.parse(text))
-    table = res.world.engine.costs
     costs = {}
     copies = []
     for r in res.world.engine.records:
@@ -241,7 +241,7 @@ def test_criterion_10_cost_fidelity():
         "periph_map_bluetooth_ros": 117 * MS_NS,
     }
     bad = [name for name, ns in expected.items() if costs.get(name) != ns]
-    anchor_table = dict(table.copy_anchors)
+    anchor_table = dict(COPY_ANCHORS)
     bad += [f"copy@{b}" for b, ns in copies if anchor_table.get(b) != ns]
     missing_anchors = set(anchors) - {b for b, _ in copies}
     ok = not bad and not missing_anchors and res.exit_code == 0

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teesim.engine import CostTable, Engine
+from teesim.engine import COSTS_NS, Engine, copy_cost_ns
 from teesim.errors import NotOwner
-from teesim.hw_model import ROS_CTX, default_config
+from teesim.hw_model import ROS_CTX, CoreClass, DevKind, default_config
 from teesim.units import KB, MB, MS_NS
 from teesim.world import build_world
 
@@ -42,6 +42,17 @@ def test_cancelled_event_neither_runs_nor_bounds_the_queue():
     assert out == ["b", "a"] and eng.next_event_ns is None
 
 
+def test_schedule_passes_its_args_in_time_then_insertion_order():
+    eng = Engine()
+    out = []
+    eng.schedule(4, out.append, "late")
+    eng.schedule(2, lambda *args: out.append(args), "a", 1)
+    eng.schedule(2, out.append, "b")
+    eng.schedule(2, lambda: out.append("no args"))
+    assert eng.run_until(10) == 4
+    assert out == [("a", 1), "b", "no args", "late"]
+
+
 def test_negative_delay_rejected():
     eng = Engine()
     with pytest.raises(ValueError):
@@ -64,7 +75,6 @@ def test_event_times_nondecreasing():
 
 
 def test_copy_cost_anchors_exact():
-    ct = CostTable()
     expected = {
         64 * KB: 16_580_000,
         256 * KB: 17_690_000,
@@ -74,45 +84,62 @@ def test_copy_cost_anchors_exact():
         64 * MB: 323_420_000,
     }
     for nbytes, ns in expected.items():
-        assert ct.copy_cost_ns(nbytes) == ns
+        assert copy_cost_ns(nbytes) == ns
 
 
 def test_copy_cost_zero_and_chunking():
-    ct = CostTable()
-    assert ct.copy_cost_ns(0) == 0
-    assert ct.copy_cost_ns(128 * MB) == 2 * 323_420_000
+    assert copy_cost_ns(0) == 0
+    assert copy_cost_ns(128 * MB) == 2 * 323_420_000
     # interpolation between 64KB and 256KB anchors at the midpoint
     mid = (64 * KB + 256 * KB) // 2
-    assert ct.copy_cost_ns(mid) == (16_580_000 + 17_690_000) // 2
+    assert copy_cost_ns(mid) == (16_580_000 + 17_690_000) // 2
 
 
 @given(st.integers(min_value=0, max_value=256 * MB),
        st.integers(min_value=0, max_value=256 * MB))
 @settings(max_examples=120, deadline=None)
 def test_copy_cost_monotone(a, b):
-    ct = CostTable()
     lo, hi = sorted((a, b))
-    assert ct.copy_cost_ns(lo) <= ct.copy_cost_ns(hi)
+    assert copy_cost_ns(lo) <= copy_cost_ns(hi)
 
 
 def test_ipi_costs_exact_in_ns():
-    ct = CostTable()
-    assert ct.ipi_ros_to_sb_ns == 23_890
-    assert ct.ipi_sb_to_ros_ns == 53_120
+    assert COSTS_NS["ipi_ros_to_sb"] == 23_890
+    assert COSTS_NS["ipi_sb_to_ros"] == 53_120
+
+
+def test_every_buildable_cost_name_has_a_row():
+    """Every name `transfer_core` and `switch_peripheral` can charge is a
+    row of the table, for each core class and device kind."""
+    for cls in CoreClass:
+        for direction in ("inc", "dec"):
+            for opt in ("opt", "noopt"):
+                assert f"core_{direction}_{cls.value}_{opt}" in COSTS_NS
+    for kind in DevKind:
+        for op in ("map", "unmap"):
+            for side in ("ros", "sandbox"):
+                assert f"periph_{op}_{kind.value}_{side}" in COSTS_NS
+
+
+def test_other_rows_are_the_cheapest_profiled_rows():
+    for op in ("map", "unmap"):
+        profiled = [ns for name, ns in COSTS_NS.items()
+                    if name.startswith(f"periph_{op}_") and "_other_" not in name]
+        for side in ("ros", "sandbox"):
+            assert COSTS_NS[f"periph_{op}_other_{side}"] == min(profiled)
 
 
 def test_core_adjust_table_values():
-    ct = CostTable()
-    assert ct.core_adjust("big", "inc", False) == 199 * MS_NS
-    assert ct.core_adjust("big", "inc", True) == 79 * MS_NS
-    assert ct.core_adjust("little", "dec", True) == 42 * MS_NS
+    assert COSTS_NS["core_inc_big_noopt"] == 199 * MS_NS
+    assert COSTS_NS["core_inc_big_opt"] == 79 * MS_NS
+    assert COSTS_NS["core_dec_little_opt"] == 42 * MS_NS
 
 
 def test_trace_digest_deterministic():
     def drive():
         eng = Engine()
         eng.schedule(10, lambda: eng.trace("x", "op1", {"k": 1}))
-        eng.schedule(5, lambda: eng.charge("y", "boot", eng.costs.boot_ns))
+        eng.schedule(5, eng.charge, "y", "boot")
         eng.run_until(20)
         return eng.serialize_trace({"seed": 1})
 

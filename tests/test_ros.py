@@ -59,33 +59,38 @@ class BlockMapAllocator:
             del self.taken[b]
 
 
+def take_found(pool, nbytes, adjacent_to=None):
+    """Find a range, then take it, as `RosActor.launch` does."""
+    return pool.take(pool.find(nbytes, adjacent_to), None)
+
+
 def test_first_fit_starts_at_extent_base():
     pool = CmaPool(((1 * GB, 1 * GB + 1 * GB),))
-    assert pool.alloc(128 * MB) == (1 * GB, 1 * GB + 128 * MB)
+    assert take_found(pool, 128 * MB) == (1 * GB, 1 * GB + 128 * MB)
 
 
 def test_alloc_zero_rejected():
     pool = CmaPool(((0, 512 * MB),))
     with pytest.raises(OutOfMemory):
-        pool.alloc(0)
+        pool.find(0)
 
 
 def test_alloc_adjacent_prefers_low_then_high():
     pool = CmaPool(((1 * GB, 2 * GB),))
-    base = pool.alloc(128 * MB)
-    got = pool.alloc(16 * MB, adjacent_to=base)
+    base = take_found(pool, 128 * MB)
+    got = take_found(pool, 16 * MB, base)
     # below the base there is no room inside the extent, so above wins
     assert got == (base[1], base[1] + 16 * MB)
-    mid = pool.alloc(128 * MB, adjacent_to=got)
+    mid = take_found(pool, 128 * MB, got)
     assert mid == (got[1], got[1] + 128 * MB)
 
 
 def test_alloc_adjacent_fails_when_hemmed_in():
     pool = CmaPool(((0, 256 * MB),))
-    a = pool.alloc(128 * MB)
-    pool.alloc(128 * MB)
+    a = take_found(pool, 128 * MB)
+    take_found(pool, 128 * MB)
     with pytest.raises(NoAdjacentSpace):
-        pool.alloc(16 * MB, adjacent_to=a)
+        take_found(pool, 16 * MB, a)
 
 
 def test_allocator_matches_reference_on_random_sequences():
@@ -105,7 +110,7 @@ def test_allocator_matches_reference_on_random_sequences():
             adj = rng.choice(live) if live and rng.random() < 0.3 else None
             expect = ref.alloc(size, adj)
             try:
-                got = pool.alloc(size, adjacent_to=adj)
+                got = take_found(pool, size, adj)
             except (OutOfMemory, NoAdjacentSpace):
                 got = None
             assert got == expect

@@ -1,6 +1,7 @@
 import pytest
 
 from teesim import scenario as sc
+from teesim.engine import COSTS_NS, copy_cost_ns
 from teesim.errors import ParseError, ValidationError
 from teesim.units import MS_NS
 
@@ -181,6 +182,40 @@ def test_minimal_run_has_boot_and_shutdown_costs():
              for r in res.world.engine.records if r["op"] == "cost"}
     assert costs["boot"] == 532 * MS_NS
     assert costs["shutdown"] == 629 * MS_NS
+
+
+def test_independent_other_peripheral_charges_the_other_rows():
+    """A device of kind `other` has no profiled row of its own; switching
+    it charges the cheapest profiled map (55 ms) and unmap (23 ms)."""
+    text = MINIMAL.replace(
+        "[apps]", "[machine]\nperipheral cam kind=other mmio=3584M:3585M\n[apps]")
+    text = text.replace("at 800ms workload sb1 idle",
+                        "at 800ms request_dev sb1 cam\nat 1200ms release_dev sb1 cam")
+    res = sc.run_scenario(sc.parse(text))
+    assert res.exit_code == 0
+    periph = [(r["args"]["name"], r["args"]["ns"]) for r in res.world.engine.records
+              if r["op"] == "cost" and r["args"]["name"].startswith("periph_")]
+    assert periph == [
+        ("periph_unmap_other_ros", 23 * MS_NS), ("periph_map_other_sandbox", 55 * MS_NS),
+        ("periph_unmap_other_sandbox", 23 * MS_NS), ("periph_map_other_ros", 55 * MS_NS),
+    ]
+
+
+def test_every_cost_record_is_a_table_row():
+    """A cost record's name is its `COSTS_NS` key, or `copy`, interpolated
+    over the copy anchors for its byte count."""
+    names = set()
+    for seed in range(50):
+        for r in sc.run_scenario(sc.make_random_scenario(seed)).world.engine.records:
+            if r["op"] != "cost":
+                continue
+            name, ns = r["args"]["name"], r["args"]["ns"]
+            names.add(name)
+            if name == "copy":
+                assert ns == copy_cost_ns(r["args"]["bytes"])
+            else:
+                assert name in COSTS_NS and ns == COSTS_NS[name], name
+    assert {"boot", "shutdown", "copy", "mem_inc"} <= names
 
 
 def test_rerun_same_seed_identical_digest():

@@ -14,7 +14,7 @@ def test_map_128mb_is_64_block_entries():
     ts = Stage2TableSet(1)
     # 128MB / 2MB per block
     assert ts.map_range((256 * MB, 384 * MB), Attr.NORMAL) == 64
-    assert ts.block_count(Attr.NORMAL) == 64
+    assert list(ts.runs()) == [(256 * MB, 384 * MB, Attr.NORMAL)]
 
 
 def test_map_rejects_subblock_alignment():
@@ -39,7 +39,7 @@ def test_unmap_inverse_of_map():
     ts = Stage2TableSet(1)
     ts.map_range((256 * MB, 384 * MB), Attr.NORMAL)
     assert ts.unmap_range((256 * MB, 384 * MB)) == 64
-    assert ts.block_count() == 0
+    assert list(ts.runs()) == []
 
 
 def test_unmap_unmapped_is_strict():

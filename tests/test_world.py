@@ -159,7 +159,7 @@ def test_superseded_completion_leaves_the_queue():
     w.engine.run_until(600 * MS_NS)
     first = w._completions[sb]
     w.set_workload(sb, InferenceBatch(images=2, units_per_image=1000))
-    queued = {seq for _, seq, _ in w.engine._queue}
+    queued = {seq for _, seq, _, _ in w.engine._queue}
     assert first not in queued and w._completions[sb] in queued
     w.engine.run_until(5 * S_NS)
     assert w.metrics.completion_ns == {sb: 2 * S_NS} and w._completions == {}
