@@ -275,23 +275,37 @@ def victim_touch(world: World, sb: int) -> None:
     world.machine.cache_fill(sb, top)
 
 
+def _probed(world: World, sb: int) -> Tuple[int, int]:
+    base, end = world.monitor.ledger.sandbox_span(sb)
+    return base, end - BLOCK_2M
+
+
 def ros_probe(world: World, sb: int) -> int:
     """ROS reads sb's lowest and highest frame, directly and by cache."""
-    base, end = world.monitor.ledger.sandbox_span(sb)
-    leaked = 0
-    for pa in (base, end - BLOCK_2M):
-        leaked += world.probe_read(ROS_CTX, pa)[1] + world.probe_cache(ROS_CTX, pa)[1]
-    return leaked
+    return sum(world.probe_read(ROS_CTX, pa)[1] + world.probe_cache(ROS_CTX, pa)[1]
+               for pa in _probed(world, sb))
+
+
+def _dma_target(world: World, sb: int, dev: str) -> Tuple[int, int]:
+    if not world.machine.config.peripheral(dev).dma_capable or \
+            world.monitor.ledger.dev_owner[dev] != ROS_CTX:
+        raise BadState(f"{dev} is not a DMA device under ROS")
+    base = world.monitor.ledger.sandbox_span(sb)[0]
+    return base, base + PAGE_4K
 
 
 def ros_dma(world: World, sb: int, dev: str) -> int:
     """ROS programs dev, a DMA-capable device it holds, to read sb's first
     page; returns the bytes leaked."""
-    if not world.machine.config.peripheral(dev).dma_capable or \
-            world.monitor.ledger.dev_owner[dev] != ROS_CTX:
-        raise BadState(f"{dev} is not a DMA device under ROS")
-    base = world.monitor.ledger.sandbox_span(sb)[0]
-    return world.dma_access(dev, ROS_CTX, (base, base + PAGE_4K))
+    return world.dma_access(dev, ROS_CTX, _dma_target(world, sb, dev))
+
+
+# Step -> whether it could reach anything, asked of a world it only reads.
+# A step that cannot changes nothing, so an explored op asks first.
+_REACHES: Dict[Callable, Callable[..., bool]] = {
+    ros_probe: lambda w, sb: any(w.probe_reaches(ROS_CTX, pa) for pa in _probed(w, sb)),
+    ros_dma: lambda w, sb, dev: w.dma_reaches(dev, ROS_CTX, _dma_target(w, sb, dev)),
+}
 
 
 def steal_core(world: World, victim: int, app: str):
@@ -428,6 +442,7 @@ class ExploreResult:
     states_visited: int
     transitions: int
     max_depth: int
+    self_loops: int = 0  # transitions back to their parent's state
     violations: List[ExploreFinding] = field(default_factory=list)
     budget_exceeded: bool = False
 
@@ -444,13 +459,22 @@ def make_small_world(mutations=()) -> World:
 
 @dataclass(slots=True)
 class _Node:
-    """One explored state: a world plus the sandbox ids the ops name. The
-    world is never changed after its node enters the frontier."""
+    """One explored state: the sandbox ids the ops name, and a world made on
+    first access from `peek`: a copy, or `peek` itself if the node may take
+    it (`own`). A frontier node's world changes only under its last op."""
 
-    world: World
+    peek: World
     handles: Dict[str, int]
     trace: Tuple[str, ...]
     key: Optional[tuple] = None  # set by the explorer's key function
+    own: bool = True
+    _world: Optional[World] = None
+
+    @property
+    def world(self) -> World:
+        if self._world is None:
+            self._world = self.peek = self.peek if self.own else self.peek.clone()
+        return self._world
 
 
 # The exploration alphabet: op name -> its directive over the handles a
@@ -473,9 +497,11 @@ ALPHABET: Tuple[Tuple[str, str], ...] = tuple(
 def _op(kind: str, run: Callable, values: dict,
         handles: Tuple[str, ...]) -> Callable[[_Node], int]:
     """The op for one directive: it resolves its handles, then runs the
-    directive on the node's world; returns bytes leaked."""
+    directive on the node's world; returns bytes leaked. A step that could
+    reach nothing on `peek` (`_REACHES`) returns 0 and touches no world."""
     new = values.get("new")
     gone = values["sb"] if kind == "terminate" else None  # keys hold live handles
+    reaches = _REACHES.get(run)
 
     def op(node: _Node) -> int:
         args = values.copy()
@@ -485,6 +511,8 @@ def _op(kind: str, run: Callable, values: dict,
                 raise BadState(f"{values[arg]} not alive")
         if new in node.handles:
             raise BadState(f"{new} already alive")
+        if reaches is not None and not reaches(node.peek, **args):
+            return 0
         world = node.world
         out = run(world, **args)
         if out is False:
@@ -559,23 +587,30 @@ def explore(world_factory: Callable[[], World] = make_small_world,
         node, d = frontier.popleft()
         if d >= depth:
             continue
-        # A refused op leaves its world as it found it, a copy of the
-        # parent's, so the next op on the same parent runs on that world.
-        spare = None
-        for op_name, op_fn in ops:
-            world = node.world.clone() if spare is None else spare
-            child = _Node(world, dict(node.handles), node.trace)
+        # A refused op leaves the world it got as it found it, a copy of the
+        # parent's, so the next op on the same parent runs on that world. The
+        # last op runs on the parent's own world: nothing reads it after.
+        world, spare, last = node.world, None, len(ops) - 1
+        for i, (op_name, op_fn) in enumerate(ops):
+            child = _Node(world if spare is None else spare, dict(node.handles),
+                          node.trace, own=spare is not None or i == last)
             try:
                 leaked = op_fn(child)
             except SimError:
-                spare = world
+                if child._world is not None:
+                    spare = child._world
                 continue
-            spare = None
             result.transitions += 1
+            if not leaked and child._world is None and \
+                    child.handles == node.handles and node.key in seen:
+                result.self_loops += 1  # the op changed nothing: no copy, no key
+                continue
+            spare = None  # the child takes it, if it was the spare
             child.trace = node.trace + (op_name,)
             if not leaked:
-                state = key(child, node)
+                state = key(child) if child.world is world else key(child, node)
                 if state in seen:
+                    result.self_loops += state == node.key
                     continue
             violations = check_invariants(child.world)
             if leaked:

@@ -150,6 +150,7 @@ def cmd_explore(args) -> int:
     )
     print(f"states visited: {result.states_visited}")
     print(f"transitions:    {result.transitions}")
+    print(f"self-loops:     {result.self_loops}")
     print(f"max depth:      {result.max_depth}")
     print(f"violations:     {len(result.violations)}")
     if result.violations:

@@ -105,8 +105,9 @@ class Engine:
 
     def cancel(self, seq: Optional[int]) -> None:
         """Drop the queued event that `schedule` numbered seq, if any."""
-        self._queue[:] = [event for event in self._queue if event[1] != seq]
-        heapq.heapify(self._queue)
+        if seq is not None:
+            self._queue[:] = [event for event in self._queue if event[1] != seq]
+            heapq.heapify(self._queue)
 
     @property
     def next_event_ns(self) -> Optional[int]:

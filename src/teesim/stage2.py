@@ -186,6 +186,18 @@ class Stage2TableSet:
         return f"Stage2TableSet(ctx={self.context_id}, runs={len(self._runs)})"
 
 
+def s2_lookup(machine, core_id: int, ipa: int) -> Tuple[TranslationResult, bool]:
+    """A core's translation of ipa through its TLB, then its active table
+    set, changing nothing. Returns (result, whether the tables hit)."""
+    ctx = machine.active_ctx[core_id]
+    hit = machine.tlb_lookup(core_id, ctx, ipa)
+    tables = machine.table_sets.get(ctx)
+    if hit is not None or tables is None:
+        return hit or TranslationResult.fault(), False
+    result = tables.translate(ipa)
+    return result, result.hit
+
+
 def s2_translate(machine, core_id: int, ipa: int) -> TranslationResult:
     """Translate through a core's active table set, TLB included.
 
@@ -193,14 +205,7 @@ def s2_translate(machine, core_id: int, ipa: int) -> TranslationResult:
     even if the backing table entry has since been invalidated, which is
     exactly the stale-translation window sanitization closes.
     """
-    ctx = machine.active_ctx[core_id]
-    hit = machine.tlb_lookup(core_id, ctx, ipa)
-    if hit is not None:
-        return hit
-    tables = machine.table_sets.get(ctx)
-    if tables is None:
-        return TranslationResult.fault()
-    result = tables.translate(ipa)
-    if result.hit:
-        machine.tlb_insert(core_id, ctx, ipa, result.attr)
+    result, table_hit = s2_lookup(machine, core_id, ipa)
+    if table_hit:
+        machine.tlb_insert(core_id, machine.active_ctx[core_id], ipa, result.attr)
     return result

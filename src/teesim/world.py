@@ -25,6 +25,7 @@ from .monitor import Defenses, Monitor
 from .ros import DRIVER_LOADED, DRIVER_UNLOADED, RosActor
 from .secure_world import KeyStore
 from .sos import SandboxRuntime
+from .stage2 import s2_lookup
 from .state import NESTED, SHARED, Schema, clone_values, copied, keyed, reset
 from .units import MB, MS_NS, PAGE_4K, S_NS
 
@@ -535,6 +536,11 @@ class World:
             return None
         return self.machine.translate(cores[0], pa)
 
+    def probe_reaches(self, ctx: int, pa: int) -> bool:
+        """Whether probe_translate(ctx, pa) would hit; changes nothing."""
+        cores = self.monitor.ledger.cores_of(ctx)
+        return bool(cores) and s2_lookup(self.machine, cores[0], pa)[0].hit
+
     def probe_read(self, ctx: int, pa: int) -> Tuple[bool, int]:
         """Direct load attempt: (reached_memory, leaked_bytes)."""
         res = self.probe_translate(ctx, pa)
@@ -567,15 +573,17 @@ class World:
                           "hit" if not leaked else "leak")
         return True, leaked
 
+    def dma_reaches(self, dev_id: str, ctx: int, target: Tuple[int, int]) -> bool:
+        """Whether the SMMU lets dev, for ctx, reach memory in target that
+        ctx does not own; changes nothing on an untraced world."""
+        return self.monitor.smmu_check(dev_id, ctx, target) and \
+            not self.monitor.ledger.owns_range(ctx, target)
+
     def dma_access(self, dev_id: str, ctx: int, target: Tuple[int, int]) -> int:
         """DMA read into/out of target range; returns leaked bytes."""
-        allowed = self.monitor.smmu_check(dev_id, ctx, target)
-        if not allowed:
-            return 0
-        if self.monitor.ledger.owns_range(ctx, target):
-            return 0
-        self.metrics.leaked_bytes += target[1] - target[0]
-        return target[1] - target[0]
+        leaked = target[1] - target[0] if self.dma_reaches(dev_id, ctx, target) else 0
+        self.metrics.leaked_bytes += leaked
+        return leaked
 
     def classify_leak(self, ctx: int, pa: int) -> bool:
         if self.machine.classify(pa) == "ram":

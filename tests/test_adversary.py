@@ -475,7 +475,9 @@ def test_interned_keys_match_repr_keys(monkeypatch):
     monkeypatch.setattr(adversary, "_state_keys", recording_keys)
     res = explore(depth=6)
     assert (res.states_visited, res.transitions) == (1147, 3357)
-    assert len(calls) == 1 + 3357  # the root, then every transition
+    # The root, then every transition but the 582 blocked probes and DMAs,
+    # which change nothing and are not keyed.
+    assert len(calls) == 1 + 3357 - 582
     assert len(interned_of) == len(repr_of) == 1147
     assert all(type(i) is int for k in repr_of for i in k)
 
@@ -525,7 +527,7 @@ def test_incremental_keys_match_keys_from_canonical(monkeypatch, mutations, dept
     assert bool(res.violations) == bool(mutations)
     if not mutations:
         assert (res.states_visited, res.transitions) == (7172, 24604)
-        assert len(keys) == 1 + res.transitions
+        assert len(keys) == 1 + res.transitions - 4086  # blocked probes and DMAs
     assert len(set(keys)) >= res.states_visited
 
 
@@ -568,7 +570,7 @@ def test_explore_reports_every_transition_into_a_violating_root():
 
 
 def test_explore_work_counters_at_depth_6(monkeypatch):
-    calls = {"clone": 0, "check": 0, "op": 0}
+    calls = {"clone": 0, "check": 0, "op": 0, "quiet": 0}
     clone, check = World.clone, adversary.check_invariants
 
     def counted_clone(self):
@@ -597,22 +599,29 @@ def test_explore_work_counters_at_depth_6(monkeypatch):
     def counted_op(fn):
         def op(node):
             calls["op"] += 1
-            return fn(node)
+            leaked = fn(node)
+            calls["quiet"] += node._world is None  # it never touched a world
+            return leaked
         return op
 
     ops = [(name, counted_op(fn)) for name, fn in default_alphabet()]
     res = explore(op_alphabet=ops, depth=6)
     assert (res.states_visited, res.transitions) == (1147, 3357)
-    # A refused op's world goes to the next op on the same parent, so each
-    # expanded state wastes at most the one clone its last refused op made.
+    assert (res.self_loops, calls["quiet"]) == (740, 582)
+    # An op gets a copy of its parent's world only when it touches it: a
+    # refused op's copy goes to the next op on the same parent, and the last
+    # op takes the parent's own world. So each expanded state makes at most
+    # one clone more, or one fewer, than its transitions that touch a world.
     expanded = calls["op"] // len(ops)
-    assert res.transitions <= calls["clone"] <= res.transitions + expanded
-    assert calls["clone"] == 3773
+    touched = res.transitions - calls["quiet"]
+    assert touched - expanded <= calls["clone"] <= touched + expanded
+    assert calls["clone"] == 2837
     assert calls["check"] <= 1147
-    # The root and every transition are keyed, a child against its parent:
-    # a field key is computed only where the raw value changed.
-    keyed = len(leaves(make_small_world())) * (1 + res.transitions)
-    assert (recomputed, keyed - recomputed) == (13891, 36479)
+    # The root and every transition that touched a world are keyed, a child
+    # against its parent: a field key is computed only where the raw value
+    # changed.
+    keyed = len(leaves(make_small_world())) * (1 + touched)
+    assert (recomputed, keyed - recomputed) == (13891, 27749)
 
 
 def _fields(value, path: str, out: dict) -> dict:
@@ -652,7 +661,9 @@ def test_failed_op_changes_nothing(mutations, depth):
 
     def checked(name, fn):
         def op(node):
-            world = node.world  # the parent's clone, or a refused op's world
+            # The world the op gets: a copy of the parent's, the world a
+            # refused op left, or for the last op the parent's own.
+            world = node.world
             before = _fields(world, "world", {}), dict(node.handles)
             try:
                 return fn(node)
@@ -677,6 +688,74 @@ def test_failed_op_changes_nothing(mutations, depth):
                   op_alphabet=ops, depth=depth)
     assert res.transitions and bool(res.violations) == bool(mutations)
     assert exceptions or mutations  # the honest world meets the exception
+
+
+@pytest.mark.parametrize("mutations,depth",
+                         [((), 8)] + [((flag,), 5) for flag in MUTATION_FLAGS])
+def test_blocked_answers_agree_with_the_real_op(monkeypatch, mutations, depth):
+    """Every op that answers "nothing changes" without touching a world is
+    run for real on a copy of its parent's world anyway: it succeeds, leaks
+    nothing, and leaves the handles and every field as they were."""
+    ops = default_alphabet()
+    monkeypatch.setattr(adversary, "_REACHES", {})
+    real = dict(default_alphabet())  # ops that always run their step
+    answers = []
+
+    def checked(name, fn):
+        def op(node):
+            leaked = fn(node)
+            if node._world is None:
+                world, handles = node.peek.clone(), dict(node.handles)
+                before = _fields(world, "world", {})
+                try:
+                    real_leaked = real[name](_Node(world, handles, node.trace))
+                except SimError as exc:
+                    raise AssertionError((name, node.trace)) from exc
+                assert (leaked, real_leaked) == (0, 0), (name, node.trace)
+                assert (_fields(world, "world", {}), handles) == \
+                    (before, node.handles), (name, node.trace)
+                answers.append(name)
+            return leaked
+        return op
+
+    res = explore(world_factory=lambda: make_small_world(mutations),
+                  op_alphabet=[(name, checked(name, fn)) for name, fn in ops],
+                  depth=depth)
+    assert bool(res.violations) == bool(mutations)
+    assert set(answers) <= {"adv_probe_a", "adv_dma_a"}
+    # Under no_verify every created sandbox breaks BOOT-GATE, so no state
+    # with a sandbox to probe is expanded.
+    assert answers or mutations == ("no_verify",)
+    if not mutations:
+        assert len(answers) == 4086
+
+
+@pytest.mark.parametrize("mutations,depth",
+                         [((), 6)] + [((flag,), 5) for flag in MUTATION_FLAGS])
+def test_last_op_on_its_parents_world_changes_no_answer(monkeypatch, mutations,
+                                                       depth):
+    """Reversed, the alphabet ends on create_a, which often succeeds and
+    then runs on its parent's own world. After a trailing op that is always
+    refused, create_a runs on a copy instead. Both explore the same, and
+    the first makes fewer clones."""
+    def refused(node):
+        raise BadState("always refused")
+
+    clones = []
+    clone = World.clone
+    monkeypatch.setattr(World, "clone", lambda w: clones.append(1) or clone(w))
+    ops = default_alphabet()[::-1]
+    found, made = [], []
+    for alphabet in (ops, ops + [("refused", refused)]):
+        clones.clear()
+        res = explore(world_factory=lambda: make_small_world(mutations),
+                      op_alphabet=alphabet, depth=depth)
+        found.append((res.states_visited, res.transitions, res.self_loops,
+                      [(f.kind, f.detail, f.trace) for f in res.violations]))
+        made.append(len(clones))
+    assert found[0] == found[1]
+    assert bool(found[0][3]) == bool(mutations)
+    assert made[0] < made[1]
 
 
 def _assert_only_live_state(world, where):

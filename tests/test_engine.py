@@ -42,6 +42,17 @@ def test_cancelled_event_neither_runs_nor_bounds_the_queue():
     assert out == ["b", "a"] and eng.next_event_ns is None
 
 
+def test_cancel_of_none_or_an_unknown_seq_leaves_the_queue_equal():
+    eng = Engine()
+    for delay in (5, 1, 3, 1):
+        eng.schedule(delay, print)
+    before = list(eng._queue)
+    eng.cancel(None)
+    assert eng._queue == before
+    eng.cancel(99)
+    assert eng._queue == before
+
+
 def test_schedule_passes_its_args_in_time_then_insertion_order():
     eng = Engine()
     out = []

@@ -11,9 +11,13 @@ speed lands on both. Per tree it records:
 * an honest `explore` at each of DEPTHS, RUNS times each: wall seconds,
   states/s and the process's peak RSS;
 * work counters of one explore at the first of DEPTHS: `World.clone` and
-  `World.canonical` calls, and the field keys the explorer computed and
-  reused (a child's keyed field whose raw value == its parent's reuses the
-  parent's id); both are None for a tree that keys whole states;
+  `World.canonical` calls, state keys made (calls of the `_state_keys()`
+  key function), the field keys the explorer computed and reused (a child's
+  keyed field whose raw value == its parent's reuses the parent's id; both
+  None for a tree that keys whole states), self-loops (transitions back to
+  their parent's state; None for a tree that does not count them) and quiet
+  answers (successful ops that never touched their node's world, so cost no
+  clone and no key; None for a tree whose nodes get their world eagerly);
 * key cost, RUNS times: microseconds per call of the explorer's state key
   function (`_state_keys()`) over one explore at the first of DEPTHS;
 * acceptance criterion 01, RUNS times: SCENARIOS random honest scenarios
@@ -77,12 +81,29 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 from teesim import adversary
 from teesim.world import World
-calls = {"clone": 0, "canonical": 0, "field_keys_computed": 0}
+calls = {"clone": 0, "canonical": 0, "keys": 0, "field_keys_computed": 0,
+         "quiet_answers": 0}
 for name in ("clone", "canonical"):
     def counted(self, _f=getattr(World, name), _n=name):
         calls[_n] += 1
         return _f(self)
     setattr(World, name, counted)
+make_keys = adversary._state_keys
+def counted_keys(*args):
+    key = make_keys(*args)
+    def counted(*args):  # a node, and its parent when it has one
+        calls["keys"] += 1
+        return key(*args)
+    return counted
+adversary._state_keys = counted_keys
+lazy = "_world" in getattr(adversary._Node, "__slots__", ())
+def quiet(fn):
+    def op(node):
+        leaked = fn(node)
+        calls["quiet_answers"] += lazy and node._world is None
+        return leaked
+    return op
+ops = [(name, quiet(fn)) for name, fn in adversary.default_alphabet()]
 leaves = getattr(adversary, "keyed_leaves", None)
 if leaves is not None:
     def counted_key(key):
@@ -92,14 +113,16 @@ if leaves is not None:
         return counted
     adversary.keyed_leaves = lambda obj: [
         (path, f._replace(key=counted_key(f.key))) for path, f in leaves(obj)]
-r = adversary.explore(depth=int(sys.argv[2]))
+r = adversary.explore(op_alphabet=ops, depth=int(sys.argv[2]))
 if leaves is None:
     calls["field_keys_computed"] = calls["field_keys_reused"] = None
 else:
-    # An honest explore keys the root and every transition.
-    keyed = len(leaves(adversary.make_small_world())) * (1 + r.transitions)
+    keyed = len(leaves(adversary.make_small_world())) * calls["keys"]
     calls["field_keys_reused"] = keyed - calls["field_keys_computed"]
-print(json.dumps(dict(calls, states=r.states_visited, transitions=r.transitions)))
+if not lazy:
+    calls["quiet_answers"] = None
+print(json.dumps(dict(calls, states=r.states_visited, transitions=r.transitions,
+                      self_loops=getattr(r, "self_loops", None))))
 """
 
 KEY_COST = """
