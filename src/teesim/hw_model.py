@@ -191,14 +191,6 @@ class Machine:
         gran = stage2.granularity_of(attr)
         self.tlbs[core_id][(ctx, align_down(ipa, gran), gran)] = attr
 
-    def tlb_lookup(self, core_id: int, ctx: int, ipa: int):
-        tlb = self.tlbs[core_id]
-        for gran in (BLOCK_2M, PAGE_4K):
-            key = (ctx, align_down(ipa, gran), gran)
-            if key in tlb:
-                return stage2.TranslationResult(True, ipa, tlb[key])
-        return None
-
     def tlb_flush_range(self, pa_range: Tuple[int, int]) -> int:
         start, end = pa_range
         if not (is_aligned(start, BLOCK_2M) and is_aligned(end, BLOCK_2M)):
@@ -240,8 +232,32 @@ class Machine:
             for key in [k for k in tlb if k[0] == ctx]:
                 del tlb[key]
 
+    def lookup(self, core_id: int, ipa: int) -> Tuple[stage2.TranslationResult, bool]:
+        """A core's translation of ipa through its TLB, then its active table
+        set, changing nothing. Returns (result, whether the tables hit)."""
+        ctx = self.active_ctx[core_id]
+        tlb = self.tlbs[core_id]
+        for gran in (BLOCK_2M, PAGE_4K):
+            attr = tlb.get((ctx, align_down(ipa, gran), gran))
+            if attr is not None:
+                return stage2.TranslationResult(True, ipa, attr), False
+        tables = self.table_sets.get(ctx)
+        if tables is None:
+            return stage2.TranslationResult(False), False
+        result = tables.translate(ipa)
+        return result, result.hit
+
     def translate(self, core_id: int, ipa: int) -> stage2.TranslationResult:
-        return stage2.s2_translate(self, core_id, ipa)
+        """Translate through a core's active table set, TLB included.
+
+        A table hit installs a TLB entry for (core, context); a TLB hit succeeds
+        even if the backing table entry has since been invalidated, which is
+        exactly the stale-translation window sanitization closes.
+        """
+        result, table_hit = self.lookup(core_id, ipa)
+        if table_hit:
+            self.tlb_insert(core_id, self.active_ctx[core_id], ipa, result.attr)
+        return result
 
     # -- exploration support ----------------------------------------------
 

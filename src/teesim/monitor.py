@@ -85,7 +85,6 @@ class LaunchSpec:
 class SandboxMeta:
     app_id: str
     base_bytes: int
-    channel: Tuple[int, int]
     boot_core: int
     max_cores: int
     max_memory: int
@@ -280,7 +279,6 @@ class Monitor:
         self.sandboxes[sb] = SandboxMeta(
             app_id=spec.app_id,
             base_bytes=region[1] - region[0],
-            channel=channel,
             boot_core=spec.core_id,
             max_cores=spec.max_cores,
             max_memory=spec.max_memory,
@@ -530,7 +528,7 @@ class Monitor:
         ledger=NESTED,
         sandboxes=keyed(
             lambda sbs: tuple(
-                (sb, m.app_id, m.base_bytes, m.channel, m.boot_core, m.max_cores,
+                (sb, m.app_id, m.base_bytes, m.boot_core, m.max_cores,
                  m.max_memory, m.booted_digest, m.attested)
                 for sb, m in sorted(sbs.items())),
             copy=dict,

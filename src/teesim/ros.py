@@ -152,38 +152,6 @@ class CmaPool:
     canonical = STATE.canonical
 
 
-class SharedPool:
-    """Fixed pool of communication channels; a channel's placement never
-    changes while its sandbox lives."""
-
-    def __init__(self, base_range: Tuple[int, int], channel_bytes: int):
-        self.base_range = base_range
-        self.channel_bytes = channel_bytes
-        self.channels: Dict[int, Tuple[int, int]] = {}
-
-    def alloc_channel(self) -> Tuple[int, int]:
-        taken = sorted(self.channels.values())
-        pos = self.base_range[0]
-        for s, e in taken:
-            if s - pos >= self.channel_bytes:
-                break
-            pos = max(pos, e)
-        if pos + self.channel_bytes > self.base_range[1]:
-            raise OutOfMemory("shared pool exhausted")
-        return (pos, pos + self.channel_bytes)
-
-    def bind(self, sandbox_id: int, channel: Tuple[int, int]) -> None:
-        assert sandbox_id not in self.channels
-        self.channels[sandbox_id] = channel
-
-    def release(self, sandbox_id: int) -> None:
-        self.channels.pop(sandbox_id)
-
-    STATE = Schema(base_range=SHARED, channel_bytes=SHARED, channels=DICT)
-    clone = STATE.clone
-    canonical = STATE.canonical
-
-
 class RosActor:
     def __init__(self, machine, monitor: Monitor, store: KeyStore, eng):
         self.machine = machine
@@ -192,7 +160,6 @@ class RosActor:
         self.engine = eng
         self.layout = default_layout(machine.config)
         self.cma = CmaPool(self.layout.cma_extents)
-        self.shared = SharedPool(self.layout.shared_pool, self.layout.channel_bytes)
         # Encrypted images as staged on disk, at set-up.
         self.images: Dict[str, EncryptedImage] = {}
         self.driver_blobs: Dict[str, bytes] = {}
@@ -201,7 +168,7 @@ class RosActor:
             for p in machine.config.peripherals
         }
         self.gpu_suspended_at: Dict[str, int] = {}
-        monitor.shared_pool_range = self.shared.base_range
+        monitor.shared_pool_range = self.layout.shared_pool
         monitor.driver_states = self.driver_states
 
     def _trace(self, op, args=None, verdict="ok", reason=None):
@@ -234,6 +201,16 @@ class RosActor:
         """Take rng, a range `cma.find` offered, for owner."""
         self.cma.take(rng, owner)
         self._trace("alloc", {"range": list(rng), "owner": owner})
+
+    def alloc_channel(self) -> Tuple[int, int]:
+        """The lowest free channel slot of the shared pool; the ledger's
+        channels are the taken ones."""
+        taken = set(self.monitor.ledger.shared_channels.values())
+        (start, end), size = self.layout.shared_pool, self.layout.channel_bytes
+        for pos in range(start, end - size + 1, size):
+            if (pos, pos + size) not in taken:
+                return (pos, pos + size)
+        raise OutOfMemory("shared pool exhausted")
 
     # -- sandbox creation -------------------------------------------------------
 
@@ -280,7 +257,7 @@ class RosActor:
         (image, if given) on core_id; nothing stays taken if it refuses.
         Adversarial callers name a core they do not hold or a tampered image.
         Returns (sandbox_id, boot_ns)."""
-        channel = self.shared.alloc_channel()
+        channel = self.alloc_channel()
         spec = LaunchSpec(app_id=app_id, image=image or self.images[app_id],
                           core_id=core_id, region=self.cma.find(base_bytes),
                           channel=channel, max_cores=max_cores,
@@ -292,14 +269,11 @@ class RosActor:
             self.cma.free(spec.region)
             raise
         self.cma.set_owner(spec.region, sb)
-        self.shared.bind(sb, spec.channel)
         return sb, boot_ns
 
     def release_sandbox_memory(self, sb: int) -> None:
         for rng in self.cma.owned_by(sb):
             self.cma.free(rng)
-        if sb in self.shared.channels:
-            self.shared.release(sb)
 
     # -- data transfer -----------------------------------------------------------
 
@@ -363,7 +337,7 @@ class RosActor:
     STATE = Schema(
         machine=REWIRED, monitor=REWIRED, engine=REWIRED,
         store=SHARED, layout=SHARED,
-        cma=NESTED, shared=NESTED, driver_states=DICT,
+        cma=NESTED, driver_states=DICT,
         images=SHARED, driver_blobs=SHARED,
         gpu_suspended_at=copied("always empty in the single-wifi small world, "
                                 "as in all 7,172 depth-8 states", copy=dict),

@@ -14,10 +14,10 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, groupby
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import BadState
-from .state import DICT, KEYED, SET, SHARED, Schema, copied
+from .state import DICT, KEYED, SHARED, Schema, copied
 from .units import MB, MS_NS, S_NS, align_up
 
 # Fixed-point scale: one work unit is 1000 milli-units; rates are
@@ -166,8 +166,7 @@ class SandboxRuntime:
         self.mem_granule = mem_granule
         # Runtime's own view of what it may use; the ledger stays the truth.
         self.cores: Dict[int, str] = {boot_core: boot_core_class}
-        self.devices: Set[str] = set()
-        self.gpu_owned = False
+        self.devices: Dict[str, str] = {}  # device -> its kind
         self.workload: Workload = workload if workload is not None else Idle()
         # Progress: the chunk being run and the scaled work it has left.
         self._chunk = 0
@@ -209,7 +208,7 @@ class SandboxRuntime:
         rate = sum(
             BIG_RATE_MU_MS if c == "big" else LITTLE_RATE_MU_MS for c in classes
         )
-        if self.gpu_owned:
+        if "gpu" in self.devices.values():
             rate = rate * self.workload.gpu_speedup_pct // 100
         return rate
 
@@ -396,11 +395,10 @@ class SandboxRuntime:
         max_cores=SHARED, max_memory=SHARED, boot_core=SHARED, base_bytes=SHARED,
         mem_granule=SHARED,
         workload=SHARED,  # parameters only; progress is in the fields below
-        cores=DICT, devices=SET,
+        cores=DICT, devices=DICT,
         _chunk=KEYED, remaining_scaled=KEYED,
         _prefix=copied("derived from workload and _attached_bytes"),
         _attached_bytes=KEYED,
-        gpu_owned=copied("follows from devices: true iff one of them is a GPU"),
         mem_pending=copied("set and cleared inside one op in instant mode"),
         work_started_ns=copied(_CLOCK), work_finished_ns=copied(_CLOCK),
         _last_account_ns=copied(_CLOCK), hysteresis_until_ns=copied(_CLOCK),

@@ -38,10 +38,6 @@ class TranslationResult:
     pa: Optional[int] = None
     attr: Optional[Attr] = None
 
-    @staticmethod
-    def fault() -> "TranslationResult":
-        return TranslationResult(False)
-
 
 # Modeled storage for the non-leaf levels of one table set. The acceptance
 # bound is the <=2MB per-context / <=16MB total envelope, not a faithful
@@ -75,7 +71,7 @@ class Stage2TableSet:
     def translate(self, ipa: int) -> TranslationResult:
         run = self._find(ipa)
         if run is None:
-            return TranslationResult.fault()
+            return TranslationResult(False)
         return TranslationResult(True, ipa, run[2])
 
     def overlaps(self, rng: Tuple[int, int]) -> bool:
@@ -184,28 +180,3 @@ class Stage2TableSet:
 
     def __repr__(self) -> str:
         return f"Stage2TableSet(ctx={self.context_id}, runs={len(self._runs)})"
-
-
-def s2_lookup(machine, core_id: int, ipa: int) -> Tuple[TranslationResult, bool]:
-    """A core's translation of ipa through its TLB, then its active table
-    set, changing nothing. Returns (result, whether the tables hit)."""
-    ctx = machine.active_ctx[core_id]
-    hit = machine.tlb_lookup(core_id, ctx, ipa)
-    tables = machine.table_sets.get(ctx)
-    if hit is not None or tables is None:
-        return hit or TranslationResult.fault(), False
-    result = tables.translate(ipa)
-    return result, result.hit
-
-
-def s2_translate(machine, core_id: int, ipa: int) -> TranslationResult:
-    """Translate through a core's active table set, TLB included.
-
-    A table hit installs a TLB entry for (core, context); a TLB hit succeeds
-    even if the backing table entry has since been invalidated, which is
-    exactly the stale-translation window sanitization closes.
-    """
-    result, table_hit = s2_lookup(machine, core_id, ipa)
-    if table_hit:
-        machine.tlb_insert(core_id, machine.active_ctx[core_id], ipa, result.attr)
-    return result

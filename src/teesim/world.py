@@ -20,12 +20,11 @@ from .errors import (
     OutOfMemory,
     ResourceBusy,
 )
-from .hw_model import CACHE_LINE_BYTES, ROS_CTX, DevKind, Machine, MachineConfig
+from .hw_model import CACHE_LINE_BYTES, ROS_CTX, Machine, MachineConfig
 from .monitor import Defenses, Monitor
 from .ros import DRIVER_LOADED, DRIVER_UNLOADED, RosActor
 from .secure_world import KeyStore
 from .sos import SandboxRuntime
-from .stage2 import s2_lookup
 from .state import NESTED, SHARED, Schema, clone_values, copied, keyed, reset
 from .units import MB, MS_NS, PAGE_4K, S_NS
 
@@ -188,8 +187,6 @@ class World:
                     self.metrics.frozen_gui_ns.append(frozen)
         self.ros.release_sandbox_memory(sb)
         rt.cores.clear()
-        rt.devices.clear()
-        rt.gpu_owned = False
         self.engine.cancel(self._completions.pop(sb, None))
         self._later(cost, self._dead, sb)
 
@@ -488,9 +485,7 @@ class World:
         if rt is None or rt.state != "running":
             return
         rt.account_to(self.engine.now_ns)
-        rt.devices.add(dev_id)
-        if self.machine.config.peripheral(dev_id).kind is DevKind.GPU:
-            rt.gpu_owned = True
+        rt.devices[dev_id] = self.machine.config.peripheral(dev_id).kind.value
         self._repredict(sb)
 
     def release_peripheral(self, sb: int, dev_id: str) -> None:
@@ -499,10 +494,7 @@ class World:
             raise BadState(f"sandbox {sb} does not hold {dev_id}")
         self.engine.charge(f"sb{sb}", "ipi_sb_to_ros")
         rt.account_to(self.engine.now_ns)
-        rt.devices.discard(dev_id)
-        desc = self.machine.config.peripheral(dev_id)
-        if desc.kind is DevKind.GPU:
-            rt.gpu_owned = False
+        rt.devices.pop(dev_id, None)
         self.ros.driver_states[(sb, dev_id)] = DRIVER_UNLOADED
         self.monitor.switch_peripheral(dev_id, sb, ROS_CTX)
         frozen = self.ros.reclaim_peripheral(dev_id)
@@ -539,7 +531,7 @@ class World:
     def probe_reaches(self, ctx: int, pa: int) -> bool:
         """Whether probe_translate(ctx, pa) would hit; changes nothing."""
         cores = self.monitor.ledger.cores_of(ctx)
-        return bool(cores) and s2_lookup(self.machine, cores[0], pa)[0].hit
+        return bool(cores) and self.machine.lookup(cores[0], pa)[0].hit
 
     def probe_read(self, ctx: int, pa: int) -> Tuple[bool, int]:
         """Direct load attempt: (reached_memory, leaked_bytes)."""

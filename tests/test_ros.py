@@ -8,7 +8,7 @@ from teesim.errors import (
     OutOfMemory,
     UnsupportedDevice,
 )
-from teesim.hw_model import ROS_CTX, default_config
+from teesim.hw_model import ROS_CTX, CoreClass, MachineConfig, default_config
 from teesim.ros import (
     DRIVER_LOADED,
     DRIVER_SUSPENDED_GPU,
@@ -186,14 +186,14 @@ def test_reclaim_while_sandbox_owner_is_bad_state():
 def test_channel_immutable_until_teardown():
     w = fresh_world()
     sb = w.create_sandbox("demo")
-    ch = w.ros.shared.channels[sb]
+    ch = w.monitor.ledger.shared_channels[sb]
     span = w.monitor.ledger.sandbox_span(sb)
     region = (span[1], span[1] + 16 * MB)
     w.monitor.verify_region_legality(sb, region, "attach")
     w.monitor.attach_memory(sb, region)
-    assert w.ros.shared.channels[sb] == ch
+    assert w.monitor.ledger.shared_channels[sb] == ch
     w.terminate(sb)
-    assert sb not in w.ros.shared.channels
+    assert sb not in w.monitor.ledger.shared_channels
 
 
 def test_rollback_frees_pool_on_integrity_error():
@@ -203,4 +203,30 @@ def test_rollback_frees_pool_on_integrity_error():
     with pytest.raises(Exception):
         w.create_sandbox("demo")
     assert w.ros.cma.allocations == allocations
-    assert not w.ros.shared.channels
+    assert not w.monitor.ledger.shared_channels
+
+
+def test_launch_reuses_lowest_freed_channel():
+    w = fresh_world()
+    channels = w.monitor.ledger.shared_channels
+    a, b, c = (w.create_sandbox("demo") for _ in range(3))
+    ch_a, ch_b = channels[a], channels[b]
+    assert ch_a < ch_b < channels[c]
+    w.terminate(b)
+    w.terminate(a)
+    assert channels[w.create_sandbox("demo")] == ch_a
+    assert channels[w.create_sandbox("demo")] == ch_b
+
+
+def test_shared_pool_exhausted_changes_nothing():
+    """32MB of RAM leaves two channel slots, and 4 cores admit three sandboxes."""
+    config = MachineConfig(ram_bytes=32 * MB, io_window=(32 * MB, 33 * MB),
+                           cores=tuple((i, CoreClass.BIG) for i in range(4)))
+    w = build_world(config, instant=True, apps=[("demo", PAYLOAD)])
+    w.create_sandbox("demo")
+    w.create_sandbox("demo")
+    allocations, ledger = list(w.ros.cma.allocations), w.monitor.ledger.canonical()
+    with pytest.raises(OutOfMemory, match="shared pool exhausted"):
+        w.create_sandbox("demo")
+    assert w.ros.cma.allocations == allocations
+    assert w.monitor.ledger.canonical() == ledger

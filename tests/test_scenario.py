@@ -162,6 +162,36 @@ def test_teardown_returns_device_grant_still_in_flight():
     assert res.world.metrics.frozen_gui_ns == [50_000_000]
 
 
+TWO_GPUS = """teesim-scenario v1
+seed = 1
+horizon = 30s
+
+[machine]
+peripheral gpu0 kind=gpu mmio=3584M:3585M dma
+peripheral gpu1 kind=gpu mmio=3585M:3586M dma
+
+[apps]
+app demo demo-payload
+
+[timeline]
+at 0ms create sb1 app=demo core=big
+at 600ms request_dev sb1 gpu0
+at 800ms request_dev sb1 gpu1
+at 1s workload sb1 inference images=10 units=2000
+"""
+
+
+def test_releasing_one_of_two_gpus_keeps_the_gpu_rate():
+    """A sandbox that gives back one of its two GPUs still holds a GPU, so
+    it keeps the 3.57x rate and finishes when it would with both."""
+    both = sc.run_scenario(sc.parse(TWO_GPUS))
+    one = sc.run_scenario(sc.parse(TWO_GPUS + "at 1500ms release_dev sb1 gpu1\n"))
+    assert one.exit_code == 0
+    assert one.world.runtimes[1].rate_mu_ms() == 3570
+    assert one.world.metrics.completion_ns == both.world.metrics.completion_ns \
+        == {1: 5_602_240_897}
+
+
 def test_unknown_handle_is_validation_error():
     text = MINIMAL.replace("terminate sb1", "terminate sb9")
     with pytest.raises(ValidationError):

@@ -62,7 +62,7 @@ def test_little_core_rate():
 def test_gpu_factor_357():
     wl = InferenceBatch(images=10, units_per_image=1000)
     rt = running_runtime(wl)
-    rt.gpu_owned = True
+    rt.devices["gpu"] = "gpu"
     assert rt.step_workload(100 * MS_NS) == 357 * WORK_SCALE
 
 

@@ -10,7 +10,7 @@ import pytest
 from teesim.adversary import default_alphabet, explore, make_small_world
 from teesim.hw_model import Machine
 from teesim.monitor import Monitor, ResourceLedger
-from teesim.ros import CmaPool, RosActor, SharedPool
+from teesim.ros import CmaPool, RosActor
 from teesim.scenario import make_random_scenario, run_scenario
 from teesim.sos import Idle, SandboxRuntime
 from teesim.stage2 import Stage2TableSet
@@ -18,7 +18,7 @@ from teesim.units import BLOCK_2M
 from teesim.world import World
 
 STATEFUL = {Stage2TableSet, Machine, ResourceLedger, Monitor, CmaPool,
-            SharedPool, RosActor, SandboxRuntime, World}
+            RosActor, SandboxRuntime, World}
 OWNED = ("keyed", "copied")  # roles whose value the object holds alone
 
 

@@ -13,11 +13,10 @@ speed lands on both. Per tree it records:
 * work counters of one explore at the first of DEPTHS: `World.clone` and
   `World.canonical` calls, state keys made (calls of the `_state_keys()`
   key function), the field keys the explorer computed and reused (a child's
-  keyed field whose raw value == its parent's reuses the parent's id; both
-  None for a tree that keys whole states), self-loops (transitions back to
-  their parent's state; None for a tree that does not count them) and quiet
-  answers (successful ops that never touched their node's world, so cost no
-  clone and no key; None for a tree whose nodes get their world eagerly);
+  keyed field whose raw value == its parent's reuses the parent's id),
+  self-loops (transitions back to their parent's state) and quiet answers
+  (successful ops that never touched their node's world, so cost no clone
+  and no key);
 * key cost, RUNS times: microseconds per call of the explorer's state key
   function (`_state_keys()`) over one explore at the first of DEPTHS;
 * acceptance criterion 01, RUNS times: SCENARIOS random honest scenarios
@@ -96,33 +95,26 @@ def counted_keys(*args):
         return key(*args)
     return counted
 adversary._state_keys = counted_keys
-lazy = "_world" in getattr(adversary._Node, "__slots__", ())
 def quiet(fn):
     def op(node):
         leaked = fn(node)
-        calls["quiet_answers"] += lazy and node._world is None
+        calls["quiet_answers"] += node._world is None
         return leaked
     return op
 ops = [(name, quiet(fn)) for name, fn in adversary.default_alphabet()]
-leaves = getattr(adversary, "keyed_leaves", None)
-if leaves is not None:
-    def counted_key(key):
-        def counted(value):
-            calls["field_keys_computed"] += 1
-            return key(value)
-        return counted
-    adversary.keyed_leaves = lambda obj: [
-        (path, f._replace(key=counted_key(f.key))) for path, f in leaves(obj)]
+leaves = adversary.keyed_leaves
+def counted_key(key):
+    def counted(value):
+        calls["field_keys_computed"] += 1
+        return key(value)
+    return counted
+adversary.keyed_leaves = lambda obj: [
+    (path, f._replace(key=counted_key(f.key))) for path, f in leaves(obj)]
 r = adversary.explore(op_alphabet=ops, depth=int(sys.argv[2]))
-if leaves is None:
-    calls["field_keys_computed"] = calls["field_keys_reused"] = None
-else:
-    keyed = len(leaves(adversary.make_small_world())) * calls["keys"]
-    calls["field_keys_reused"] = keyed - calls["field_keys_computed"]
-if not lazy:
-    calls["quiet_answers"] = None
+keyed = len(leaves(adversary.make_small_world())) * calls["keys"]
+calls["field_keys_reused"] = keyed - calls["field_keys_computed"]
 print(json.dumps(dict(calls, states=r.states_visited, transitions=r.transitions,
-                      self_loops=getattr(r, "self_loops", None))))
+                      self_loops=r.self_loops)))
 """
 
 KEY_COST = """
