@@ -6,6 +6,7 @@ blocked with zero leaked bytes. Mutation flags disable one defense at a
 time so the suite can prove each check actually carries weight.
 """
 
+import gc
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -569,69 +570,79 @@ def explore(world_factory: Callable[[], World] = make_small_world,
             stop_at_first: bool = False) -> ExploreResult:
     """Breadth-first enumeration over the op alphabet with state dedup by
     canonical key; ops that raise are disabled edges."""
-    ops = default_alphabet() if op_alphabet is None else op_alphabet
-    key = _state_keys()
-    root = _Node(world_factory(), {}, ())
-    result = ExploreResult(states_visited=1, transitions=0, max_depth=0)
-    # `seen` holds only states that passed check_invariants, so a transition
-    # into a seen state needs no check. This relies on check_invariants
-    # reading nothing that World.canonical() leaves out. The root's own
-    # violations are not reported, but a state that fails never enters
-    # `seen`, so every transition into it is reported.
-    seen = set()
-    if not check_invariants(root.world):
-        seen.add(key(root))
-    frontier = deque([(root, 0)])
-    del root  # the frontier holds it alone, so its world dies once expanded
-    while frontier:
-        node, d = frontier.popleft()
-        if d >= depth:
-            continue
-        # A refused op leaves the world it got as it found it, a copy of the
-        # parent's, so the next op on the same parent runs on that world. The
-        # last op runs on the parent's own world: nothing reads it after.
-        world, spare, last = node.world, None, len(ops) - 1
-        for i, (op_name, op_fn) in enumerate(ops):
-            child = _Node(world if spare is None else spare, dict(node.handles),
-                          node.trace, own=spare is not None or i == last)
-            try:
-                leaked = op_fn(child)
-            except SimError:
-                if child._world is not None:
-                    spare = child._world
+    # Explored worlds hold no cycle: reference counting frees them, and the
+    # cyclic collector, off until the call ends, would only walk the frontier.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ops = default_alphabet() if op_alphabet is None else op_alphabet
+        key = _state_keys()
+        root = _Node(world_factory(), {}, ())
+        result = ExploreResult(states_visited=1, transitions=0, max_depth=0)
+        # `seen` holds only states that passed check_invariants, so a
+        # transition into a seen state needs no check. This relies on
+        # check_invariants reading nothing that World.canonical() leaves out.
+        # The root's own violations are not reported, but a state that fails
+        # never enters `seen`, so every transition into it is reported.
+        seen = set()
+        if not check_invariants(root.world):
+            seen.add(key(root))
+        frontier = deque([(root, 0)])
+        del root  # the frontier holds it alone: its world dies once expanded
+        while frontier:
+            node, d = frontier.popleft()
+            if d >= depth:
                 continue
-            result.transitions += 1
-            if not leaked and child._world is None and \
-                    child.handles == node.handles and node.key in seen:
-                result.self_loops += 1  # the op changed nothing: no copy, no key
-                continue
-            spare = None  # the child takes it, if it was the spare
-            child.trace = node.trace + (op_name,)
-            if not leaked:
-                state = key(child) if child.world is world else key(child, node)
-                if state in seen:
-                    result.self_loops += state == node.key
+            # A refused op leaves its world as it found it, a copy of the
+            # parent's, so the next op on the same parent runs on that world.
+            # The last op runs on the parent's own, which nothing reads after.
+            world, spare, last = node.world, None, len(ops) - 1
+            for i, (op_name, op_fn) in enumerate(ops):
+                child = _Node(world if spare is None else spare,
+                              dict(node.handles), node.trace,
+                              own=spare is not None or i == last)
+                try:
+                    leaked = op_fn(child)
+                except SimError:
+                    if child._world is not None:
+                        spare = child._world
                     continue
-            violations = check_invariants(child.world)
-            if leaked:
-                result.violations.append(
-                    ExploreFinding("attack", f"{op_name} leaked {leaked} bytes",
-                                   child.trace))
-            for v in violations:
-                result.violations.append(
-                    ExploreFinding(v.invariant_id, v.detail, child.trace))
-            if stop_at_first and result.violations:
+                result.transitions += 1
+                if not leaked and child._world is None and \
+                        child.handles == node.handles and node.key in seen:
+                    result.self_loops += 1  # changed nothing: no copy, no key
+                    continue
+                spare = None  # the child takes it, if it was the spare
+                child.trace = node.trace + (op_name,)
+                if not leaked:
+                    state = key(child, None if child.world is world else node)
+                    if state in seen:
+                        result.self_loops += state == node.key
+                        continue
+                violations = check_invariants(child.world)
+                if leaked:
+                    result.violations.append(
+                        ExploreFinding("attack",
+                                       f"{op_name} leaked {leaked} bytes",
+                                       child.trace))
+                for v in violations:
+                    result.violations.append(
+                        ExploreFinding(v.invariant_id, v.detail, child.trace))
+                if stop_at_first and result.violations:
+                    result.max_depth = max(result.max_depth, d + 1)
+                    return result
+                if violations or leaked:
+                    continue  # record once, do not expand corrupted states
+                seen.add(state)
+                result.states_visited += 1
                 result.max_depth = max(result.max_depth, d + 1)
-                return result
-            if violations or leaked:
-                continue  # record once, do not expand corrupted states
-            seen.add(state)
-            result.states_visited += 1
-            result.max_depth = max(result.max_depth, d + 1)
-            if result.states_visited > state_budget:
-                result.budget_exceeded = True
-                raise BudgetExceeded(
-                    f"state budget {state_budget} exceeded", partial=result
-                )
-            frontier.append((child, d + 1))
-    return result
+                if result.states_visited > state_budget:
+                    result.budget_exceeded = True
+                    raise BudgetExceeded(
+                        f"state budget {state_budget} exceeded", partial=result
+                    )
+                frontier.append((child, d + 1))
+        return result
+    finally:
+        if enabled:
+            gc.enable()

@@ -5,6 +5,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import adversary, bench
@@ -142,16 +143,20 @@ def cmd_explore(args) -> int:
     if args.scenario:
         mutations |= set(_load_scenario(args.scenario).mutations)
     mutations = tuple(sorted(mutations))
+    t0 = time.perf_counter()
     result = adversary.explore(
         world_factory=lambda: adversary.make_small_world(mutations),
         depth=args.depth,
         state_budget=args.budget,
         stop_at_first=args.stop_at_first,
     )
+    s = time.perf_counter() - t0
     print(f"states visited: {result.states_visited}")
     print(f"transitions:    {result.transitions}")
     print(f"self-loops:     {result.self_loops}")
     print(f"max depth:      {result.max_depth}")
+    print(f"wall seconds:   {s:.2f}")
+    print(f"states/s:       {result.states_visited / s:.0f}")
     print(f"violations:     {len(result.violations)}")
     if result.violations:
         out = Path(args.out)

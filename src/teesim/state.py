@@ -158,23 +158,19 @@ class FieldIds:
 
     def __init__(self, leaves: List[Tuple[str, Field]], ids: dict):
         env = {"ids": ids, "setdefault": ids.setdefault}
-        fresh, against, names = [], [], {"": ("obj", "parent")}
-
-        def bind(owner: str) -> Tuple[str, str]:
-            """Local names for the object at owner's path in obj and in
-            parent, each read once, outermost first."""
-            if owner not in names:
-                up, _, step = owner.rpartition(".")
-                o_up, p_up = bind(up)
-                o, p = names[owner] = f"o{len(names)}", f"p{len(names)}"
-                fresh.append(f"    {o} = {o_up}.{step}")
-                against.append(f"    {o} = {o_up}.{step}")
-                against.append(f"    {p} = {p_up}.{step}")
-            return names[owner]
-
+        # Local names for each owner object in obj and parent, read once.
+        fresh, against, names = [], [], {(): ("obj", "parent")}
         for i, (path, f) in enumerate(leaves):
-            owner, _, attr = path.rpartition(".")
-            o, p = bind(owner)
+            *owner, attr = path.split(".")
+            for n, step in enumerate(owner):
+                up, at = tuple(owner[:n]), tuple(owner[:n + 1])
+                if at not in names:
+                    o_up, p_up = names[up]
+                    o, p = names[at] = f"o{len(names)}", f"p{len(names)}"
+                    fresh.append(f"    {o} = {o_up}.{step}")
+                    against.append(f"    {o} = {o_up}.{step}")
+                    against.append(f"    {p} = {p_up}.{step}")
+            o, p = names[tuple(owner)]
             env[f"key{i}"] = f.key
             value = "v" if f.key is None else f"key{i}(v)"
             fresh.append(f"    v = {o}.{attr}")
@@ -186,5 +182,6 @@ class FieldIds:
             fresh="\n".join(fresh), against="\n".join(against),
             ids="".join(f"i{i}, " for i in range(len(leaves))),
         ), env)
-        self.fresh = env["fresh"]
-        self.against = env["against"]
+        # Popped from env, their globals: no cycle keeps the ids table alive.
+        self.fresh = env.pop("fresh")
+        self.against = env.pop("against")

@@ -543,13 +543,66 @@ def test_frontier_keeps_no_ancestors():
 
     def probe(node):
         if node.trace and not dead:  # the first child of a depth-1 state
-            gc.collect()
-            dead.append(roots[0]() is None)
+            dead.append(roots[0]() is None)  # freed by reference counting
         raise BadState("probe only")
 
     explore(world_factory=factory,
             op_alphabet=default_alphabet() + [("probe", probe)], depth=2)
     assert dead == [True]
+
+
+@pytest.mark.parametrize("mutations,depth",
+                         [((), 6)] + [((flag,), 5) for flag in MUTATION_FLAGS])
+def test_explore_leaves_no_cyclic_garbage(mutations, depth):
+    """Explore runs without the cyclic collector, so everything it makes
+    must be freed by reference counting: a field that adds a cycle to a
+    world, a key or an id table fails here."""
+    gc.collect()
+    gc.disable()
+    try:
+        explore(world_factory=lambda: make_small_world(mutations), depth=depth)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _fails(node):
+    raise RuntimeError("not a refusal")
+
+
+# How an explore can end, as (explore's arguments, the exception it raises).
+EXPLORE_EXITS = {
+    "return": ({"depth": 2}, None),
+    "stop_at_first": ({"world_factory": lambda: make_small_world(("no_verify",)),
+                       "depth": 2, "stop_at_first": True}, None),
+    "budget_exceeded": ({"depth": 6, "state_budget": 100}, BudgetExceeded),
+    "op_raises": ({"op_alphabet": [("fails", _fails)], "depth": 1}, RuntimeError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("exit", EXPLORE_EXITS)
+def test_explore_restores_the_collector(exit, enabled):
+    kwargs, raises = EXPLORE_EXITS[exit]
+    during = []
+
+    def probe(node):
+        during.append(gc.isenabled())
+        raise BadState("probe only")
+
+    ops = [("probe", probe)] + kwargs.get("op_alphabet", default_alphabet())
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises is None:
+            result = explore(**dict(kwargs, op_alphabet=ops))
+            assert bool(result.violations) == (exit == "stop_at_first")
+        else:
+            with pytest.raises(raises):
+                explore(**dict(kwargs, op_alphabet=ops))
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert during and not any(during)
 
 
 def test_explore_reports_every_transition_into_a_violating_root():

@@ -142,7 +142,12 @@ def test_unknown_mutation_flag_is_a_usage_error(command, capsys):
 
 def test_explore_honest_shallow_is_clean(capsys):
     assert cli.main(["explore", "--depth", "3"]) == 0
-    assert "violations:     0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "violations:     0" in out
+    lines = dict(line.split(":", 1) for line in out.splitlines())
+    assert list(lines).index("wall seconds") == list(lines).index("max depth") + 1
+    assert float(lines["wall seconds"]) > 0
+    assert float(lines["states/s"]) > 0
 
 
 def test_gen_pipes_into_run(tmp_path, capsys):

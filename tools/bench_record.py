@@ -9,14 +9,20 @@ first tree goes first in even rounds, last in odd ones), so a drift in host
 speed lands on both. Per tree it records:
 
 * an honest `explore` at each of DEPTHS, RUNS times each: wall seconds,
-  states/s and the process's peak RSS;
+  states/s, the process's peak RSS and the cyclic collector's passes per
+  generation during the call (`gc_passes`: the `collections` difference of
+  `gc.get_stats()` around it, generations 0, 1 and 2, taken after a
+  `gc.collect()` so that no pass is already due when the call starts; a
+  pass that falls due while the call keeps the collector off runs at the
+  first allocation after it, and counts);
 * work counters of one explore at the first of DEPTHS: `World.clone` and
   `World.canonical` calls, state keys made (calls of the `_state_keys()`
   key function), the field keys the explorer computed and reused (a child's
   keyed field whose raw value == its parent's reuses the parent's id),
-  self-loops (transitions back to their parent's state) and quiet answers
+  self-loops (transitions back to their parent's state), quiet answers
   (successful ops that never touched their node's world, so cost no clone
-  and no key);
+  and no key) and the collector's passes per generation (`gc_passes`, as
+  above; the counting wrappers allocate a little more than a plain run);
 * key cost, RUNS times: microseconds per call of the explorer's state key
   function (`_state_keys()`) over one explore at the first of DEPTHS;
 * acceptance criterion 01, RUNS times: SCENARIOS random honest scenarios
@@ -63,19 +69,31 @@ SCENARIOS = 10_000
 POOL = 400
 PASSES = 7
 
-EXPLORE = """
+GC_PASSES = """
+import gc
+def gc_before():
+    gc.collect()  # empties the young generation: no pass is due at the call
+    return gc.get_stats()
+def gc_passes(before):
+    return [g["collections"] - b["collections"]
+            for g, b in zip(gc.get_stats(), before)]
+"""
+
+EXPLORE = GC_PASSES + """
 import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from teesim.adversary import explore
+before = gc_before()
 t0 = time.perf_counter()
 r = explore(depth=int(sys.argv[2]))
 s = time.perf_counter() - t0
 print(json.dumps({"states": r.states_visited, "transitions": r.transitions,
                   "s": s, "states_per_s": r.states_visited / s,
+                  "gc_passes": gc_passes(before),
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
-COUNTERS = """
+COUNTERS = GC_PASSES + """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from teesim import adversary
@@ -110,11 +128,13 @@ def counted_key(key):
     return counted
 adversary.keyed_leaves = lambda obj: [
     (path, f._replace(key=counted_key(f.key))) for path, f in leaves(obj)]
+before = gc_before()
 r = adversary.explore(op_alphabet=ops, depth=int(sys.argv[2]))
+passes = gc_passes(before)
 keyed = len(leaves(adversary.make_small_world())) * calls["keys"]
 calls["field_keys_reused"] = keyed - calls["field_keys_computed"]
 print(json.dumps(dict(calls, states=r.states_visited, transitions=r.transitions,
-                      self_loops=r.self_loops)))
+                      self_loops=r.self_loops, gc_passes=passes)))
 """
 
 KEY_COST = """
@@ -286,6 +306,7 @@ def main() -> int:
         for label, rs in runs.items():
             result["trees"][label][f"explore_depth_{depth}"] = {
                 "states": rs[0]["states"], "transitions": rs[0]["transitions"],
+                "gc_passes": [r["gc_passes"] for r in rs],
                 **summarize(rs, ("s", "states_per_s", "peak_rss_mb"))}
     for label, tree in trees.items():
         counters = last_json([py, "-c", COUNTERS, str(tree / "src"), str(DEPTHS[0])])
