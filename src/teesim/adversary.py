@@ -26,7 +26,7 @@ from .hw_model import ROS_CTX, small_config
 from .monitor import Defenses
 from .state import FieldIds, keyed_leaves
 from .units import BLOCK_2M, PAGE_4K
-from .world import World, build_world
+from .world import World
 
 
 class AttackKind(str, Enum):
@@ -230,7 +230,7 @@ def create_tampered(world: World, app: str, **kwargs) -> int:
 
 
 def _first_frame(world: World, sb: int) -> Tuple[int, int]:
-    start = world.monitor.ledger.sandbox_intervals(sb)[0][0]
+    start = world.monitor.ledger.sandbox_span(sb)[0]
     return (start, start + BLOCK_2M)
 
 
@@ -268,11 +268,9 @@ def ros_prime(world: World, sb: int) -> bool:
 
 def victim_touch(world: World, sb: int) -> None:
     """sb writes to its highest frame (TLB and cache): bait for a cache attack."""
-    cores = world.monitor.ledger.cores_of(sb)
-    if not cores:
+    top = _probed(world, sb)[1]
+    if world.probe_translate(sb, top) is None:
         raise BadState(f"sandbox {sb} has no core")
-    top = world.monitor.ledger.sandbox_span(sb)[1] - BLOCK_2M
-    world.machine.translate(cores[0], top)
     world.machine.cache_fill(sb, top)
 
 
@@ -376,8 +374,7 @@ def _attack_cache_direct(world: World, target=None, **_) -> tuple:
     if not attached:
         return True, 0, "attach of primed region rejected"
     # Victim uses its new memory.
-    victim_core = world.monitor.ledger.cores_of(sb)[0]
-    world.machine.translate(victim_core, region[0])
+    world.probe_translate(sb, region[0])
     world.machine.cache_fill(sb, region[0])
     reached, leaked = world.probe_cache(ROS_CTX, region[0])
     if leaked:
@@ -404,11 +401,10 @@ def _attack_stale_tlb(world: World, target=None, **_) -> tuple:
     # translation on its core. That is the granule just attached, unless
     # the attach took the region below the sandbox's memory.
     region = world.detach_region(sb, region[1] - region[0])
-    core = world.monitor.ledger.cores_of(sb)[0]
-    world.machine.translate(core, region[0])
+    world.probe_translate(sb, region[0])
     if not world._request_detach(sb, region[1] - region[0]):
         return True, 0, "setup detach rejected"
-    res = world.machine.translate(core, region[0])
+    res = world.probe_translate(sb, region[0])
     if not res.hit:
         return True, 0, "translation faulted after detach"
     return False, PAGE_4K, "stale TLB entry survived the detach"
@@ -445,11 +441,10 @@ class ExploreResult:
     max_depth: int
     self_loops: int = 0  # transitions back to their parent's state
     violations: List[ExploreFinding] = field(default_factory=list)
-    budget_exceeded: bool = False
 
 
 def make_small_world(mutations=()) -> World:
-    return build_world(
+    return World(
         small_config(),
         defenses=Defenses.with_mutations(mutations),
         instant=True,
@@ -637,7 +632,6 @@ def explore(world_factory: Callable[[], World] = make_small_world,
                 result.states_visited += 1
                 result.max_depth = max(result.max_depth, d + 1)
                 if result.states_visited > state_budget:
-                    result.budget_exceeded = True
                     raise BudgetExceeded(
                         f"state budget {state_budget} exceeded", partial=result
                     )

@@ -13,7 +13,7 @@ from .errors import UnknownSuite
 from .hw_model import ROS_CTX, default_config
 from .scenario import HEADER, VERSION, parse, run_scenario
 from .units import MS_NS
-from .world import build_world
+from .world import World
 
 # ---------------------------------------------------------------------------
 # cpu_adjust
@@ -22,8 +22,7 @@ from .world import build_world
 def run_cpu_adjust() -> dict:
     """Measure core-adjustment latencies with and without the busy-wait
     optimization from the costs that real transfers charge."""
-    world = build_world(default_config(), instant=True,
-                        apps=[("bench", b"bench-payload")])
+    world = World(default_config(), instant=True, apps=[("bench", b"bench-payload")])
     sb = world.create_sandbox("bench", max_cores=3, core_pref="big")
     mon = world.monitor
     measured: Dict[str, int] = {}

@@ -32,7 +32,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a scenario file")
     p_run.add_argument("scenario", nargs="?", help="scenario file path")
-    p_run.add_argument("--seed", type=int, help="override the scenario seed")
     p_run.add_argument("--mode", choices=("leap", "tzasc"))
     p_run.add_argument("--mutate", action="append", default=[],
                        choices=sorted(MUTATION_FLAGS),
@@ -43,8 +42,6 @@ def main(argv=None) -> int:
     p_run.set_defaults(fn=cmd_run)
 
     p_explore = sub.add_parser("explore", help="bounded protocol exploration")
-    p_explore.add_argument("scenario", nargs="?",
-                           help="optional scenario supplying mutation flags")
     p_explore.add_argument("--depth", type=int, default=12)
     p_explore.add_argument("--budget", type=int, default=500_000,
                            help="state count cap")
@@ -98,8 +95,6 @@ def cmd_run(args) -> int:
         return 2
     scenario = _load_scenario(args.scenario)
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     if args.mode:
         overrides["mode"] = args.mode
     if args.mutate:
@@ -139,10 +134,7 @@ def _replay(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    mutations = set(args.mutate)
-    if args.scenario:
-        mutations |= set(_load_scenario(args.scenario).mutations)
-    mutations = tuple(sorted(mutations))
+    mutations = tuple(sorted(set(args.mutate)))
     t0 = time.perf_counter()
     result = adversary.explore(
         world_factory=lambda: adversary.make_small_world(mutations),

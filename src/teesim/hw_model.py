@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Dict, Optional, Tuple
 
 from . import stage2
-from .errors import AlignmentError, ConfigError
+from .errors import ConfigError
 from .state import DICT, SHARED, Schema, clone_values, keyed
 from .units import BLOCK_2M, GB, KB, MB, PAGE_4K, align_down, is_aligned, overlaps
 
@@ -150,16 +150,6 @@ class Machine:
         ros.map_range(config.io_window, stage2.Attr.DEVICE)
         self.table_sets[ROS_CTX] = ros
 
-    # -- address classification ------------------------------------------
-
-    def classify(self, pa: int) -> str:
-        if 0 <= pa < self.config.ram_bytes:
-            return "ram"
-        io_start, io_end = self.config.io_window
-        if io_start <= pa < io_end:
-            return "mmio"
-        return "hole"
-
     # -- cache model ------------------------------------------------------
 
     def cache_fill(self, context_id: int, pa: int) -> None:
@@ -192,16 +182,8 @@ class Machine:
         self.tlbs[core_id][(ctx, align_down(ipa, gran), gran)] = attr
 
     def tlb_flush_range(self, pa_range: Tuple[int, int]) -> int:
-        start, end = pa_range
-        if not (is_aligned(start, BLOCK_2M) and is_aligned(end, BLOCK_2M)):
-            raise AlignmentError(
-                f"flush range [{start:#x}, {end:#x}) not 2MB-aligned"
-            )
-        return self._tlb_flush_any((start, end))
-
-    def _tlb_flush_any(self, pa_range: Tuple[int, int]) -> int:
-        """Flush entries whose mapped block intersects pa_range (any
-        alignment; used internally for 4KB device pages)."""
+        """Flush, on every core, the entries whose mapped block or page
+        intersects pa_range; returns how many."""
         start, end = pa_range
         removed = 0
         for tlb in self.tlbs.values():

@@ -29,6 +29,11 @@ from .secure_world import EncryptedImage, KeyStore, digest64
 from .state import DICT, NESTED, REWIRED, SET, SHARED, Schema, copied, keyed
 from .units import BLOCK_2M, MB, is_aligned, overlaps
 
+# A driver's state in a context, by (ctx, dev) in `RosActor.driver_states`.
+DRIVER_LOADED = "loaded"
+DRIVER_UNLOADED = "unloaded"
+DRIVER_SUSPENDED_GPU = "suspended_gpu"
+
 TZASC_REGIONS = 8
 TZASC_REGIONS_PER_SANDBOX = 2
 TZASC_REGIONS_SECURE_WORLD = 1
@@ -111,7 +116,9 @@ class ResourceLedger:
         return list(self.ram.get(sb, []))
 
     def sandbox_span(self, sb: int) -> Tuple[int, int]:
-        ivs = self.ram[sb]
+        ivs = self.ram.get(sb)
+        if not ivs:  # a terminating sandbox has none left
+            raise BadState(f"sandbox {sb} holds no memory")
         return (ivs[0][0], ivs[-1][1])
 
     def sandbox_size(self, sb: int) -> int:
@@ -448,7 +455,7 @@ class Monitor:
             self._trace("switch_peripheral", {"dev": dev_id}, "rejected",
                         "NotOwner")
             raise NotOwner(f"{dev_id} not owned by ctx {from_ctx}")
-        if self.driver_states.get((from_ctx, dev_id), "loaded") == "loaded":
+        if self.driver_states.get((from_ctx, dev_id), DRIVER_LOADED) == DRIVER_LOADED:
             self._trace("switch_peripheral", {"dev": dev_id}, "rejected",
                         "DeviceBusy")
             raise DeviceBusy(f"{dev_id} driver still active in ctx {from_ctx}")
@@ -466,7 +473,7 @@ class Monitor:
         machine = self.machine
         rng = machine.config.peripheral(dev_id).mmio_range
         machine.table_sets[from_ctx].unmap_range(rng)
-        machine._tlb_flush_any(rng)
+        machine.tlb_flush_range(rng)
         machine.table_sets[to_ctx].map_range(rng, stage2.Attr.DEVICE)
         self.ledger.dev_owner[dev_id] = to_ctx
         self._trace("switch_peripheral",

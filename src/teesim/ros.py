@@ -21,15 +21,12 @@ from .errors import (
 )
 from .engine import copy_cost_ns
 from .hw_model import ROS_CTX, DevKind, MachineConfig
-from .monitor import LaunchSpec, Monitor
+from .monitor import (DRIVER_LOADED, DRIVER_SUSPENDED_GPU, DRIVER_UNLOADED,
+                      LaunchSpec, Monitor)
 from .secure_world import EncryptedImage, KeyStore, digest64
 from .sos import MEM_GRANULE
 from .state import DICT, NESTED, REWIRED, SHARED, Schema, copied, keyed
 from .units import BLOCK_2M, GB, MB, is_aligned
-
-DRIVER_LOADED = "loaded"
-DRIVER_UNLOADED = "unloaded"
-DRIVER_SUSPENDED_GPU = "suspended_gpu"
 
 
 @dataclass(frozen=True)

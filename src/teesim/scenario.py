@@ -32,7 +32,7 @@ from .units import (
     parse_duration_ns,
     parse_size,
 )
-from .world import World, build_world
+from .world import World
 
 HEADER = "teesim-scenario"
 VERSION = 1
@@ -506,7 +506,7 @@ class RunResult:
 
 def run_scenario(scenario: Scenario, with_trace: bool = True,
                  check_each_directive: bool = True) -> RunResult:
-    world = build_world(
+    world = World(
         scenario.machine,
         defenses=Defenses.with_mutations(scenario.mutations),
         mode=scenario.mode,

@@ -42,7 +42,6 @@ def _transform(payload: bytes, key_id: int) -> bytes:
 
 @dataclass(frozen=True)
 class ImageRecord:
-    app_id: str
     digest: int
     key_id: int
 
@@ -66,7 +65,7 @@ class KeyStore:
             raise DuplicateApp(app_id)
         key_id = self._next_key
         self._next_key += 1
-        record = ImageRecord(app_id, digest64(payload), key_id)
+        record = ImageRecord(digest64(payload), key_id)
         self._records[app_id] = record
         return record
 

@@ -9,7 +9,7 @@ clock is ignored.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import sos
 from .engine import Engine
@@ -21,8 +21,8 @@ from .errors import (
     ResourceBusy,
 )
 from .hw_model import CACHE_LINE_BYTES, ROS_CTX, Machine, MachineConfig
-from .monitor import Defenses, Monitor
-from .ros import DRIVER_LOADED, DRIVER_UNLOADED, RosActor
+from .monitor import DRIVER_LOADED, DRIVER_UNLOADED, Defenses, Monitor
+from .ros import RosActor
 from .secure_world import KeyStore
 from .sos import SandboxRuntime
 from .state import NESTED, SHARED, Schema, clone_values, copied, keyed, reset
@@ -91,7 +91,8 @@ def _rewire(world: "World") -> None:
 class World:
     def __init__(self, config: MachineConfig,
                  defenses: Optional[Defenses] = None,
-                 mode: str = "leap", instant: bool = False, traced: bool = True):
+                 mode: str = "leap", instant: bool = False, traced: bool = True,
+                 apps: Iterable[Tuple[str, bytes]] = ()):
         self.instant = instant
         self.engine = Engine(traced)
         self.machine = Machine(config)
@@ -106,17 +107,12 @@ class World:
         self.dev_queues: Dict[str, List[int]] = {}
         self.attack_outcomes: List = []
         self._completions: Dict[int, int] = {}
-
-    # -- setup -------------------------------------------------------------
-
-    def register_app(self, app_id: str, payload: bytes) -> None:
-        self.store.register_image(app_id, payload)
-        self.payloads[app_id] = payload
-        self.ros.stage_image(app_id, payload)
-
-    def register_default_drivers(self) -> None:
-        for p in self.machine.config.peripherals:
+        for p in config.peripherals:
             self.ros.register_driver(p.dev_id, f"driver-{p.dev_id}".encode())
+        for app_id, payload in apps:
+            self.store.register_image(app_id, payload)
+            self.payloads[app_id] = payload
+            self.ros.stage_image(app_id, payload)
 
     # -- small helpers -------------------------------------------------------
 
@@ -578,7 +574,7 @@ class World:
         return leaked
 
     def classify_leak(self, ctx: int, pa: int) -> bool:
-        if self.machine.classify(pa) == "ram":
+        if pa < self.machine.config.ram_bytes:
             return not self.monitor.ledger.owns_range(ctx, (pa, pa + 1))
         dev = self.machine.config.device_at(pa)
         return dev is not None and self.monitor.ledger.dev_owner[dev] != ctx
@@ -607,13 +603,3 @@ class World:
     )
     clone = STATE.clone
     canonical = STATE.canonical
-
-
-def build_world(config: MachineConfig, defenses: Optional[Defenses] = None,
-                mode: str = "leap", instant: bool = False, traced: bool = True,
-                apps: Optional[List[Tuple[str, bytes]]] = None) -> World:
-    world = World(config, defenses, mode, instant, traced)
-    world.register_default_drivers()
-    for app_id, payload in apps or []:
-        world.register_app(app_id, payload)
-    return world

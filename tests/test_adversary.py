@@ -28,16 +28,16 @@ from teesim.errors import (
 from teesim.hw_model import default_config
 from teesim.monitor import MUTATION_FLAGS, Defenses
 from teesim.state import NESTED, REWIRED, SHARED
-from teesim.world import Metrics, World, build_world
+from teesim.world import Metrics, World
 
 PAYLOAD = b"secret model weights"
 
 
 def fresh(mutations=()):
-    return build_world(default_config(),
-                       defenses=Defenses.with_mutations(mutations),
-                       instant=True,
-                       apps=[("demo", PAYLOAD)])
+    return World(default_config(),
+                 defenses=Defenses.with_mutations(mutations),
+                 instant=True,
+                 apps=[("demo", PAYLOAD)])
 
 
 EXPECTED_MECHANISM = {
@@ -388,6 +388,32 @@ def test_attack_without_room_for_its_sandbox_is_blocked_at_setup():
             for r in res.world.engine.records[-2:]] == [
         ("ros", "create_sandbox", "rejected", "TooManySandboxes"),
         ("adversary", "attack_cache_direct_attack", "blocked", "setup")]
+
+
+def test_victim_touch_needs_a_core():
+    """Without the legality check ROS can launch on a's only core: a keeps
+    its memory but has no core to touch it from."""
+    w = make_small_world(("no_legality_check",))
+    a = w.create_sandbox("w")
+    adversary.steal_core(w, a, "w")
+    assert w.monitor.ledger.cores_of(a) == []
+    with pytest.raises(BadState):
+        adversary.victim_touch(w, a)
+
+
+def test_steps_on_a_terminating_sandbox_are_refused():
+    """A terminated sandbox holds no core and no memory until its teardown
+    cost has passed, so each directive that reads its memory is refused."""
+    steps = ("attach sb1 2M", "detach sb1 2M", "victim_touch sb1", "ros_probe sb1",
+             "ros_prime sb1", "ros_dma sb1 wifi", "overlap_attach sb2 sb1")
+    text = ("teesim-scenario v1\n\n[apps]\napp demo payload\n\n[timeline]\n"
+            "at 0ms create sb1 app=demo\nat 0ms create sb2 app=demo\n"
+            "at 1s terminate sb1\n" + "".join(f"at 1001ms {s}\n" for s in steps))
+    res = sc.run_scenario(sc.parse(text))
+    assert res.exit_code == 0
+    assert [(r["op"], r["verdict"], r["reason"]) for r in res.world.engine.records
+            if r["actor"] == "system"] == [
+        (step.split()[0], "rejected", "BadState") for step in steps]
 
 
 def test_explore_empty_alphabet_has_no_transitions():

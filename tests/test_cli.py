@@ -140,6 +140,16 @@ def test_unknown_mutation_flag_is_a_usage_error(command, capsys):
     assert "no_such_flag" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["run", "x.scn", "--seed", "3"],
+                                  ["explore", "x.scn"]])
+def test_removed_options_are_usage_errors(argv):
+    """The seed labels only a trace's header, and explore takes its mutation
+    flags from --mutate alone."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 def test_explore_honest_shallow_is_clean(capsys):
     assert cli.main(["explore", "--depth", "3"]) == 0
     out = capsys.readouterr().out

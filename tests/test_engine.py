@@ -6,7 +6,7 @@ from teesim.engine import COSTS_NS, Engine, copy_cost_ns
 from teesim.errors import NotOwner
 from teesim.hw_model import ROS_CTX, CoreClass, DevKind, default_config
 from teesim.units import KB, MB, MS_NS
-from teesim.world import build_world
+from teesim.world import World
 
 
 def test_same_time_dispatches_in_insertion_order():
@@ -168,7 +168,7 @@ def test_trace_time_reported_in_exact_microseconds():
 def test_refusal_traces_only_into_a_sink(traced):
     """A refused call writes its rejection record where it raises, unless
     the engine keeps no records; charges return their cost either way."""
-    world = build_world(default_config(), instant=True, traced=traced)
+    world = World(default_config(), instant=True, traced=traced)
     eng = world.engine
     with pytest.raises(NotOwner):
         world.monitor.transfer_core(1, 5, ROS_CTX)

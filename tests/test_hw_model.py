@@ -1,6 +1,7 @@
 import pytest
 
 from teesim import hw_model
+from teesim.engine import Engine
 from teesim.errors import AlignmentError, ConfigError
 from teesim.hw_model import (
     CoreClass,
@@ -10,6 +11,8 @@ from teesim.hw_model import (
     PeripheralDesc,
     default_config,
 )
+from teesim.monitor import Monitor
+from teesim.secure_world import KeyStore
 from teesim.stage2 import Attr
 from teesim.units import BLOCK_2M, GB, KB, MB
 
@@ -46,13 +49,6 @@ def test_io_window_must_not_overlap_ram():
     with pytest.raises(ConfigError):
         MachineConfig(ram_bytes=2 * GB, io_window=(GB, 2 * GB),
                       cores=((0, CoreClass.BIG), (1, CoreClass.BIG))).validate()
-
-
-def test_classification_is_total_partition():
-    m = Machine(default_config())
-    samples = [0, 123, 3584 * MB - 1, 3584 * MB, 4 * GB - 1, 4 * GB, 5 * GB]
-    kinds = [m.classify(pa) for pa in samples]
-    assert kinds == ["ram", "ram", "ram", "mmio", "mmio", "hole", "hole"]
 
 
 def test_cache_fill_then_lookup_hits():
@@ -100,9 +96,14 @@ def test_translate_inserts_one_tlb_entry_then_flush_removes_it():
 
 
 def test_tlb_flush_requires_2mb_alignment():
+    """A memory region must be 2MB-aligned to be sanitized; the machine's
+    flush itself takes any range (a device switch flushes 4KB pages)."""
     m = Machine(default_config())
+    monitor = Monitor(m, KeyStore(), Engine())
     with pytest.raises(AlignmentError):
-        m.tlb_flush_range((4 * KB, 2 * MB))
+        monitor.sanitize((4 * KB, 2 * MB), new_owner=hw_model.ROS_CTX)
+    m.tlb_insert(1, hw_model.ROS_CTX, 2 * MB, Attr.NORMAL)
+    assert m.tlb_flush_range((2 * MB + 4 * KB, 2 * MB + 8 * KB)) == 1
 
 
 def test_stale_tlb_survives_unmap_until_flushed():

@@ -16,15 +16,15 @@ from teesim.errors import (
 )
 from teesim.hw_model import ROS_CTX, default_config
 from teesim.monitor import Reason
-from teesim.units import MB, MS_NS
-from teesim.world import build_world
+from teesim.units import MB, MS_NS, PAGE_4K
+from teesim.world import World
 
 PAYLOAD = b"protected-app-payload"
 
 
 def fresh_world(**kw):
-    return build_world(default_config(), instant=True,
-                       apps=[("demo", PAYLOAD)], **kw)
+    return World(default_config(), instant=True,
+                 apps=[("demo", PAYLOAD)], **kw)
 
 
 def cost_records(world, name):
@@ -206,6 +206,25 @@ def test_gpu_switch_flips_translation_sides():
     assert not w.probe_translate(ROS_CTX, gpu[0]).hit
     assert cost_records(w, "periph_map_gpu_sandbox") == [121 * MS_NS]
     assert cost_records(w, "periph_unmap_gpu_ros") == [35 * MS_NS]
+
+
+def test_peripheral_switch_flushes_device_tlb_entry():
+    """A ROS core that translated wifi's MMIO holds a 4KB device TLB entry;
+    granting wifi to a sandbox leaves no core with an entry for it."""
+    w = fresh_world()
+    a = w.create_sandbox("demo")
+    lo, hi = w.machine.config.peripheral("wifi").mmio_range
+    assert w.probe_translate(ROS_CTX, lo).hit
+
+    def wifi_entries():
+        return [(cid, key) for cid, tlb in w.machine.tlbs.items() for key in tlb
+                if lo <= key[1] < hi]
+
+    assert wifi_entries() == [(0, (ROS_CTX, lo, PAGE_4K))]
+    assert adversary.check_invariants(w) == []  # ROS still owns wifi
+    assert w.request_peripheral(a, "wifi") == "granted"
+    assert wifi_entries() == []
+    assert adversary.check_invariants(w) == []
 
 
 def test_sanitize_clears_stale_state():

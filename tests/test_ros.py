@@ -16,14 +16,14 @@ from teesim.ros import (
     CmaPool,
 )
 from teesim.units import GB, MB, MS_NS
-from teesim.world import build_world
+from teesim.world import World
 
 PAYLOAD = b"app-bytes"
 
 
 def fresh_world():
-    return build_world(default_config(), instant=True,
-                       apps=[("demo", PAYLOAD)])
+    return World(default_config(), instant=True,
+                 apps=[("demo", PAYLOAD)])
 
 
 class BlockMapAllocator:
@@ -164,7 +164,7 @@ def test_prepare_gpu_suspends():
 
 
 def test_gpu_roundtrip_records_frozen_interval():
-    w = build_world(default_config(), apps=[("demo", PAYLOAD)])
+    w = World(default_config(), apps=[("demo", PAYLOAD)])
     sb = w.create_sandbox("demo")
     w.engine.run_until(600 * MS_NS)
     w.request_peripheral(sb, "gpu")
@@ -222,7 +222,7 @@ def test_shared_pool_exhausted_changes_nothing():
     """32MB of RAM leaves two channel slots, and 4 cores admit three sandboxes."""
     config = MachineConfig(ram_bytes=32 * MB, io_window=(32 * MB, 33 * MB),
                            cores=tuple((i, CoreClass.BIG) for i in range(4)))
-    w = build_world(config, instant=True, apps=[("demo", PAYLOAD)])
+    w = World(config, instant=True, apps=[("demo", PAYLOAD)])
     w.create_sandbox("demo")
     w.create_sandbox("demo")
     allocations, ledger = list(w.ros.cma.allocations), w.monitor.ledger.canonical()

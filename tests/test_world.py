@@ -7,13 +7,13 @@ from teesim.errors import BadState
 from teesim.hw_model import ROS_CTX, default_config
 from teesim.sos import WORK_SCALE, InferenceBatch
 from teesim.units import MB, MS_NS, S_NS
-from teesim.world import build_world
+from teesim.world import World
 
 PAYLOAD = b"workload-app"
 
 
 def timed_world():
-    return build_world(default_config(), apps=[("demo", PAYLOAD)])
+    return World(default_config(), apps=[("demo", PAYLOAD)])
 
 
 def test_sandbox_runs_only_after_boot_delay():
