@@ -25,7 +25,7 @@ from .errors import (
 from .hw_model import ROS_CTX, small_config
 from .monitor import Defenses
 from .state import FieldIds, keyed_leaves
-from .units import BLOCK_2M, PAGE_4K
+from .units import BLOCK_2M, PAGE_4K, merge
 from .world import World
 
 
@@ -82,12 +82,11 @@ def check_invariants(world: World) -> List[ViolationReport]:
                           f"ctx {c1} and ctx {c2} both map [{s2:#x}, {min(e1, e2):#x})"))
     channels = dict(led.shared_channels)
     for ctx, runs in shared.items():
-        covered = sorted(runs)
         if ctx == ROS_CTX:
-            want = sorted(channels.values())
+            want = channels.values()
         else:
             want = [channels[ctx]] if ctx in channels else []
-        if _merge(covered) != _merge(want):
+        if merge(runs) != merge(want):
             found.append(("EXCL-MEM",
                           f"ctx {ctx} shared mappings do not match ledger channels"))
 
@@ -132,7 +131,7 @@ def check_invariants(world: World) -> List[ViolationReport]:
             found.append(("CONTIG", f"sandbox {sb} has no table set"))
             continue
         nruns = [(s, e) for s, e, a in ts.runs() if a is stage2.Attr.NORMAL]
-        if _merge(nruns) != _merge(ivs):
+        if merge(nruns) != merge(ivs):
             found.append(("CONTIG",
                           f"sandbox {sb} normal mappings {nruns} != ledger {ivs}"))
 
@@ -172,16 +171,6 @@ def check_invariants(world: World) -> List[ViolationReport]:
                       f"{len(mach.cores)} cores"))
 
     return [ViolationReport(inv, detail) for inv, detail in found]
-
-
-def _merge(intervals):
-    out = []
-    for s, e in sorted(intervals):
-        if out and out[-1][1] >= s:
-            out[-1] = (out[-1][0], max(out[-1][1], e))
-        else:
-            out.append((s, e))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +571,11 @@ def explore(world_factory: Callable[[], World] = make_small_world,
         seen = set()
         if not check_invariants(root.world):
             seen.add(key(root))
-        frontier = deque([(root, 0)])
+        # The frontier holds only nodes above the depth bound.
+        frontier = deque([(root, 0)] if depth > 0 else ())
         del root  # the frontier holds it alone: its world dies once expanded
         while frontier:
             node, d = frontier.popleft()
-            if d >= depth:
-                continue
             # A refused op leaves its world as it found it, a copy of the
             # parent's, so the next op on the same parent runs on that world.
             # The last op runs on the parent's own, which nothing reads after.
@@ -635,7 +623,8 @@ def explore(world_factory: Callable[[], World] = make_small_world,
                     raise BudgetExceeded(
                         f"state budget {state_budget} exceeded", partial=result
                     )
-                frontier.append((child, d + 1))
+                if d + 1 < depth:
+                    frontier.append((child, d + 1))
         return result
     finally:
         if enabled:

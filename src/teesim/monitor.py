@@ -27,7 +27,7 @@ from .errors import (
 from .hw_model import ROS_CTX, Machine
 from .secure_world import EncryptedImage, KeyStore, digest64
 from .state import DICT, NESTED, REWIRED, SET, SHARED, Schema, copied, keyed
-from .units import BLOCK_2M, MB, is_aligned, overlaps
+from .units import BLOCK_2M, MB, covers, is_aligned, merge, overlaps, subtract
 
 # A driver's state in a context, by (ctx, dev) in `RosActor.driver_states`.
 DRIVER_LOADED = "loaded"
@@ -125,37 +125,17 @@ class ResourceLedger:
         return sum(e - s for s, e in self.ram.get(sb, []))
 
     def add_ram(self, sb: int, region: Tuple[int, int]) -> None:
-        ivs = self.ram.setdefault(sb, [])
-        ivs.append(region)
-        ivs.sort()
-        merged: List[Tuple[int, int]] = []
-        for s, e in ivs:
-            if merged and merged[-1][1] == s:
-                merged[-1] = (merged[-1][0], e)
-            else:
-                merged.append((s, e))
-        self.ram[sb] = merged
+        self.ram[sb] = merge(self.ram.get(sb, []) + [region])
 
     def remove_ram(self, sb: int, region: Tuple[int, int]) -> None:
-        out = []
-        s0, e0 = region
-        for s, e in self.ram[sb]:
-            if e <= s0 or s >= e0:
-                out.append((s, e))
-                continue
-            if s < s0:
-                out.append((s, s0))
-            if e0 < e:
-                out.append((e0, e))
+        out = subtract(self.ram[sb], region)
         if out:
             self.ram[sb] = out
         else:
             self.ram.pop(sb, None)
 
-    def ram_overlap_owner(self, region: Tuple[int, int], ignore: Optional[int] = None):
+    def ram_overlap_owner(self, region: Tuple[int, int]):
         for sb, ivs in self.ram.items():
-            if sb == ignore:
-                continue
             for iv in ivs:
                 if overlaps(iv, region):
                     return sb
@@ -170,18 +150,10 @@ class ResourceLedger:
         owned by a sandbox)."""
         if ctx == ROS_CTX:
             return self.ram_overlap_owner(region) is None
-        allowed = list(self.ram.get(ctx, []))
+        allowed = self.ram.get(ctx, [])
         if ctx in self.shared_channels:
-            allowed.append(self.shared_channels[ctx])
-        start, end = region
-        allowed.sort()
-        pos = start
-        for s, e in allowed:
-            if s <= pos < e:
-                pos = min(end, e)
-                if pos >= end:
-                    return True
-        return pos >= end
+            allowed = allowed + [self.shared_channels[ctx]]
+        return covers(allowed, region)
 
     STATE = Schema(
         core_owner=DICT, dev_owner=DICT, shared_channels=DICT,
@@ -337,7 +309,7 @@ class Monitor:
                 return AdjustVerdict(False, Reason.QUOTA_EXCEEDED)
         else:
             ivs = self.ledger.sandbox_intervals(sb)
-            if not any(s <= start and end <= e for s, e in ivs):
+            if not covers(ivs, region):
                 return AdjustVerdict(False, Reason.NOT_FREE)
             span = (ivs[0][0], ivs[-1][1])
             if start != span[0] and end != span[1]:

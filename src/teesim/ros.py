@@ -26,7 +26,7 @@ from .monitor import (DRIVER_LOADED, DRIVER_SUSPENDED_GPU, DRIVER_UNLOADED,
 from .secure_world import EncryptedImage, KeyStore, digest64
 from .sos import MEM_GRANULE
 from .state import DICT, NESTED, REWIRED, SHARED, Schema, copied, keyed
-from .units import BLOCK_2M, GB, MB, is_aligned
+from .units import BLOCK_2M, GB, MB, covers, is_aligned, subtract
 
 
 @dataclass(frozen=True)
@@ -74,40 +74,32 @@ class CmaPool:
         self.extents = tuple(sorted(extents))
         self.allocations: List[Tuple[int, int, Optional[int]]] = []
 
-    def _free_gaps(self):
-        for ext_start, ext_end in self.extents:
-            pos = ext_start
-            for s, e, _ in self.allocations:
-                if e <= ext_start or s >= ext_end:
-                    continue
-                if s > pos:
-                    yield (pos, s)
-                pos = max(pos, e)
-            if pos < ext_end:
-                yield (pos, ext_end)
+    def _free_gaps(self) -> List[Tuple[int, int]]:
+        gaps = list(self.extents)
+        for s, e, _ in self.allocations:
+            gaps = subtract(gaps, (s, e))
+        return gaps
 
     def find(self, nbytes: int,
              adjacent_to: Optional[Tuple[int, int]] = None) -> Tuple[int, int]:
         """The free range of nbytes for `take`, read-only."""
         if nbytes <= 0 or nbytes % BLOCK_2M:
             raise OutOfMemory(f"allocation must be a positive 2MB multiple, got {nbytes}")
+        gaps = self._free_gaps()
         if adjacent_to is not None:
             lo = (adjacent_to[0] - nbytes, adjacent_to[0])
             hi = (adjacent_to[1], adjacent_to[1] + nbytes)
             for cand in (lo, hi):
-                if self._gap_covers(cand):
+                if covers(gaps, cand):
                     return cand
             raise NoAdjacentSpace(
                 f"no free {nbytes:#x} bytes adjoining [{adjacent_to[0]:#x}, "
                 f"{adjacent_to[1]:#x})"
             )
-        for gap_start, gap_end in self._free_gaps():
+        for gap_start, gap_end in gaps:
             if gap_end - gap_start >= nbytes:
                 return (gap_start, gap_start + nbytes)
         raise OutOfMemory(f"no contiguous {nbytes:#x} bytes free")
-
-    def _gap_covers(self, rng: Tuple[int, int]) -> bool:
-        return any(g[0] <= rng[0] and rng[1] <= g[1] for g in self._free_gaps())
 
     def take(self, rng: Tuple[int, int], owner: Optional[int]) -> Tuple[int, int]:
         self.allocations.append((rng[0], rng[1], owner))
@@ -130,19 +122,10 @@ class CmaPool:
 
     def free_range(self, rng: Tuple[int, int], owner: int) -> None:
         """Free a sub-range that may span several allocation records."""
-        out = []
-        for s, e, o in self.allocations:
-            if o != owner or e <= rng[0] or s >= rng[1]:
-                out.append((s, e, o))
-                continue
-            if s < rng[0]:
-                out.append((s, rng[0], o))
-            if rng[1] < e:
-                out.append((rng[1], e, o))
-        self.allocations = sorted(out)
-
-    def owned_by(self, owner: int) -> List[Tuple[int, int]]:
-        return [(s, e) for s, e, o in self.allocations if o == owner]
+        mine = [(s, e) for s, e, o in self.allocations if o == owner]
+        self.allocations = sorted(
+            [a for a in self.allocations if a[2] != owner]
+            + [(s, e, owner) for s, e in subtract(mine, rng)])
 
     STATE = Schema(extents=SHARED, allocations=keyed(tuple, copy=list))
     clone = STATE.clone
@@ -269,8 +252,7 @@ class RosActor:
         return sb, boot_ns
 
     def release_sandbox_memory(self, sb: int) -> None:
-        for rng in self.cma.owned_by(sb):
-            self.cma.free(rng)
+        self.cma.allocations = [a for a in self.cma.allocations if a[2] != sb]
 
     # -- data transfer -----------------------------------------------------------
 

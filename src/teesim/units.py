@@ -38,6 +38,35 @@ def overlaps(a: tuple, b: tuple) -> bool:
     return a[0] < b[1] and b[0] < a[1]
 
 
+# Interval lists: [start, end) byte ranges, each non-empty.
+
+def merge(intervals) -> list:
+    """The sorted union of intervals, touching ones joined."""
+    out = []
+    for s, e in sorted(intervals):
+        if out and out[-1][1] >= s:
+            out[-1] = (out[-1][0], max(out[-1][1], e))
+        else:
+            out.append((s, e))
+    return out
+
+
+def subtract(intervals, rng: tuple) -> list:
+    """Each interval, in order, with rng cut out of it."""
+    out = []
+    for s, e in intervals:
+        if s < rng[0]:
+            out.append((s, min(e, rng[0])))
+        if rng[1] < e:
+            out.append((max(s, rng[1]), e))
+    return out
+
+
+def covers(intervals, rng: tuple) -> bool:
+    """Whether the intervals together hold every byte of rng."""
+    return any(s <= rng[0] and rng[1] <= e for s, e in merge(intervals))
+
+
 def ns_to_us_str(ns: int) -> str:
     """Exact decimal microseconds, no float round-trip (23890 -> '23.89')."""
     whole, frac = divmod(ns, US_NS)

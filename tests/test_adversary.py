@@ -577,6 +577,30 @@ def test_frontier_keeps_no_ancestors():
     assert dead == [True]
 
 
+def test_frontier_keeps_nothing_at_the_bound():
+    """A child at the depth bound is never expanded, so the frontier does
+    not keep it: once its parent is expanded, no world made at the bound
+    is alive."""
+    depth, at_bound, dead = 2, [], []
+
+    def recorded(op_fn):
+        def op(node):
+            leaked = op_fn(node)
+            if len(node.trace) == depth - 1 and node._world is not None:
+                at_bound.append(weakref.ref(node._world))
+            return leaked
+        return op
+
+    def probe(node):  # the last op: every other child of this parent is made
+        if len(node.trace) == depth - 1:
+            dead.append(all(ref() is None for ref in at_bound))
+        raise BadState("probe only")
+
+    ops = [(name, recorded(fn)) for name, fn in default_alphabet()]
+    explore(op_alphabet=ops + [("probe", probe)], depth=depth)
+    assert at_bound and dead and all(dead)
+
+
 @pytest.mark.parametrize("mutations,depth",
                          [((), 6)] + [((flag,), 5) for flag in MUTATION_FLAGS])
 def test_explore_leaves_no_cyclic_garbage(mutations, depth):

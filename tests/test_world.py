@@ -52,6 +52,30 @@ def test_device_wait_times_out():
     assert w.monitor.ledger.dev_owner["wifi"] == a
 
 
+def _run_timeline(horizon: str, timeline: str) -> sc.RunResult:
+    return sc.run_scenario(sc.parse(
+        f"{sc.HEADER} v{sc.VERSION}\nhorizon = {horizon}\n\n[apps]\napp demo x\n\n"
+        f"[timeline]\nat 0ms create sb1 app=demo core=big\n{timeline}"))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: release_peripheral accepts a device the ledger gives the "
+    "sandbox before it arrives, and _device_arrived then adds it to the "
+    "runtime anyway. A wifi released at 700 ms after a request at 600 ms "
+    "makes a terminate at 1000 ms fail NotOwner; a gpu released at 650 ms "
+    "still speeds up a later inference (560 ms instead of 2000 ms)"))
+def test_device_released_before_arrival_is_not_held():
+    wifi = _run_timeline("2s", "at 600ms request_dev sb1 wifi\n"
+                         "at 700ms release_dev sb1 wifi\nat 1000ms terminate sb1\n")
+    gpu = _run_timeline("5s", "at 600ms request_dev sb1 gpu\n"
+                        "at 650ms release_dev sb1 gpu\n"
+                        "at 1000ms workload sb1 inference images=4 units=500\n")
+    plain = _run_timeline("5s", "at 1000ms workload sb1 inference images=4 units=500\n")
+    assert wifi.world.state_of(wifi.handles["sb1"]) == "dead"
+    assert gpu.world.runtimes[gpu.handles["sb1"]].devices == {}
+    assert gpu.world.metrics.completion_ns == plain.world.metrics.completion_ns
+
+
 def test_tampered_driver_returns_device():
     w = timed_world()
     a = w.create_sandbox("demo")
