@@ -126,7 +126,11 @@ def cmd_run(args) -> int:
 
 def _replay(args) -> int:
     want = Path(args.replay).read_text()
-    result = run_scenario(parse(json.loads(want.splitlines()[0])["scenario"]))
+    try:
+        text = json.loads(want.splitlines()[0])["scenario"]
+    except (ValueError, LookupError, TypeError) as exc:
+        raise ParseError(f"{args.replay} is not a trace: {exc!r}", line=1) from None
+    result = run_scenario(parse(text))
     same = result.trace_text == want
     print(f"replay digest: {result.trace_digest}  "
           f"{'matches' if same else 'DIFFERS from'} recorded trace")

@@ -10,10 +10,6 @@ class SimError(Exception):
     """Base class for all simulator errors."""
 
 
-class ConfigError(SimError):
-    pass
-
-
 class AlignmentError(SimError):
     pass
 
@@ -104,6 +100,10 @@ class ParseError(SimError):
 
 class ValidationError(SimError):
     pass
+
+
+class ConfigError(ValidationError):
+    """A machine configuration that is invalid or lacks what is asked of it."""
 
 
 class UnknownSuite(SimError):

@@ -324,7 +324,7 @@ class Monitor:
         if self.defenses.legality_check:
             ros_set.unmap_range(region)
         else:
-            self._unmap_where_mapped(ros_set, region)
+            ros_set.cut(region)
         self.sanitize(region, new_owner=sb)
         self.machine.table_sets[sb].map_range(region, stage2.Attr.NORMAL)
         self.ledger.add_ram(sb, region)
@@ -345,16 +345,6 @@ class Monitor:
         if key not in self._approvals:
             raise VerdictError(f"{op} without an approved verdict")
         self._approvals.discard(key)
-
-    @staticmethod
-    def _unmap_where_mapped(tables: stage2.Stage2TableSet, region) -> None:
-        pieces = [
-            (max(s, region[0]), min(e, region[1]))
-            for s, e, _ in tables.runs()
-            if overlaps((s, e), region)
-        ]
-        for piece in pieces:
-            tables.unmap_range(piece)
 
     # -- sanitization -------------------------------------------------------
 

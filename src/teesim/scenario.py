@@ -6,6 +6,7 @@ the honest-scenario generator, and the runner that executes a scenario on a
 fresh world and produces trace plus metrics.
 """
 
+import dataclasses
 import hashlib
 import random
 import shlex
@@ -22,7 +23,7 @@ from .hw_model import (
     PeripheralDesc,
     default_config,
 )
-from .monitor import MUTATION_FLAGS, Defenses
+from .monitor import Defenses
 from .sos import DEFAULT_GPU_SPEEDUP_PCT, CipherQuery, Idle, InferenceBatch
 from .units import (
     MB,
@@ -37,8 +38,31 @@ from .world import World
 HEADER = "teesim-scenario"
 VERSION = 1
 
-HEADER_KEYS = ("seed", "mode", "horizon", "mutate", "instant")
-MACHINE_KEYS = ("ram", "io_window")
+
+def _size_range(text: str) -> Tuple[int, int]:
+    lo, hi = text.split(":")
+    return parse_size(lo), parse_size(hi)
+
+
+def _flags(text: str) -> Tuple[str, ...]:
+    flags = tuple(f for f in text.split(",") if f)
+    Defenses.with_mutations(flags)  # ValueError on an unknown flag
+    return flags
+
+
+def _bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError("must be true or false")
+    return text == "true"
+
+
+# Each header and machine key with the field it sets, in Scenario or
+# MachineConfig, and the reader of its value (ValueError if malformed).
+HEADER_KEYS = {"seed": ("seed", lambda v: int(v, 0)), "mode": ("mode", str),
+               "horizon": ("horizon_ns", parse_duration_ns),
+               "mutate": ("mutations", _flags), "instant": ("instant", _bool)}
+MACHINE_KEYS = {"ram": ("ram_bytes", parse_size),
+                "io_window": ("io_window", _size_range)}
 PERIPHERAL_KEYS = frozenset(("kind", "mmio"))
 PERIPHERAL_FLAGS = ("dma", "shared_driver", "always_busy")
 
@@ -215,8 +239,7 @@ def format_directive(d: Directive) -> str:
 # ---------------------------------------------------------------------------
 
 def parse(text: str) -> Scenario:
-    header: Dict[str, str] = {}
-    mutations: Tuple[str, ...] = ()
+    header: Dict[str, object] = {}
     machine_lines: List[Tuple[int, str]] = []
     apps: List[Tuple[str, str]] = []
     timeline: List[Directive] = []
@@ -239,18 +262,8 @@ def parse(text: str) -> Scenario:
                 raise ParseError(f"unknown section [{section}]", line=lineno, col=1)
             continue
         if section is None:
-            key, value = _split_kv(line, lineno)
-            if key not in HEADER_KEYS:
-                raise ParseError(f"unknown header key {key!r}", line=lineno, col=1)
-            header[key] = value
-            if key == "mutate":
-                mutations = tuple(f for f in value.split(",") if f)
-                for f in mutations:
-                    if f not in MUTATION_FLAGS:
-                        raise ParseError(f"unknown mutation flag {f!r}", line=lineno)
-            elif key == "instant" and value not in ("true", "false"):
-                raise ParseError(f"instant must be true or false, not {value!r}",
-                                 line=lineno)
+            name, value = _split_kv(line, lineno, HEADER_KEYS, "header")
+            header[name] = value
         elif section == "machine":
             machine_lines.append((lineno, line))
         elif section == "apps":
@@ -264,32 +277,28 @@ def parse(text: str) -> Scenario:
         elif section == "timeline":
             timeline.append(_parse_directive(line, lineno))
 
-    machine = _parse_machine(machine_lines)
-    scenario = Scenario(
-        machine=machine,
-        seed=int(header.get("seed", "0"), 0),
-        mode=header.get("mode", "leap"),
-        horizon_ns=parse_duration_ns(header.get("horizon", "10s")),
-        mutations=mutations,
-        instant=header.get("instant") == "true",
-        apps=tuple(apps),
-        timeline=tuple(timeline),
-    )
+    scenario = Scenario(machine=_parse_machine(machine_lines), apps=tuple(apps),
+                        timeline=tuple(timeline), **header)
     validate(scenario)
     return scenario
 
 
-def _split_kv(line: str, lineno: int) -> Tuple[str, str]:
+def _split_kv(line: str, lineno: int, keys: dict, section: str):
+    """A 'key = value' line's field, and its value read by the key's reader."""
     if "=" not in line:
         raise ParseError("expected 'key = value'", line=lineno,
                          col=len(line) + 1)
-    key, value = line.split("=", 1)
-    return key.strip(), value.strip()
+    key, value = (part.strip() for part in line.split("=", 1))
+    if key not in keys:
+        raise ParseError(f"unknown {section} key {key!r}", line=lineno, col=1)
+    name, read = keys[key]
+    try:
+        return name, read(value)
+    except ValueError as exc:
+        raise ParseError(f"bad {key} {value!r}: {exc}", line=lineno) from None
 
 
 def _parse_machine(machine_lines) -> MachineConfig:
-    if not machine_lines:
-        return default_config()
     fields = {}
     cores: List[Tuple[int, CoreClass]] = []
     peripherals: List[PeripheralDesc] = []
@@ -312,8 +321,7 @@ def _parse_machine(machine_lines) -> MachineConfig:
                                  line=lineno)
             try:
                 kind = DevKind(kv.get("kind", "other"))
-                lo, hi = kv["mmio"].split(":")
-                rng = (parse_size(lo), parse_size(hi))
+                rng = _size_range(kv["mmio"])
             except (KeyError, ValueError):
                 raise ParseError(f"bad peripheral spec {line!r}",
                                  line=lineno) from None
@@ -324,20 +332,15 @@ def _parse_machine(machine_lines) -> MachineConfig:
                 always_busy_in_ros="always_busy" in flags,
             ))
         elif "=" in line:
-            key, value = _split_kv(line, lineno)
-            if key not in MACHINE_KEYS:
-                raise ParseError(f"unknown machine key {key!r}", line=lineno, col=1)
-            fields[key] = value
+            name, value = _split_kv(line, lineno, MACHINE_KEYS, "machine")
+            fields[name] = value
         else:
             raise ParseError(f"unrecognized machine line {line!r}", line=lineno)
-    base = default_config()
-    return MachineConfig(
-        ram_bytes=parse_size(fields["ram"]) if "ram" in fields else base.ram_bytes,
-        io_window=tuple(parse_size(x) for x in fields["io_window"].split(":"))
-        if "io_window" in fields else base.io_window,
-        cores=tuple(cores) if cores else base.cores,
-        peripherals=tuple(peripherals) if peripherals else base.peripherals,
-    )
+    if cores:
+        fields["cores"] = tuple(cores)
+    if peripherals:
+        fields["peripherals"] = tuple(peripherals)
+    return dataclasses.replace(default_config(), **fields)
 
 
 def _parse_directive(line: str, lineno: int) -> Directive:

@@ -6,20 +6,22 @@ covering it. All mappings are identity mappings (intermediate physical
 address equals physical address), so entries are stored as disjoint
 attribute-tagged runs rather than per-block dictionaries; a run of N blocks
 is semantically N individual entries and block counts are always reported
-at entry granularity.
+at entry granularity. Runs stay sorted, disjoint and coalesced per
+attribute; `cut` unmaps whatever part of a range is mapped.
 
 Granularity is tied to the attribute: normal memory and shared channels map
 as 2MB blocks, device (MMIO) space maps as 4KB pages.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import AlignmentError, DoubleMapError, NotMappedError
 from .state import KEYED, Schema, keyed
-from .units import BLOCK_2M, PAGE_4K, TABLE_SPAN_2M, TABLE_SPAN_4K
+from .units import BLOCK_2M, PAGE_4K, TABLE_SPAN_2M, TABLE_SPAN_4K, covers, subtract
 
 
 class Attr(str, Enum):
@@ -49,10 +51,11 @@ TABLE_BYTES = 4 * 1024
 class Stage2TableSet:
     """Identity-mapped stage-2 tables for one execution context."""
 
+    _END = itemgetter(1)  # a run's end, the key of a window's first bisect
+
     def __init__(self, context_id: int):
         self.context_id = context_id
-        # Disjoint, sorted (start, end, attr) runs. Adjacent same-attr runs
-        # are coalesced so a fully mapped context stays a handful of runs.
+        # Sorted, disjoint (start, end, attr) runs; touching runs differ in attr.
         self._runs: List[Tuple[int, int, Attr]] = []
 
     # -- queries ---------------------------------------------------------
@@ -60,26 +63,23 @@ class Stage2TableSet:
     def runs(self) -> Iterable[Tuple[int, int, Attr]]:
         return iter(self._runs)
 
-    def _find(self, pa: int) -> Optional[Tuple[int, int, Attr]]:
-        i = bisect_right(self._runs, (pa, float("inf"))) - 1
-        if i >= 0:
-            run = self._runs[i]
-            if run[0] <= pa < run[1]:
-                return run
-        return None
+    def _window(self, rng: Tuple[int, int]) -> Tuple[int, int]:
+        """The index range [i, j) of the runs that overlap rng."""
+        start, end = rng
+        if start >= end:
+            raise AlignmentError(f"empty range [{start:#x}, {end:#x})")
+        i = bisect_right(self._runs, start, key=self._END)
+        return i, bisect_left(self._runs, (end,), lo=i)
 
     def translate(self, ipa: int) -> TranslationResult:
-        run = self._find(ipa)
-        if run is None:
+        i, j = self._window((ipa, ipa + 1))
+        if i == j:
             return TranslationResult(False)
-        return TranslationResult(True, ipa, run[2])
+        return TranslationResult(True, ipa, self._runs[i][2])
 
     def overlaps(self, rng: Tuple[int, int]) -> bool:
-        start, end = rng
-        i = bisect_right(self._runs, (start, float("inf"))) - 1
-        if i >= 0 and self._runs[i][1] > start:
-            return True
-        return i + 1 < len(self._runs) and self._runs[i + 1][0] < end
+        i, j = self._window(rng)
+        return i < j
 
     # -- mutation --------------------------------------------------------
 
@@ -90,67 +90,50 @@ class Stage2TableSet:
             raise AlignmentError(
                 f"range [{start:#x}, {end:#x}) not aligned to {gran:#x}"
             )
-        if self.overlaps(rng):
+        i, j = self._window(rng)
+        if i < j:
             raise DoubleMapError(
                 f"ctx {self.context_id}: [{start:#x}, {end:#x}) already covered"
             )
-        i = bisect_right(self._runs, (start, float("inf")))
-        self._runs.insert(i, (start, end, attr))
-        self._coalesce(max(0, i - 1))
-        return (end - start) // gran
+        runs = self._runs
+        # Join a neighbour that touches rng with the same attribute.
+        if i and runs[i - 1][1] == start and runs[i - 1][2] is attr:
+            i -= 1
+            start = runs[i][0]
+        if j < len(runs) and runs[j][0] == end and runs[j][2] is attr:
+            end = runs[j][1]
+            j += 1
+        runs[i:j] = [(start, end, attr)]
+        return (rng[1] - rng[0]) // gran
 
     def unmap_range(self, rng: Tuple[int, int]) -> int:
-        start, end = rng
-        if start >= end:
-            raise AlignmentError(f"empty range [{start:#x}, {end:#x})")
-        # Strict mode: the whole range must be currently valid.
-        covered = start
-        touched = []
-        for run in self._runs:
-            if run[1] <= start or run[0] >= end:
-                continue
-            if run[0] > covered:
-                break
-            touched.append(run)
-            covered = run[1]
-            if covered >= end:
-                break
-        if covered < end or not touched or touched[0][0] > start:
+        """Strict unmap: every byte of rng must be mapped."""
+        i, j = self._window(rng)
+        if not covers([run[:2] for run in self._runs[i:j]], rng):
             raise NotMappedError(
-                f"ctx {self.context_id}: [{start:#x}, {end:#x}) not fully mapped"
+                f"ctx {self.context_id}: [{rng[0]:#x}, {rng[1]:#x}) not fully mapped"
             )
+        return self._cut(i, j, rng)
+
+    def cut(self, rng: Tuple[int, int]) -> int:
+        """Unmap whatever part of rng is mapped."""
+        return self._cut(*self._window(rng), rng)
+
+    def _cut(self, i: int, j: int, rng: Tuple[int, int]) -> int:
+        """Cut rng out of runs i..j, or refuse before any change; entries removed."""
+        window = self._runs[i:j]
         removed = 0
-        replacement = []
-        for run in touched:
-            gran = granularity_of(run[2])
-            lo = max(run[0], start)
-            hi = min(run[1], end)
+        for s, e, attr in window:
+            gran = granularity_of(attr)
+            lo, hi = max(s, rng[0]), min(e, rng[1])
             if lo % gran or hi % gran:
                 raise AlignmentError(
                     f"cut [{lo:#x}, {hi:#x}) not aligned to entry size {gran:#x}"
                 )
             removed += (hi - lo) // gran
-            if run[0] < lo:
-                replacement.append((run[0], lo, run[2]))
-            if hi < run[1]:
-                replacement.append((hi, run[1], run[2]))
-        i = self._runs.index(touched[0])
-        self._runs[i : i + len(touched)] = replacement
+        self._runs[i:j] = [(s, e, attr) for s0, e0, attr in window
+                           for s, e in subtract([(s0, e0)], rng)]
         return removed
-
-    def _coalesce(self, start_idx: int) -> None:
-        i = start_idx
-        while i + 1 < len(self._runs):
-            a = self._runs[i]
-            b = self._runs[i + 1]
-            if a[1] == b[0] and a[2] is b[2]:
-                self._runs[i : i + 2] = [(a[0], b[1], a[2])]
-            elif a[1] > b[0]:
-                raise AssertionError("stage-2 runs overlap")  # internal bug
-            else:
-                i += 1
-            if i > start_idx + 2:
-                break
 
     # -- modeled storage ------------------------------------------------
 

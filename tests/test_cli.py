@@ -62,10 +62,28 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_malformed_directive_value_exit_code(tmp_path, capsys):
-    path = write(tmp_path, "bad.txt", MINIMAL + "at 2s send sb1 sideways 10\n")
-    assert cli.main(["run", path]) == 2
-    assert "error" in capsys.readouterr().err
+def _machine(lines):
+    return MINIMAL.replace("[apps]", "[machine]\n" + lines + "\n\n[apps]")
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["run"], MINIMAL + "at 2s send sb1 sideways 10\n"),
+    (["run"], MINIMAL.replace("horizon = 3s", "horizon = 10x")),
+    (["run"], MINIMAL.replace("seed = 5", "seed = abc")),
+    (["run"], _machine("ram = 12Q")),
+    (["run"], _machine("io_window = 4G")),
+    (["run"], _machine("ram = 4G")),  # the io_window then overlaps RAM
+    (["run"], _machine("core 0 big\ncore 0 little")),
+    (["run", "--replay"], "garbage\n"),
+    (["run", "--replay"], json.dumps({"schema": "teesim-trace/1"}) + "\n"),
+], ids=["directive", "horizon", "seed", "ram", "io_window", "ram_over_io",
+        "duplicate_core", "replay_garbage", "replay_no_scenario"])
+def test_malformed_directive_value_exit_code(tmp_path, capsys, argv, text):
+    """A malformed value, an invalid machine or a file that is not a trace
+    is reported, not raised: exit 2, the 'violations found' code being 1."""
+    assert cli.main(argv + [write(tmp_path, "bad.txt", text)]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
 
 
 def test_negative_gpu_speedup_exit_code(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from teesim import adversary
 from teesim.errors import (
+    AlignmentError,
     BadState,
     DeviceBusy,
     IntegrityError,
@@ -15,7 +16,8 @@ from teesim.errors import (
     VerdictError,
 )
 from teesim.hw_model import ROS_CTX, default_config
-from teesim.monitor import Reason
+from teesim.monitor import Defenses, Reason
+from teesim.stage2 import Attr
 from teesim.units import MB, MS_NS, PAGE_4K
 from teesim.world import World
 
@@ -336,3 +338,20 @@ def test_verdict_soundness_randomized():
 def check_excl_contig(world):
     return [v for v in adversary.check_invariants(world)
             if v.invariant_id in ("EXCL-MEM", "CONTIG")]
+
+
+def test_attach_without_legality_check_refuses_before_unmapping():
+    """With the legality check off, ROS unmaps what it maps of the region,
+    and a region whose end splits ROS's 2MB shared entry is refused before
+    any of it is unmapped."""
+    w = fresh_world(defenses=Defenses.with_mutations(("no_legality_check",)))
+    sb = w.create_sandbox("demo")
+    ros = w.machine.table_sets[ROS_CTX]
+    channel = w.monitor.ledger.shared_channels[sb]
+    assert ros.translate(channel[0] - PAGE_4K).attr is Attr.NORMAL
+    region = (channel[0] - 2 * MB, channel[0] + PAGE_4K)
+    before = ros.canonical()
+    assert w.monitor.verify_region_legality(sb, region, "attach").approved
+    with pytest.raises(AlignmentError):
+        w.monitor.attach_memory(sb, region)
+    assert ros.canonical() == before

@@ -84,6 +84,12 @@ WIFI = "peripheral wifi kind=wifi mmio=3584M:3585M"
     ("at 2s send sb1 to_ros 5 6", 12),
     ("at 2s workload sb1 inference serial=0", 12),
     ("at 2s workload sb1 idle serial", 12),
+    ("seed = abc", 4),
+    ("horizon = 10x", 4),
+    ("instant = yes", 4),
+    ("[machine]\nram = 12Q", 5),
+    ("[machine]\nio_window = 4G", 5),
+    ("[machine]\nio_window = 3584M:4G:5G", 5),
 ])
 def test_unknown_key_or_section_reports_line(extra, line):
     """`extra` goes after the header, or at the end of the timeline if it
@@ -136,6 +142,12 @@ def test_unknown_device_is_validation_error():
 def test_malformed_directive_value_is_validation_error(directive):
     with pytest.raises(ValidationError):
         sc.parse(MINIMAL + f"at 2s {directive}\n")
+
+
+@pytest.mark.parametrize("machine", ["ram = 4G", "core 0 big\ncore 0 little"])
+def test_invalid_machine_is_validation_error(machine):
+    with pytest.raises(ValidationError):
+        sc.parse(MINIMAL.replace("[apps]", f"[machine]\n{machine}\n[apps]"))
 
 
 def test_malformed_value_error_names_its_argument():
