@@ -232,11 +232,9 @@ def overlap_attach(world: World, requester: int, victim: int):
     """Ask the monitor to attach the victim's first frame to requester, then
     read it from requester if approved. Returns (verdict, leaked bytes)."""
     region = _first_frame(world, victim)
-    verdict = world.monitor.verify_region_legality(requester, region, "attach")
-    if not verdict.approved:
-        return verdict, 0
-    world.monitor.attach_memory(requester, region)
-    return verdict, world.probe_read(requester, region[0])[1]
+    verdict, _ = world.monitor.attach_memory(requester, region)
+    leaked = world.probe_read(requester, region[0])[1] if verdict.approved else 0
+    return verdict, leaked
 
 
 def _prime(world: World, frame: Tuple[int, int]) -> bool:

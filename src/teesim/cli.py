@@ -128,6 +128,8 @@ def _replay(args) -> int:
     want = Path(args.replay).read_text()
     try:
         text = json.loads(want.splitlines()[0])["scenario"]
+        if not isinstance(text, str):
+            raise TypeError(f"scenario is {type(text).__name__}, not text")
     except (ValueError, LookupError, TypeError) as exc:
         raise ParseError(f"{args.replay} is not a trace: {exc!r}", line=1) from None
     result = run_scenario(parse(text))

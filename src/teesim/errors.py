@@ -50,10 +50,6 @@ class DeviceBusy(SimError):
     pass
 
 
-class VerdictError(SimError):
-    pass
-
-
 class BadState(SimError):
     pass
 

@@ -68,6 +68,8 @@ class MachineConfig:
                 raise ConfigError(f"{p.dev_id}: MMIO range outside io_window")
         for i, a in enumerate(self.peripherals):
             for b in self.peripherals[i + 1 :]:
+                if a.dev_id == b.dev_id:
+                    raise ConfigError(f"peripheral {a.dev_id!r} named twice")
                 if overlaps(a.mmio_range, b.mmio_range):
                     raise ConfigError(f"{a.dev_id}/{b.dev_id}: MMIO ranges overlap")
 

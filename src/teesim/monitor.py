@@ -22,11 +22,10 @@ from .errors import (
     QuotaExceeded,
     ResourceBusy,
     TooManySandboxes,
-    VerdictError,
 )
 from .hw_model import ROS_CTX, Machine
 from .secure_world import EncryptedImage, KeyStore, digest64
-from .state import DICT, NESTED, REWIRED, SET, SHARED, Schema, copied, keyed
+from .state import DICT, NESTED, REWIRED, SHARED, Schema, copied, keyed
 from .units import BLOCK_2M, MB, covers, is_aligned, merge, overlaps, subtract
 
 # A driver's state in a context, by (ctx, dev) in `RosActor.driver_states`.
@@ -179,7 +178,6 @@ class Monitor:
         self.sandboxes: Dict[int, SandboxMeta] = {}
         self.driver_states = None  # wired by the world; (ctx, dev) -> state
         self._next_sandbox = 1
-        self._approvals = set()
 
     # -- helpers ----------------------------------------------------------
 
@@ -272,54 +270,52 @@ class Monitor:
 
     # -- memory adjustment --------------------------------------------------
 
-    def verify_region_legality(self, sb: int, region: Tuple[int, int],
-                               op: str) -> AdjustVerdict:
-        verdict = self.check_region(sb, region, op)
-        if verdict.approved:
-            self._approvals.add((sb, region, op))
-        self._trace(
-            "verify_region", {"sandbox": sb, "region": list(region), "op": op},
-            "approved" if verdict.approved else "rejected",
-            None if verdict.approved else verdict.reason.value,
-        )
-        return verdict
+    def _verify_region(self, sb: int, region: Tuple[int, int],
+                       op: str) -> AdjustVerdict:
+        reason = self._refusal(sb, region, op)
+        self._trace("verify_region", {"sandbox": sb, "region": list(region), "op": op},
+                    "approved" if reason is None else "rejected",
+                    None if reason is None else reason.value)
+        return AdjustVerdict(reason is None, reason)
 
-    def check_region(self, sb: int, region: Tuple[int, int],
-                     op: str) -> AdjustVerdict:
-        """The verdict `verify_region_legality` gives, read-only."""
-        assert op in ("attach", "detach")
+    def _refusal(self, sb: int, region: Tuple[int, int], op: str) -> Optional[Reason]:
+        """The first rule the attach or detach breaks, if any."""
         meta = self._require_sandbox(sb)
         if not self.defenses.legality_check:
-            return AdjustVerdict(True)
+            return None
         start, end = region
         if not (is_aligned(start, BLOCK_2M) and is_aligned(end, BLOCK_2M)) \
                 or start >= end:
-            return AdjustVerdict(False, Reason.BAD_ALIGNMENT)
+            return Reason.BAD_ALIGNMENT
         if op == "attach":
             if self.ledger.ram_overlap_owner(region) is not None:
-                return AdjustVerdict(False, Reason.OVERLAP)
+                return Reason.OVERLAP
             if end > self.machine.config.ram_bytes or (
                 self.shared_pool_range and overlaps(region, self.shared_pool_range)
             ):
-                return AdjustVerdict(False, Reason.NOT_FREE)
+                return Reason.NOT_FREE
             span = self.ledger.sandbox_span(sb)
             if start != span[1] and end != span[0]:
-                return AdjustVerdict(False, Reason.NOT_CONTIGUOUS)
+                return Reason.NOT_CONTIGUOUS
             if self.ledger.sandbox_size(sb) + (end - start) > meta.max_memory:
-                return AdjustVerdict(False, Reason.QUOTA_EXCEEDED)
+                return Reason.QUOTA_EXCEEDED
         else:
             ivs = self.ledger.sandbox_intervals(sb)
             if not covers(ivs, region):
-                return AdjustVerdict(False, Reason.NOT_FREE)
+                return Reason.NOT_FREE
             span = (ivs[0][0], ivs[-1][1])
             if start != span[0] and end != span[1]:
-                return AdjustVerdict(False, Reason.NOT_CONTIGUOUS)
+                return Reason.NOT_CONTIGUOUS
             if self.ledger.sandbox_size(sb) - (end - start) < meta.base_bytes:
-                return AdjustVerdict(False, Reason.QUOTA_EXCEEDED)
-        return AdjustVerdict(True)
+                return Reason.QUOTA_EXCEEDED
+        return None
 
-    def attach_memory(self, sb: int, region: Tuple[int, int]) -> int:
-        self._consume_approval(sb, region, "attach")
+    def attach_memory(self, sb: int, region: Tuple[int, int]
+                      ) -> Tuple[AdjustVerdict, int]:
+        """Check, then act: (verdict, cost_ns). A refusal changes only the trace."""
+        verdict = self._verify_region(sb, region, "attach")
+        if not verdict.approved:
+            return verdict, 0
         ros_set = self.machine.table_sets[ROS_CTX]
         if self.defenses.legality_check:
             ros_set.unmap_range(region)
@@ -329,22 +325,20 @@ class Monitor:
         self.machine.table_sets[sb].map_range(region, stage2.Attr.NORMAL)
         self.ledger.add_ram(sb, region)
         self._trace("attach_memory", {"sandbox": sb, "region": list(region)})
-        return self.engine.charge(f"sb{sb}", "mem_inc")
+        return verdict, self.engine.charge(f"sb{sb}", "mem_inc")
 
-    def detach_memory(self, sb: int, region: Tuple[int, int]) -> int:
-        self._consume_approval(sb, region, "detach")
+    def detach_memory(self, sb: int, region: Tuple[int, int]
+                      ) -> Tuple[AdjustVerdict, int]:
+        """Check, then give region back to ROS, as `attach_memory`."""
+        verdict = self._verify_region(sb, region, "detach")
+        if not verdict.approved:
+            return verdict, 0
         self.machine.table_sets[sb].unmap_range(region)
         self.sanitize(region, new_owner=ROS_CTX)
         self.machine.table_sets[ROS_CTX].map_range(region, stage2.Attr.NORMAL)
         self.ledger.remove_ram(sb, region)
         self._trace("detach_memory", {"sandbox": sb, "region": list(region)})
-        return self.engine.charge(f"sb{sb}", "mem_dec")
-
-    def _consume_approval(self, sb: int, region, op: str) -> None:
-        key = (sb, region, op)
-        if key not in self._approvals:
-            raise VerdictError(f"{op} without an approved verdict")
-        self._approvals.discard(key)
+        return verdict, self.engine.charge(f"sb{sb}", "mem_dec")
 
     # -- sanitization -------------------------------------------------------
 
@@ -484,7 +478,6 @@ class Monitor:
         machine.destroy_table_set(sb)
         self.machine.cache_invalidate_owner(sb)
         self.sandboxes.pop(sb)
-        self._approvals = {key for key in self._approvals if key[0] != sb}
         cost = self.engine.charge(f"sb{sb}", "shutdown")
         self._trace("teardown", {"sandbox": sb, "devices": returned_devs})
         return cost, returned_devs
@@ -502,7 +495,6 @@ class Monitor:
                 for sb, m in sorted(sbs.items())),
             copy=dict,
         ),
-        _approvals=SET,
         _next_sandbox=copied(
             "known gap (ROADMAP Open item 2): the next id counts past launches; "
             "shuffled op orders reach 7,178 depth-8 states, not 7,172"

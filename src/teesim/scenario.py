@@ -428,6 +428,8 @@ def validate(s: Scenario) -> None:
     known = {HANDLE: set(), APP: {a for a, _ in s.apps},
              DEV: {p.dev_id for p in s.machine.peripherals}, WORKLOAD: WORKLOADS,
              DIRECTION: ("to_sandbox", "to_ros"), CORE: {c.value for c in CoreClass}}
+    if len(known[APP]) < len(s.apps):
+        raise ValidationError("an app id is registered twice")
 
     def lookup(t: str, name: str) -> str:
         if t == NEW:

@@ -54,7 +54,6 @@ SHARED = Field("shared")  # immutable or configuration: a clone holds the same o
 REWIRED = Field("rewired")
 KEYED = keyed()  # an immutable value, keyed as itself
 DICT = keyed(sorted_items, copy=dict)
-SET = keyed(lambda s: tuple(sorted(s)), copy=set)
 # A stateful object the owner holds alone: cloned and keyed by its own schema.
 NESTED = keyed(methodcaller("canonical"), copy=methodcaller("clone"))
 

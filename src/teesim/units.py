@@ -93,14 +93,17 @@ def format_size(nbytes: int) -> str:
 
 
 def parse_duration_ns(text: str) -> int:
-    """Parse '100ms', '2s', '23890ns', '5us' or bare nanoseconds."""
+    """Parse '100ms', '2s', '23890ns', '5us' or bare nanoseconds, finite and >= 0."""
     t = text.strip()
     for suffix, mult in (("ns", 1), ("us", US_NS), ("ms", MS_NS), ("s", S_NS)):
-        if t.endswith(suffix):
-            num = t[: -len(suffix)]
-            if num:
-                return int(round(float(num) * mult))
-    return int(t, 0)
+        if t.endswith(suffix) and t[: -len(suffix)]:
+            ns = float(t[: -len(suffix)]) * mult
+            break
+    else:
+        ns = int(t, 0)
+    if not 0 <= ns < float("inf"):
+        raise ValueError("must be finite and not negative")
+    return int(round(ns))
 
 
 def format_duration_ns(ns: int) -> str:

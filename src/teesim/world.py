@@ -339,11 +339,10 @@ class World:
                               "rejected", "NoAdjacentSpace")
             return False
         self.ros.alloc_contiguous(region, owner=sb)
-        verdict = self.monitor.verify_region_legality(sb, region, "attach")
+        verdict, cost = self.monitor.attach_memory(sb, region)
         if not verdict.approved:
             self.ros.cma.free(region)
             return False
-        cost = self.monitor.attach_memory(sb, region)
         self.metrics.adjust_count += 1
         self.metrics.adjust_latency_ns += cost
         rt.mem_pending = True
@@ -367,11 +366,10 @@ class World:
             return False
         region = self.detach_region(sb, nbytes)
         self.engine.charge(f"sb{sb}", "ipi_sb_to_ros")
-        verdict = self.monitor.verify_region_legality(sb, region, "detach")
+        verdict, cost = self.monitor.detach_memory(sb, region)
         if not verdict.approved:
             return False
         rt.account_to(self.engine.now_ns)
-        cost = self.monitor.detach_memory(sb, region)
         self.ros.cma.free_range(region, sb)
         rt._attached_bytes = max(0, rt._attached_bytes - nbytes)
         self.metrics.adjust_count += 1

@@ -74,10 +74,20 @@ def _machine(lines):
     (["run"], _machine("io_window = 4G")),
     (["run"], _machine("ram = 4G")),  # the io_window then overlaps RAM
     (["run"], _machine("core 0 big\ncore 0 little")),
+    (["run"], MINIMAL.replace("app demo demo-payload",
+                              "app demo demo-payload\napp demo other")),
+    (["run"], _machine("peripheral wifi kind=wifi mmio=3600M:3601M\n"
+                       "peripheral wifi kind=wifi mmio=3602M:3603M")),
+    (["run"], MINIMAL.replace("horizon = 3s", "horizon = -5s")),
+    (["run"], MINIMAL.replace("horizon = 3s", "horizon = infs")),
+    (["run"], MINIMAL.replace("at 0ms create", "at -1ns create")),
     (["run", "--replay"], "garbage\n"),
     (["run", "--replay"], json.dumps({"schema": "teesim-trace/1"}) + "\n"),
+    (["run", "--replay"], json.dumps({"scenario": 5}) + "\n"),
 ], ids=["directive", "horizon", "seed", "ram", "io_window", "ram_over_io",
-        "duplicate_core", "replay_garbage", "replay_no_scenario"])
+        "duplicate_core", "duplicate_app", "duplicate_peripheral",
+        "negative_horizon", "infinite_horizon", "negative_time",
+        "replay_garbage", "replay_no_scenario", "replay_scenario_not_text"])
 def test_malformed_directive_value_exit_code(tmp_path, capsys, argv, text):
     """A malformed value, an invalid machine or a file that is not a trace
     is reported, not raised: exit 2, the 'violations found' code being 1."""

@@ -13,10 +13,9 @@ from teesim.errors import (
     QuotaExceeded,
     ResourceBusy,
     TooManySandboxes,
-    VerdictError,
 )
 from teesim.hw_model import ROS_CTX, default_config
-from teesim.monitor import Defenses, Reason
+from teesim.monitor import AdjustVerdict, Defenses, Reason
 from teesim.stage2 import Attr
 from teesim.units import MB, MS_NS, PAGE_4K
 from teesim.world import World
@@ -62,30 +61,42 @@ def test_tampered_image_rejected_and_ledger_untouched():
     assert not w.monitor.sandboxes
 
 
+def refused(w, op, sb, region):
+    """The reason the monitor refuses an attach or detach, checked to change
+    nothing but its one verify_region record."""
+    before, seen = w.canonical(), len(w.engine.records)
+    verdict, cost = getattr(w.monitor, f"{op}_memory")(sb, region)
+    assert not verdict.approved and cost == 0
+    assert w.canonical() == before
+    [record] = w.engine.records[seen:]
+    assert (record["op"], record["verdict"], record["reason"]) == \
+        ("verify_region", "rejected", verdict.reason.value)
+    assert record["args"] == {"sandbox": sb, "region": list(region), "op": op}
+    return verdict.reason
+
+
 def test_attach_verdicts():
     w = fresh_world()
     a = w.create_sandbox("demo", max_memory=512 * MB)
     mon = w.monitor
     span_a = mon.ledger.sandbox_span(a)
     adjacent = (span_a[1], span_a[1] + 16 * MB)
-    assert mon.verify_region_legality(a, adjacent, "attach").approved
+    assert mon.attach_memory(a, adjacent) == (AdjustVerdict(True), 54 * MS_NS)
+    assert mon.detach_memory(a, adjacent) == (AdjustVerdict(True), 56 * MS_NS)
 
     # first-fit places the next sandbox right above a, so the same region
     # now belongs to someone else: the classic malicious-ROS overlap
     w.create_sandbox("demo")
-    v = mon.verify_region_legality(a, adjacent, "attach")
-    assert not v.approved and v.reason is Reason.OVERLAP
+    assert refused(w, "attach", a, adjacent) is Reason.OVERLAP
 
     far = (span_a[1] + 384 * MB, span_a[1] + 400 * MB)
-    v = mon.verify_region_legality(a, far, "attach")
-    assert not v.approved and v.reason is Reason.NOT_CONTIGUOUS
+    assert refused(w, "attach", a, far) is Reason.NOT_CONTIGUOUS
 
-    v = mon.verify_region_legality(a, (span_a[1], span_a[1] + MB), "attach")
-    assert not v.approved and v.reason is Reason.BAD_ALIGNMENT
+    misaligned = (span_a[1], span_a[1] + MB)
+    assert refused(w, "attach", a, misaligned) is Reason.BAD_ALIGNMENT
 
     below_huge = (span_a[0] - 448 * MB, span_a[0])
-    v = mon.verify_region_legality(a, below_huge, "attach")
-    assert not v.approved and v.reason is Reason.QUOTA_EXCEEDED
+    assert refused(w, "attach", a, below_huge) is Reason.QUOTA_EXCEEDED
 
 
 def test_detach_verdicts():
@@ -94,18 +105,15 @@ def test_detach_verdicts():
     mon = w.monitor
     span = mon.ledger.sandbox_span(a)
     region = (span[1], span[1] + 16 * MB)
-    mon.verify_region_legality(a, region, "attach")
-    mon.attach_memory(a, region)
+    assert mon.attach_memory(a, region)[0].approved
 
     middle = (span[0] + 2 * MB, span[0] + 4 * MB)
-    v = mon.verify_region_legality(a, middle, "detach")
-    assert not v.approved and v.reason is Reason.NOT_CONTIGUOUS
+    assert refused(w, "detach", a, middle) is Reason.NOT_CONTIGUOUS
 
     too_much = (span[0], span[1] + 16 * MB)
-    v = mon.verify_region_legality(a, too_much, "detach")
-    assert not v.approved and v.reason is Reason.QUOTA_EXCEEDED
+    assert refused(w, "detach", a, too_much) is Reason.QUOTA_EXCEEDED
 
-    assert mon.verify_region_legality(a, region, "detach").approved
+    assert mon.detach_memory(a, region)[0].approved
 
 
 def test_attach_detach_roundtrip_restores_state():
@@ -116,20 +124,43 @@ def test_attach_detach_roundtrip_restores_state():
     tables = {c: t.canonical() for c, t in w.machine.table_sets.items()}
     span = mon.ledger.sandbox_span(a)
     region = (span[1], span[1] + 16 * MB)
-    mon.verify_region_legality(a, region, "attach")
     mon.attach_memory(a, region)
-    mon.verify_region_legality(a, region, "detach")
     mon.detach_memory(a, region)
     assert mon.ledger.canonical() == led
     assert {c: t.canonical() for c, t in w.machine.table_sets.items()} == tables
 
 
-def test_attach_without_verdict_is_protocol_misuse():
+def test_refused_adjustment_changes_only_its_record():
+    """Every refusal reason of an attach and of a detach leaves the ledger,
+    table sets, TLBs, cache and CMA as they were, with warm TLB entries and
+    cache lines over the refused region; an unknown sandbox is refused
+    before any record."""
     w = fresh_world()
     a = w.create_sandbox("demo")
+    w.create_sandbox("demo")  # first-fit: right above a
     span = w.monitor.ledger.sandbox_span(a)
-    with pytest.raises(VerdictError):
-        w.monitor.attach_memory(a, (span[1], span[1] + 16 * MB))
+    ram = w.machine.config.ram_bytes
+    cases = [
+        ("attach", (span[1], span[1] + MB), Reason.BAD_ALIGNMENT),
+        ("attach", (span[1], span[1] + 2 * MB), Reason.OVERLAP),
+        ("attach", (ram, ram + 2 * MB), Reason.NOT_FREE),
+        ("attach", (span[0] - 64 * MB, span[0] - 32 * MB), Reason.NOT_CONTIGUOUS),
+        ("attach", (span[0] - 512 * MB, span[0]), Reason.QUOTA_EXCEEDED),
+        ("detach", (span[1] - MB, span[1]), Reason.BAD_ALIGNMENT),
+        ("detach", (span[1] - 2 * MB, span[1] + 2 * MB), Reason.NOT_FREE),
+        ("detach", (span[0] + 2 * MB, span[0] + 4 * MB), Reason.NOT_CONTIGUOUS),
+        ("detach", (span[1] - 2 * MB, span[1]), Reason.QUOTA_EXCEEDED),
+    ]
+    for op, region, reason in cases:
+        for ctx, pa in ((ROS_CTX, region[0]), (a, region[1] - 1)):
+            w.probe_translate(ctx, pa)
+            w.machine.cache_fill(ctx, pa)
+        assert refused(w, op, a, region) is reason, (op, region)
+    seen = len(w.engine.records)
+    for op in ("attach", "detach"):
+        with pytest.raises(BadState):
+            getattr(w.monitor, f"{op}_memory")(99, (span[1], span[1] + 2 * MB))
+    assert len(w.engine.records) == seen
 
 
 def test_attach_costs_match_table():
@@ -137,10 +168,8 @@ def test_attach_costs_match_table():
     a = w.create_sandbox("demo")
     span = w.monitor.ledger.sandbox_span(a)
     region = (span[1], span[1] + 16 * MB)
-    w.monitor.verify_region_legality(a, region, "attach")
-    w.monitor.attach_memory(a, region)
-    w.monitor.verify_region_legality(a, region, "detach")
-    w.monitor.detach_memory(a, region)
+    assert w.monitor.attach_memory(a, region)[1] == 54 * MS_NS
+    assert w.monitor.detach_memory(a, region)[1] == 56 * MS_NS
     assert cost_records(w, "mem_inc") == [54 * MS_NS]
     assert cost_records(w, "mem_dec") == [56 * MS_NS]
 
@@ -248,7 +277,6 @@ def test_sanitize_then_translate_faults():
     span = w.monitor.ledger.sandbox_span(a)
     region = (span[1], span[1] + 16 * MB)
     w.probe_translate(ROS_CTX, region[0])
-    w.monitor.verify_region_legality(a, region, "attach")
     w.monitor.attach_memory(a, region)
     assert not w.probe_translate(ROS_CTX, region[0]).hit
 
@@ -260,7 +288,6 @@ def test_teardown_restores_prelaunch_ledger():
     a = w.create_sandbox("demo", max_cores=3)
     span = w.monitor.ledger.sandbox_span(a)
     region = (span[1], span[1] + 16 * MB)
-    w.monitor.verify_region_legality(a, region, "attach")
     w.monitor.attach_memory(a, region)
     for _ in range(2):
         w._request_core_increase(a, None)
@@ -319,17 +346,15 @@ def test_verdict_soundness_randomized():
             else:
                 size = 16 * MB
                 region = (span[1] - size, span[1])
-            op = "attach" if grow else "detach"
-            verdict = w.monitor.verify_region_legality(sb, region, op)
+            adjust = w.monitor.attach_memory if grow else w.monitor.detach_memory
+            verdict, _ = adjust(sb, region)
             if not verdict.approved:
                 continue
             if grow:
-                w.monitor.attach_memory(sb, region)
                 for b in range(region[0] // (2 * MB), region[1] // (2 * MB)):
                     assert b not in blocks, "oracle: overlap approved"
                     blocks[b] = sb
             else:
-                w.monitor.detach_memory(sb, region)
                 for b in range(region[0] // (2 * MB), region[1] // (2 * MB)):
                     assert blocks.pop(b) == sb
             assert not check_excl_contig(w), "invariant broke after approved op"
@@ -351,7 +376,7 @@ def test_attach_without_legality_check_refuses_before_unmapping():
     assert ros.translate(channel[0] - PAGE_4K).attr is Attr.NORMAL
     region = (channel[0] - 2 * MB, channel[0] + PAGE_4K)
     before = ros.canonical()
-    assert w.monitor.verify_region_legality(sb, region, "attach").approved
     with pytest.raises(AlignmentError):
         w.monitor.attach_memory(sb, region)
     assert ros.canonical() == before
+    assert w.engine.records[-1]["verdict"] == "approved"

@@ -189,8 +189,7 @@ def test_channel_immutable_until_teardown():
     ch = w.monitor.ledger.shared_channels[sb]
     span = w.monitor.ledger.sandbox_span(sb)
     region = (span[1], span[1] + 16 * MB)
-    w.monitor.verify_region_legality(sb, region, "attach")
-    w.monitor.attach_memory(sb, region)
+    assert w.monitor.attach_memory(sb, region)[0].approved
     assert w.monitor.ledger.shared_channels[sb] == ch
     w.terminate(sb)
     assert sb not in w.monitor.ledger.shared_channels

@@ -14,7 +14,6 @@ from teesim.ros import CmaPool, RosActor
 from teesim.scenario import make_random_scenario, run_scenario
 from teesim.sos import Idle, SandboxRuntime
 from teesim.stage2 import Stage2TableSet
-from teesim.units import BLOCK_2M
 from teesim.world import World
 
 STATEFUL = {Stage2TableSet, Machine, ResourceLedger, Monitor, CmaPool,
@@ -130,15 +129,3 @@ def test_clone_rewires_back_references():
     assert mon.engine is ros.engine is other.engine
     assert ros.monitor is mon and mon.driver_states is ros.driver_states
     assert other.canonical() == world.canonical()
-
-
-def test_pending_approval_is_part_of_the_key():
-    world = make_small_world()
-    sb = world.create_sandbox("w", max_memory=8 * BLOCK_2M)
-    span = world.monitor.ledger.sandbox_span(sb)
-    other = world.clone()
-    region = (span[1], span[1] + BLOCK_2M)
-    assert other.monitor.verify_region_legality(sb, region, "attach").approved
-    assert other.canonical() != world.canonical()
-    other.monitor.attach_memory(sb, region)
-    assert other.monitor._approvals == set()
