@@ -69,7 +69,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:
@@ -83,8 +83,7 @@ def main(argv=None) -> int:
 
 
 def _load_scenario(path: str):
-    text = Path(path).read_text()
-    return parse(text)
+    return parse(Path(path).read_text())
 
 
 def cmd_run(args) -> int:

@@ -87,36 +87,29 @@ class MachineConfig:
         return None
 
 
+_IO_BASE = 3584 * MB
+_DEFAULT_CONFIG = MachineConfig(
+    ram_bytes=3584 * MB,
+    io_window=(_IO_BASE, 4 * GB),
+    cores=tuple((i, CoreClass.LITTLE if i < 4 else CoreClass.BIG) for i in range(8)),
+    peripherals=(
+        PeripheralDesc("gpu", DevKind.GPU, (_IO_BASE, _IO_BASE + 64 * KB),
+                       dma_capable=True, independent=True, always_busy_in_ros=True),
+        PeripheralDesc("wifi", DevKind.WIFI, (_IO_BASE + 64 * KB, _IO_BASE + 128 * KB),
+                       dma_capable=True),
+        PeripheralDesc("bluetooth", DevKind.BLUETOOTH,
+                       (_IO_BASE + 128 * KB, _IO_BASE + 192 * KB)),
+        # Shares a bus driver, so it can never be switched out of ROS.
+        PeripheralDesc("usb", DevKind.OTHER, (_IO_BASE + 192 * KB, _IO_BASE + 256 * KB),
+                       independent=False),
+    ),
+)
+
+
 def default_config() -> MachineConfig:
     """The 8-core big.LITTLE platform: 4GB address space, RAM below 3.5GB,
-    peripheral IO window above it."""
-    io_base = 3584 * MB
-    return MachineConfig(
-        ram_bytes=3584 * MB,
-        io_window=(io_base, 4 * GB),
-        cores=tuple(
-            (i, CoreClass.LITTLE if i < 4 else CoreClass.BIG) for i in range(8)
-        ),
-        peripherals=(
-            PeripheralDesc(
-                "gpu", DevKind.GPU, (io_base, io_base + 64 * KB),
-                dma_capable=True, independent=True, always_busy_in_ros=True,
-            ),
-            PeripheralDesc(
-                "wifi", DevKind.WIFI, (io_base + 64 * KB, io_base + 128 * KB),
-                dma_capable=True,
-            ),
-            PeripheralDesc(
-                "bluetooth", DevKind.BLUETOOTH,
-                (io_base + 128 * KB, io_base + 192 * KB),
-            ),
-            # Shares a bus driver, so it can never be switched out of ROS.
-            PeripheralDesc(
-                "usb", DevKind.OTHER, (io_base + 192 * KB, io_base + 256 * KB),
-                independent=False,
-            ),
-        ),
-    )
+    peripheral IO window above it; one frozen instance serves every caller."""
+    return _DEFAULT_CONFIG
 
 
 def small_config() -> MachineConfig:

@@ -259,7 +259,10 @@ class Monitor:
             boot_core=spec.core_id,
             max_cores=spec.max_cores,
             max_memory=spec.max_memory,
-            booted_digest=digest64(plaintext),
+            # A verified image boots as registered; only an unchecked one
+            # needs its digest taken.
+            booted_digest=self.store.digest_of(spec.app_id) if attested
+            else digest64(plaintext),
             attested=attested,
         )
         boot_ns = self.engine.charge(f"sb{sb}", "boot")

@@ -176,6 +176,9 @@ class Directive:
     # slots, by name, and the positionals past the slots, which are flags.
     named: Dict[str, str] = field(compare=False, repr=False)
     flags: Tuple[str, ...] = field(compare=False, repr=False)
+    # Every argument's value as `validate` reads it, once, with the workload
+    # built and each handle left as its name; the runner resolves those.
+    values: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -268,7 +271,7 @@ def parse(text: str) -> Scenario:
             machine_lines.append((lineno, line))
         elif section == "apps":
             try:
-                tokens = shlex.split(line)
+                tokens = _split_words(line)
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
             if len(tokens) != 3 or tokens[0] != "app":
@@ -281,6 +284,15 @@ def parse(text: str) -> Scenario:
                         timeline=tuple(timeline), **header)
     validate(scenario)
     return scenario
+
+
+def _split_words(line: str) -> List[str]:
+    """`shlex.split(line)`, which a line of words between single spaces,
+    with no quote or backslash, needs no lexer for."""
+    words = line.split()
+    if " ".join(words) == line and not any(c in line for c in "'\"\\"):
+        return words
+    return shlex.split(line)
 
 
 def _split_kv(line: str, lineno: int, keys: dict, section: str):
@@ -340,7 +352,7 @@ def _parse_machine(machine_lines) -> MachineConfig:
         fields["cores"] = tuple(cores)
     if peripherals:
         fields["peripherals"] = tuple(peripherals)
-    return dataclasses.replace(default_config(), **fields)
+    return dataclasses.replace(default_config(), **fields) if fields else default_config()
 
 
 def _parse_directive(line: str, lineno: int) -> Directive:
@@ -446,7 +458,7 @@ def validate(s: Scenario) -> None:
         if d.kind not in DIRECTIVES:
             raise ValidationError(f"unknown directive {d.kind!r}")
         try:
-            _read(d, lookup)
+            d.values.update(_read(d, lookup))
         except ValueError as exc:
             raise ValidationError(f"bad {d.kind} argument: {exc}") from None
 
@@ -485,9 +497,7 @@ class RunResult:
         if self.world.metrics.attacks_unblocked or self.world.metrics.leaked_bytes:
             self.first_seen.setdefault("attack", at)
 
-    def _lookup(self, t: str, name: str):
-        if t != HANDLE:
-            return name
+    def _sandbox(self, name: str) -> int:
         sb = self.handles.get(name)
         if sb is None or self.world.state_of(sb) == "dead":
             raise NoSuchSandbox(name)
@@ -497,7 +507,10 @@ class RunResult:
         """The event of timeline directive i; check records its findings."""
         world = self.world
         try:
-            values = _read(d, self._lookup)
+            # Only a handle the line gives names a sandbox; a defaulted one
+            # stays None.
+            values = {k: self._sandbox(v) if k in d.named and TYPES[k] == HANDLE else v
+                      for k, v in d.values.items()}
             out = DIRECTIVES[d.kind][2](world, **values)
             if "new" in values:
                 self.handles[values["new"]] = out

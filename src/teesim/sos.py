@@ -13,8 +13,9 @@ any ownership schedule.
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, groupby
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate, chain, groupby, repeat
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import BadState
 from .state import DICT, KEYED, SHARED, Schema, copied
@@ -34,6 +35,12 @@ RELEASE_WINDOW_SAMPLES = 50    # 5 s
 INCREASE_THRESHOLD_PERMILLE = 990
 RELEASE_THRESHOLD_PERMILLE = 400
 HYSTERESIS_NS = 1 * S_NS
+
+# The rule's thresholds as window totals: an average above the increase
+# threshold, and a full window's average below the release threshold.
+_INCREASE_TOTAL = (INCREASE_THRESHOLD_PERMILLE + 1) * INCREASE_WINDOW_SAMPLES
+_RELEASE_TOTAL = RELEASE_THRESHOLD_PERMILLE * RELEASE_WINDOW_SAMPLES
+_AGGREGATE = itemgetter(0)  # of a usage sample
 
 MEM_GRANULE = 16 * MB
 
@@ -55,6 +62,11 @@ class Workload:
 
     def working_set_bytes(self, i: int) -> int:
         return 0
+
+    def run_starts(self) -> Tuple[int, ...]:
+        """The first chunk of each run of chunks over one working set, then
+        the chunk count: one run here, every working set being 0."""
+        return (0, self.chunks()) if self.chunks() else (0,)
 
 
 @dataclass(frozen=True)
@@ -99,6 +111,12 @@ class CipherQuery(Workload):
     def working_set_bytes(self, i: int) -> int:
         return self.file_sizes[i // self.queries_per_file]
 
+    def run_starts(self) -> Tuple[int, ...]:
+        # A run is the queries of one file, or of neighbouring equal files.
+        q = self.queries_per_file
+        return tuple(accumulate((q * len(list(run)) for _, run in groupby(self.file_sizes)
+                                 if q), initial=0))
+
     def query_scaled(self, file_bytes: int, cache_bytes: int) -> int:
         whole_mb = -(-file_bytes // MB)
         uncached_mb = -(-max(0, file_bytes - cache_bytes) // MB)
@@ -120,28 +138,80 @@ class MemRequest:
     nbytes: int
 
 
-class UsageSums:
-    """What the CPU monitor reads from a usage window, which `append` slides
-    on: the last INCREASE_WINDOW_SAMPLES aggregates' total and, per given
-    core, the count and total of the samples taken while it was owned."""
+class UsageWindow:
+    """The CPU monitor's window: the last RELEASE_WINDOW_SAMPLES usage
+    samples, each (aggregate, {core: permille}), oldest first, kept as runs
+    of equal samples, (sample, count): a tick appends one sample, and a fold
+    appends copies of the last one."""
 
-    def __init__(self, usage: deque, cores: List[int]):
-        self.window = usage
-        self.recent = sum([a for a, _ in list(usage)[-INCREASE_WINDOW_SAMPLES:]])
-        self.owned, self.total = {}, {}
-        for c in cores:
-            vals = [pc[c] for _, pc in usage if c in pc]
-            self.owned[c], self.total[c] = len(vals), sum(vals)
+    def __init__(self):
+        self.runs: deque = deque()
+        self.count = 0
 
-    def append(self, sample: Tuple[int, Dict[int, int]]) -> None:
-        w, (agg, new) = self.window, sample
-        old = w[0][1] if len(w) == w.maxlen else {}
-        self.recent += agg - (w[-INCREASE_WINDOW_SAMPLES][0]
-                              if len(w) >= INCREASE_WINDOW_SAMPLES else 0)
-        for cid in self.owned:
-            self.owned[cid] += (cid in new) - (cid in old)
-            self.total[cid] += new.get(cid, 0) - old.get(cid, 0)
-        w.append(sample)
+    def copy(self) -> "UsageWindow":
+        twin = UsageWindow()
+        twin.runs, twin.count = deque(self.runs), self.count
+        return twin
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator:
+        return chain.from_iterable(repeat(sample, n) for sample, n in self.runs)
+
+    def append(self, sample: Tuple[int, Dict[int, int]], copies: int = 1) -> None:
+        runs = self.runs
+        if runs and runs[-1][0] == sample:
+            runs[-1] = (sample, runs[-1][1] + copies)
+        else:
+            runs.append((sample, copies))
+        self.count += copies
+        while self.count > RELEASE_WINDOW_SAMPLES:  # the oldest go
+            oldest, n = runs.popleft()
+            excess = self.count - RELEASE_WINDOW_SAMPLES
+            if n > excess:
+                runs.appendleft((oldest, n - excess))
+            self.count -= min(n, excess)
+
+    def repeat_last(self, copies: int) -> None:
+        self.append(self.runs[-1][0], min(copies, RELEASE_WINDOW_SAMPLES))
+
+    def ahead(self, width: int, value: Callable) -> Tuple[int, List[Tuple[int, int]]]:
+        """The total of value over the last `width` samples as they stand,
+        and how further copies of the last sample move it: (step, copies)
+        in turn, a copy adding its value and, once `width` are held, taking
+        off the oldest's. Past those copies the total stays."""
+        runs = reversed(self.runs)
+        sample, n = next(runs)
+        last = value(sample)
+        total, room, steps = last * min(n, width), width - n, []
+        for sample, n in runs:  # newest first, while within the last width
+            if room <= 0:
+                break
+            v, n = value(sample), min(n, room)
+            total += v * n
+            steps.append((last - v, n))
+            room -= n
+        if room > 0:  # the copies that fill a short window take nothing off
+            steps.append((last, room))
+        return total, steps[::-1]
+
+
+def _first_reaching(total: int, steps: List[Tuple[int, int]], first: int, last: int,
+                    bound: int) -> Optional[int]:
+    """The first j in first..last at which a total moved by j copies, as
+    `UsageWindow.ahead` gives it, is at least bound; None if at none."""
+    j = 0
+    for step, n in steps:
+        lo = max(first, j)
+        if lo <= min(last, j + n):
+            if total + step * (lo - j) >= bound:
+                return lo
+            if step > 0 and j - (total - bound) // step <= min(last, j + n):
+                return j - (total - bound) // step
+        total, j = total + step * n, j + n
+    lo = max(first, j)
+    return lo if lo <= last and total >= bound else None
 
 
 # Past terminating a runtime leaves the world (`World._dead`).
@@ -178,7 +248,7 @@ class SandboxRuntime:
         self.work_started_ns: Optional[int] = None
         self.work_finished_ns: Optional[int] = None
         self._last_account_ns: Optional[int] = None
-        self.usage = deque(maxlen=RELEASE_WINDOW_SAMPLES)  # (agg, {core: permille})
+        self.usage = UsageWindow()
         self.hysteresis_until_ns = 0
 
     # -- state machine -----------------------------------------------------
@@ -201,13 +271,9 @@ class SandboxRuntime:
     def rate_mu_ms(self) -> int:
         """Aggregate compute rate over owned cores (boot core only for
         non-parallelizable work), GPU factor applied."""
-        if self.workload.parallelizable:
-            classes = list(self.cores.values())
-        else:
-            classes = [self.cores[self.boot_core]]
-        rate = sum(
-            BIG_RATE_MU_MS if c == "big" else LITTLE_RATE_MU_MS for c in classes
-        )
+        classes = self.cores.values() if self.workload.parallelizable \
+            else (self.cores[self.boot_core],)
+        rate = sum(BIG_RATE_MU_MS if c == "big" else LITTLE_RATE_MU_MS for c in classes)
         if "gpu" in self.devices.values():
             rate = rate * self.workload.gpu_speedup_pct // 100
         return rate
@@ -226,9 +292,7 @@ class SandboxRuntime:
         total). Only the costs depend on the cache."""
         w, cache = self.workload, self._cache_bytes()
         if self._prefix[0] is not w:
-            runs = groupby(map(w.working_set_bytes, range(w.chunks())))
-            self._prefix = (w, None, tuple(accumulate(
-                (len(list(run)) for _, run in runs), initial=0)))
+            self._prefix = (w, None, w.run_starts())
         if self._prefix[1] != cache:
             starts = self._prefix[2]
             costs = tuple(max(0, w.chunk_scaled(i, cache)) for i in starts[:-1]) + (0,)
@@ -250,14 +314,14 @@ class SandboxRuntime:
     def working_set_bytes(self) -> int:
         return self.workload.working_set_bytes(self._chunk) if self.busy() else 0
 
-    def used_bytes(self) -> int:
-        """Memory the runtime is actually using: the OS image footprint plus
-        whatever part of the working set fits the cache allocation."""
+    def used_bytes(self, working_set: int) -> int:
+        """Memory the runtime is actually using, given its working set: the
+        OS image footprint plus whatever part of it fits the cache
+        allocation."""
         cache_base = self.workload.cache_base_bytes
         if cache_base is None:
             return self.base_bytes
-        return self.base_bytes - cache_base + min(self.working_set_bytes(),
-                                                  self._cache_bytes())
+        return self.base_bytes - cache_base + min(working_set, self._cache_bytes())
 
     def step_workload(self, dt_ns: int) -> int:
         """Consume work for dt at the current rate; returns scaled work done."""
@@ -312,10 +376,11 @@ class SandboxRuntime:
 
     def sample_usage(self, now_ns: int, busy_ns_in_window: int) -> None:
         permille = min(1000, busy_ns_in_window * 1000 // USAGE_SAMPLE_NS)
-        per_core: Dict[int, int] = {}
-        parallel = self.workload.parallelizable
-        for cid in self.cores:
-            per_core[cid] = permille if (parallel or cid == self.boot_core) else 0
+        if self.workload.parallelizable:
+            per_core = dict.fromkeys(self.cores, permille)
+        else:
+            per_core = {cid: permille if cid == self.boot_core else 0
+                        for cid in self.cores}
         agg = sum(per_core.values()) // max(1, len(per_core))
         self.usage.append((agg, per_core))
 
@@ -326,47 +391,59 @@ class SandboxRuntime:
 
     def _cores_fixed(self) -> bool:
         """The CPU monitor can neither grow nor release a core."""
-        return len(self.cores) >= self.max_cores and not self.surplus_cores()
+        return len(self.cores) >= self.max_cores and self.cores.keys() <= {self.boot_core}
 
     def monitor_cpu(self, now_ns: int) -> Optional[AdjustRequest]:
         # Every request needs at least INCREASE_WINDOW_SAMPLES samples.
         if self.state != "running" or now_ns < self.hysteresis_until_ns \
                 or len(self.usage) < INCREASE_WINDOW_SAMPLES or self._cores_fixed():
             return None
-        return self.cpu_request(UsageSums(self.usage, self.surplus_cores()))
+        return self.cpu_request(0, 0)[1]
 
-    def cpu_request(self, sums: UsageSums) -> Optional[AdjustRequest]:
-        """The CPU monitor's request on a window's sums, hysteresis aside."""
-        if len(sums.window) >= INCREASE_WINDOW_SAMPLES and len(self.cores) < self.max_cores \
-                and sums.recent // INCREASE_WINDOW_SAMPLES > INCREASE_THRESHOLD_PERMILLE:
-            return AdjustRequest("increase_core", core_class=self.cores[self.boot_core])
-        for cid, n in sums.owned.items():
-            if n >= RELEASE_WINDOW_SAMPLES and \
-                    sums.total[cid] // n < RELEASE_THRESHOLD_PERMILLE:
-                return AdjustRequest("release_core", core_id=cid)
-        return None
+    def cpu_request(self, first: int, last: int
+                    ) -> Tuple[Optional[int], Optional[AdjustRequest]]:
+        """The CPU monitor's rule, hysteresis aside, asked of the window with
+        j more copies of its last sample for each j in first..last: the first
+        such j that raises a request, and the request; (None, None) if none
+        does. It asks for a core when the last INCREASE_WINDOW_SAMPLES
+        aggregates average above INCREASE_THRESHOLD_PERMILLE, and gives back
+        a surplus core that a full window saw owned throughout at an average
+        below RELEASE_THRESHOLD_PERMILLE."""
+        w, found = self.usage, []
+        if len(self.cores) < self.max_cores:
+            j = _first_reaching(*w.ahead(INCREASE_WINDOW_SAMPLES, _AGGREGATE),
+                                max(first, INCREASE_WINDOW_SAMPLES - len(w)), last,
+                                _INCREASE_TOTAL)
+            if j is not None:
+                found.append((j, AdjustRequest("increase_core",
+                                               core_class=self.cores[self.boot_core])))
+        for cid in self.surplus_cores():
+            owned = 0  # the samples at the window's end taken while cid was owned
+            for sample, n in reversed(w.runs):
+                if cid not in sample[1]:
+                    break
+                owned += n
+            # From j = RELEASE_WINDOW_SAMPLES - owned on, a full window saw cid
+            # owned throughout. Its total is below the bound when the negated
+            # total is at least 1 - bound.
+            start = max(first, RELEASE_WINDOW_SAMPLES - owned)
+            j = _first_reaching(*w.ahead(RELEASE_WINDOW_SAMPLES, lambda s: -s[1].get(cid, 0)),
+                                start, last, 1 - _RELEASE_TOTAL) \
+                if owned and start <= last else None
+            if j is not None:
+                found.append((j, AdjustRequest("release_core", core_id=cid)))
+        return min(found, key=itemgetter(0), default=(None, None))
 
     def ticks_before_request(self, now_ns: int, count: int) -> int:
         """How many of the count ticks after now_ns, each appending the
         window's last sample, pass before the first one at or past the
-        hysteresis end that raises a CPU request. Once the window is full of
-        that sample, every later tick asks the same question."""
+        hysteresis end that raises a CPU request: one question to
+        `cpu_request`, over those ticks."""
         if self._cores_fixed():
             return count
-        sample, sums = self.usage[-1], UsageSums(
-            deque(self.usage, maxlen=RELEASE_WINDOW_SAMPLES), self.surplus_cores())
-        run = next((k for k, s in enumerate(reversed(self.usage)) if s != sample),
-                   len(self.usage))  # the samples already equal to it
-        for j in range(1, count + 1):
-            if run + j <= RELEASE_WINDOW_SAMPLES:  # else it is full of sample
-                sums.append(sample)
-            if now_ns + j * USAGE_SAMPLE_NS < self.hysteresis_until_ns:
-                continue
-            if self.cpu_request(sums) is not None:
-                return j - 1
-            if run + j >= RELEASE_WINDOW_SAMPLES:
-                break
-        return count
+        first = max(1, -(-(self.hysteresis_until_ns - now_ns) // USAGE_SAMPLE_NS))
+        j = self.cpu_request(first, count)[0] if first <= count else None
+        return count if j is None else j - 1
 
     def monitor_memory(self, requested_bytes: int) -> Optional[MemRequest]:
         """Attach when the demanded bytes outgrow the owned dynamic memory,
@@ -402,7 +479,7 @@ class SandboxRuntime:
         mem_pending=copied("set and cleared inside one op in instant mode"),
         work_started_ns=copied(_CLOCK), work_finished_ns=copied(_CLOCK),
         _last_account_ns=copied(_CLOCK), hysteresis_until_ns=copied(_CLOCK),
-        usage=copied(_CLOCK, copy=lambda usage: deque(usage, maxlen=usage.maxlen)),
+        usage=copied(_CLOCK, copy=UsageWindow.copy),
     )
     clone = STATE.clone
     canonical = STATE.canonical

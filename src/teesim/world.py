@@ -208,10 +208,15 @@ class World:
         now = self.engine.now_ns
         tick = sos.USAGE_SAMPLE_NS
         rt.account_to(now)
-        busy_ns = self._busy_ns(rt, now)
+        busy = rt.busy()
+        busy_ns = self._busy_ns(rt, now, busy)
         rt.sample_usage(now, busy_ns)
-        self._sample_utilization(rt, busy_ns)
-        mem_req = rt.monitor_memory(rt.working_set_bytes())
+        working_set = rt.working_set_bytes()
+        # What this tick's utilization sample reads, before any request
+        # changes it; the sample is added once, for this tick and the folded.
+        alloc, ncores = self.monitor.ledger.sandbox_size(sb), len(rt.cores)
+        used = min(alloc, rt.used_bytes(working_set))
+        mem_req = rt.monitor_memory(working_set)
         if mem_req is not None:
             if mem_req.kind == "attach":
                 self._request_attach(sb, mem_req.nbytes)
@@ -225,23 +230,23 @@ class World:
                 self._request_core_release(sb, cpu_req.core_id)
         folded = 0
         if mem_req is None and cpu_req is None:
-            folded = self._quiescent_ticks(rt, now, busy_ns)
+            folded = self._quiescent_ticks(rt, now, busy, busy_ns)
             if folded:
-                self._sample_utilization(rt, busy_ns, folded)
                 rt.account_to(now + folded * tick)
-                rt.usage.extend([rt.usage[-1]] * min(folded, rt.usage.maxlen))
-        self.engine.schedule((folded + 1) * tick, self._tick, sb)
+                rt.usage.repeat_last(folded)
+        self._add_utilization(used, alloc, busy_ns, ncores, 1 + folded)
+        self.engine.schedule((1 + folded) * tick, self._tick, sb)
 
-    def _busy_ns(self, rt: SandboxRuntime, now: int) -> int:
-        """Busy time of rt in the tick window that ends at now."""
+    def _busy_ns(self, rt: SandboxRuntime, now: int, busy: bool) -> int:
+        """Busy time of rt in the tick window that ends at now; busy: whether
+        rt has work left."""
         busy_start = max(now - sos.USAGE_SAMPLE_NS, rt.work_started_ns or now)
-        busy_end = min(now, rt.work_finished_ns if rt.work_finished_ns is not None
-                       else now)
-        if rt.busy():
-            busy_end = now
+        busy_end = now if busy or rt.work_finished_ns is None \
+            else min(now, rt.work_finished_ns)
         return max(0, busy_end - busy_start)
 
-    def _quiescent_ticks(self, rt: SandboxRuntime, now: int, busy_ns: int) -> int:
+    def _quiescent_ticks(self, rt: SandboxRuntime, now: int, busy: bool,
+                         busy_ns: int) -> int:
         """How many of the ticks after the one at now would repeat it exactly.
 
         A tick that raised no request leaves everything the next tick reads
@@ -269,24 +274,21 @@ class World:
         # Busy time per window is monotone once work is over, and a full
         # window while the work runs, so equal at the next tick means equal
         # at every later one.
-        if self._busy_ns(rt, now + tick) != busy_ns:
+        if self._busy_ns(rt, now + tick, busy) != busy_ns:
             return 0
-        if rt.busy():
+        if busy:
             # A rate of 0 or less does no work, so any bound holds there.
             step = max(1, rt.rate_mu_ms()) * tick
             count = min(count, (rt.working_set_left_scaled() - 1) // step)
         return rt.ticks_before_request(now, count)
 
-    def _sample_utilization(self, rt: SandboxRuntime, busy_ns: int,
-                            ticks: int = 1) -> None:
-        span = sos.USAGE_SAMPLE_NS * ticks
-        alloc = self.monitor.ledger.sandbox_size(rt.id)
-        used = min(alloc, rt.used_bytes())
-        self.metrics.mem_used_integral += used * span
-        self.metrics.mem_alloc_integral += alloc * span
-        ncores = len(rt.cores)
-        self.metrics.core_busy_integral += busy_ns * ticks * ncores
-        self.metrics.core_alloc_integral += span * ncores
+    def _add_utilization(self, used: int, alloc: int, busy_ns: int, ncores: int,
+                         ticks: int) -> None:
+        span, m = sos.USAGE_SAMPLE_NS * ticks, self.metrics
+        m.mem_used_integral += used * span
+        m.mem_alloc_integral += alloc * span
+        m.core_busy_integral += busy_ns * ticks * ncores
+        m.core_alloc_integral += span * ncores
 
     def _repredict(self, sb: int) -> None:
         rt = self.runtimes.get(sb)

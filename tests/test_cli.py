@@ -96,6 +96,15 @@ def test_malformed_directive_value_exit_code(tmp_path, capsys, argv, text):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["run"], ["run", "--replay"], ["compare"]],
+                         ids=["run", "replay", "compare"])
+def test_missing_input_file_exit_code(tmp_path, capsys, argv):
+    """A file that is not there is reported like a malformed one: exit 2."""
+    assert cli.main(argv + [str(tmp_path / "missing.scn")]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "missing.scn" in err and "Traceback" not in err
+
+
 def test_negative_gpu_speedup_exit_code(tmp_path, capsys):
     path = write(tmp_path, "bad.txt", MINIMAL.replace(
         "at 1500ms terminate sb1",

@@ -1,3 +1,6 @@
+import dataclasses
+import shlex
+
 import pytest
 
 from teesim import scenario as sc
@@ -457,3 +460,50 @@ def test_instant_header_key():
     assert res.world.engine.records[-1]["reason"] == "NoSuchSandbox"
     with pytest.raises(ParseError):
         sc.parse(text.replace("instant = true", "instant = yes"))
+
+
+# Directives that name sandboxes by handle, given and defaulted, one of them
+# dead by the time it runs.
+HANDLES = MINIMAL.replace("at 800ms workload sb1 idle\n", (
+    "at 0ms create sb2 app=demo cores=2\n"
+    "at 700ms workload sb2 inference images=3 units=200\n"
+    "at 800ms attack dma_bypass target=sb1\n"
+    "at 900ms attack cache_direct_attack\n"
+    "at 1000ms add_core sb2\n")) + "at 1600ms send sb1 to_ros 4096\n"
+
+
+def test_each_directive_is_read_once(monkeypatch):
+    """Validation reads every directive's values, and the runner reuses
+    them: one `_read` per directive over a parse and a run."""
+    read, reads = sc._read, []
+    monkeypatch.setattr(sc, "_read", lambda d, lookup: reads.append(d.kind)
+                        or read(d, lookup))
+    s = sc.parse(HANDLES)
+    sc.run_scenario(s)
+    assert reads == [d.kind for d in s.timeline]
+
+
+@pytest.mark.parametrize("text", [HANDLES, ADVERSARY_DIRECTIVES] + [
+    sc.serialize(sc.make_random_scenario(seed)) for seed in range(6)])
+def test_a_parsed_scenario_runs_again_like_a_fresh_parse(text):
+    """The values a parse keeps are never changed by a run: the scenario
+    runs again, and under the other mode as `compare` runs it, with the
+    trace digests of fresh parses."""
+    once = sc.parse(text)
+    for mode in ("leap", "tzasc"):
+        fresh = sc.run_scenario(dataclasses.replace(sc.parse(text), mode=mode))
+        again = [sc.run_scenario(dataclasses.replace(once, mode=mode)) for _ in range(2)]
+        assert [r.trace_digest for r in again] == [fresh.trace_digest] * 2
+
+
+@pytest.mark.parametrize("line", [
+    "app a b", "app a  b", " app a b", "app a b ", "app\ta b", "app a b\tc",
+    "app a 'b c'", 'app a "b c"', "app a b\\ c", "app a b\\", "app a b\fc",
+    "app a b\x0bc", "app a b\xa0c", "app a b\rc", "app a b\nc", "app a ''"])
+def test_apps_lines_split_as_shlex_splits(line):
+    def split(how):
+        try:
+            return how(line)
+        except ValueError as exc:
+            return str(exc)
+    assert split(sc._split_words) == split(shlex.split)

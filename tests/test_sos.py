@@ -16,7 +16,7 @@ from teesim.sos import (
     Idle,
     InferenceBatch,
     SandboxRuntime,
-    UsageSums,
+    UsageWindow,
     WORK_SCALE,
 )
 from teesim.units import MB, MS_NS, S_NS
@@ -352,28 +352,29 @@ def test_chunks_of_a_run_cost_the_same(workload):
             assert len({workload.chunk_scaled(i, cache) for i in run}) == 1, cache
 
 
+def _request(rt, window):
+    """The CPU monitor's rule, counted afresh over a window's samples."""
+    if len(window) >= INCREASE_WINDOW_SAMPLES and len(rt.cores) < rt.max_cores:
+        recent = list(window)[-INCREASE_WINDOW_SAMPLES:]
+        if sum(a for a, _ in recent) // INCREASE_WINDOW_SAMPLES > 990:
+            return "increase_core"
+    for cid in rt.surplus_cores():
+        vals = [pc[cid] for _, pc in window if cid in pc]
+        if len(vals) >= RELEASE_WINDOW_SAMPLES and sum(vals) // len(vals) < 400:
+            return "release_core"
+    return None
+
+
 def _copy_and_reask(rt, usage, now_ns, count):
     """The look-ahead the running sums replaced: append the last sample to a
     copy of the window once per tick and ask the whole rule again."""
-
-    def request(window):
-        if len(window) >= INCREASE_WINDOW_SAMPLES and len(rt.cores) < rt.max_cores:
-            recent = list(window)[-INCREASE_WINDOW_SAMPLES:]
-            if sum(a for a, _ in recent) // INCREASE_WINDOW_SAMPLES > 990:
-                return "increase_core"
-        for cid in rt.surplus_cores():
-            vals = [pc[cid] for _, pc in window if cid in pc]
-            if len(vals) >= RELEASE_WINDOW_SAMPLES and sum(vals) // len(vals) < 400:
-                return "release_core"
-        return None
-
     window, asked = deque(usage, maxlen=RELEASE_WINDOW_SAMPLES), 0
     for j in range(1, count + 1):
         window.append(usage[-1])
         if now_ns + j * USAGE_SAMPLE_NS < rt.hysteresis_until_ns:
             continue
         asked += 1
-        if request(window) is not None:
+        if _request(rt, window) is not None:
             return j - 1, asked
         if window.count(usage[-1]) == window.maxlen:
             break
@@ -390,20 +391,35 @@ _SAMPLES = st.builds(
 
 
 @given(window=st.lists(_SAMPLES, max_size=RELEASE_WINDOW_SAMPLES),
-       appended=st.lists(_SAMPLES, max_size=60))
+       appended=st.lists(st.tuples(_SAMPLES, st.integers(0, 60)), min_size=1,
+                         max_size=20),
+       ahead=st.integers(0, 60))
 @settings(derandomize=True, max_examples=200, deadline=None)
-def test_usage_sums_slide_like_sums_counted_afresh(window, appended):
-    """After each append the running sums equal the sums counted afresh
-    over the samples the window then holds."""
-    sums = UsageSums(deque(window, maxlen=RELEASE_WINDOW_SAMPLES), [4, 5, 6])
-    for k, sample in enumerate(appended, start=1):
-        sums.append(sample)
-        held = (window + appended[:k])[-RELEASE_WINDOW_SAMPLES:]
-        assert list(sums.window) == held
-        assert (sums.recent, sums.owned, sums.total) == (
-            sum(a for a, _ in held[-INCREASE_WINDOW_SAMPLES:]),
-            {c: sum(c in pc for _, pc in held) for c in (4, 5, 6)},
-            {c: sum(pc.get(c, 0) for _, pc in held) for c in (4, 5, 6)})
+def test_usage_sums_slide_like_sums_counted_afresh(window, appended, ahead):
+    """The window holds the last samples after each sample a tick appends
+    and the copies of it that a fold appends (`repeat_last`). Its sums, as
+    they stand and with further copies of the last sample, equal the sums
+    counted afresh over the samples it would then hold."""
+    usage, held = UsageWindow(), list(window)
+    for sample in window:
+        usage.append(sample)
+    for sample, copies in appended:
+        usage.append(sample)
+        usage.repeat_last(copies)
+        held = (held + [sample] * (1 + copies))[-RELEASE_WINDOW_SAMPLES:]
+        assert list(usage) == held and len(usage) == len(held)
+    for j in range(ahead + 1):
+        then = (held + [held[-1]] * j)[-RELEASE_WINDOW_SAMPLES:]
+        sums = [(INCREASE_WINDOW_SAMPLES, lambda s: s[0])] + [
+            (RELEASE_WINDOW_SAMPLES, f) for c in (4, 5, 6)
+            for f in (lambda s, c=c: c in s[1], lambda s, c=c: s[1].get(c, 0))]
+        for width, value in sums:
+            total, steps = usage.ahead(width, value)
+            copies = j
+            for step, n in steps:  # the copies move the total by each step in turn
+                total += step * min(n, copies)
+                copies -= min(n, copies)
+            assert total == sum(map(value, then[-width:]))
 
 
 @given(samples=st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=70),
@@ -413,18 +429,22 @@ def test_usage_sums_slide_like_sums_counted_afresh(window, appended):
 @settings(derandomize=True, max_examples=400, deadline=None)
 def test_lookahead_sums_match_copy_and_reask(samples, palette, surplus, max_cores,
                                              hysteresis_ms, count):
-    """Sliding the monitor's sums gives the copy-and-re-ask loop's answer and
-    asks the monitor no more often: it stops as soon as the window is full
-    of the repeated sample."""
+    """The rule gives the request counted afresh on the window as it
+    stands, and the look-ahead gives the copy-and-re-ask loop's answer,
+    asking the rule once at most, and not at all when the loop asks
+    nothing."""
     rt = _runtime(SandboxRuntime, Idle(), ("big",))
     rt.max_cores = max_cores
     rt.cores.update({c: "big" for c in surplus})
-    rt.usage.extend(palette[i] for i in samples)
+    for i in samples:
+        rt.usage.append(palette[i])
     now = 10 * S_NS
     rt.hysteresis_until_ns = now + hysteresis_ms * MS_NS
+    now_request = rt.cpu_request(0, 0)[1]
+    assert (now_request and now_request.kind) == _request(rt, list(rt.usage))
     asked = []
     request = rt.cpu_request
-    rt.cpu_request = lambda sums: asked.append(1) or request(sums)
-    want, want_asked = _copy_and_reask(rt, rt.usage, now, count)
+    rt.cpu_request = lambda *ticks: asked.append(1) or request(*ticks)
+    want, want_asked = _copy_and_reask(rt, list(rt.usage), now, count)
     assert rt.ticks_before_request(now, count) == want
-    assert len(asked) <= want_asked
+    assert len(asked) <= min(1, want_asked)

@@ -35,9 +35,17 @@ speed lands on both. Per tree it records:
   sum of `Engine.run_until`'s return values) by each suite of
   `teesim.bench.SUITES`, and their total; and over one pass of all suites,
   chunk costs computed (`chunk_scaled` calls of every workload class in
-  `teesim.sos`), the CPU monitor's questions asked by the tick fold's
-  look-ahead (`cpu_request` calls inside `World._quiescent_ticks`) and
-  completion events dispatched (`World._completion` calls);
+  `teesim.sos`), the questions the tick fold's look-ahead asks the CPU
+  monitor's rule (`cpu_request` calls inside `World._quiescent_ticks`: one
+  per look-ahead at most where the rule answers for a range of ticks, one
+  per tick asked where it answers for one window), completion events
+  dispatched (`World._completion` calls), ticks (`World._tick` calls),
+  directive reads (`scenario._read` calls), window sums built afresh
+  (`sos.UsageSums` objects made, 0 where the class is gone), utilization
+  samples added (`World._add_utilization` calls, or
+  `World._sample_utilization` where that adds them), image digests
+  (`digest64` calls, wherever it is imported), working-set lookups
+  (`CipherQuery.working_set_bytes` calls) and `shlex.split` calls;
 * parse cost, RUNS times: microseconds per `scenario.parse` over the
   serialized texts of POOL random honest scenarios (seeds 0 to POOL - 1),
   the minimum of PASSES passes, in process time;
@@ -181,13 +189,15 @@ print(json.dumps(dict(n, s=s, scenarios_per_s=int(sys.argv[2]) / s)))
 """
 
 SUITE_EVENTS = """
-import json, sys
+import json, shlex, sys
 sys.path.insert(0, sys.argv[1])
-from teesim import bench, sos
+from teesim import bench, scenario, secure_world, sos
 from teesim.engine import Engine
 from teesim.world import World
 n, suite = {}, [None]
-work = {"chunk_costs": 0, "lookahead_cpu_requests": 0, "completions": 0}
+work = dict.fromkeys(("chunk_costs", "lookahead_cpu_requests", "completions", "ticks",
+                      "directive_reads", "usage_sums_built", "utilization_samples",
+                      "digests", "working_set_lookups", "shlex_splits"), 0)
 run_until = Engine.run_until
 def counted(self, t_end_ns):
     dispatched = run_until(self, t_end_ns)
@@ -215,6 +225,20 @@ def looking_ahead(self, *args):
 World._quiescent_ticks = looking_ahead
 count(sos.SandboxRuntime, "cpu_request", "lookahead_cpu_requests", lambda: inside[0])
 count(World, "_completion", "completions")
+count(World, "_tick", "ticks")
+count(scenario, "_read", "directive_reads")
+for owner, name, key in ((sos, "UsageSums", "usage_sums_built"),
+                         (World, "_add_utilization", "utilization_samples"),
+                         (World, "_sample_utilization", "utilization_samples"),
+                         (sos.CipherQuery, "working_set_bytes", "working_set_lookups"),
+                         (shlex, "split", "shlex_splits")):
+    if hasattr(owner, name):
+        count(owner, name, key)
+unhashed = secure_world.digest64
+count(secure_world, "digest64", "digests")
+for module in list(sys.modules.values()):  # the modules that imported it
+    if getattr(module, "digest64", None) is unhashed:
+        module.digest64 = secure_world.digest64
 for name in bench.SUITES:
     suite[0], n[name] = name, 0
     bench.run_suite(name)
